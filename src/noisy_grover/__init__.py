@@ -3,8 +3,10 @@
 A pi/4-rotation Grover iteration is corrupted by a two-level environment
 of strength chi, preconditioned by nearest-unitary replacement, and run
 as a mixed-unitary channel on an N-item projector database.  The package
-provides the channel constructions, the N-dimensional search dynamics,
-fidelity/entropy/majorization analysis, a verification suite, and a CLI.
+provides the channel constructions, the search dynamics (run on the 2x2
+block of the invariant search plane at any N, with the dense N-dimensional
+channel kept as its oracle), fidelity/entropy/majorization analysis, a
+verification suite, and a CLI.
 """
 
 from .analysis import (
@@ -49,7 +51,6 @@ from .errors import (
     OffPlaneSupport,
     ZeroBlochVector,
 )
-from .kernels import backend as kernel_backend
 from .linalg import (
     eigvals_hermitian,
     kron,
@@ -78,9 +79,11 @@ from .search import (
     check_density_matrix,
     ideal_grover_probability,
     iterate,
+    plane_channel,
     reflection,
     success_probability,
     target_state,
+    uniform_plane_vector,
     uniform_state,
 )
 from .verify import CheckResult, DiscrepancyRecord, VerificationReport, run_verification

@@ -22,13 +22,13 @@ from .errors import (
     ZeroBlochVector,
 )
 from .linalg import as_complex_matrix, eigvals_hermitian
-from .noise import scalar_profile
+from .noise import ScalarProfile, scalar_profile
 from .search import (
     SearchInstance,
-    build_search_channel,
     iterate,
     plane_basis,
-    uniform_state,
+    plane_channel,
+    uniform_plane_vector,
 )
 from .tolerances import (
     BLOCH_ZERO_ATOL,
@@ -55,11 +55,6 @@ __all__ = [
     "trajectory_report",
     "high_precision_bloch_norms",
 ]
-
-# Full states are kept up to this dimension; larger databases evolve only
-# the 2x2 plane block (the dynamics never leaves the plane).
-FULL_STATE_LIMIT = 256
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -106,7 +101,12 @@ class Phi:
 
 @dataclass(eq=False)
 class TrajectoryReport:
-    """Everything measured along one trajectory, sequences of length m+1."""
+    """Everything measured along one trajectory, sequences of length m+1.
+
+    Each entry of spectra holds the two eigenvalues of the state's plane
+    block, descending; the other n - 2 eigenvalues are exact zeros and are
+    not stored, as they change neither entropy nor majorization.
+    """
 
     instance: SearchInstance
     points: list = field(default_factory=list)
@@ -179,13 +179,16 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     return bloch.z / bloch.norm
 
 
-def phase_terms(chi: float, m: int, n: int, psi_sign: int = 1) -> Phi:
+def phase_terms(
+    chi: float, m: int, n: int, psi_sign: int = 1, profile: ScalarProfile = None
+) -> Phi:
     """Assemble the closed-form phase phi_half = m*psi - m*theta + alpha.
 
     psi_sign flips the sign of psi; its defining relation only fixes
-    cos^2(psi), so the branch is explorable.
+    cos^2(psi), so the branch is explorable.  profile, when given, must be
+    scalar_profile(chi); it saves re-evaluating it.
     """
-    prof = scalar_profile(chi)
+    prof = scalar_profile(chi) if profile is None else profile
     alpha = math.acos(1.0 / math.sqrt(n))
     theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
     phi_half = m * psi_sign * prof.psi - m * theta + alpha
@@ -193,7 +196,7 @@ def phase_terms(chi: float, m: int, n: int, psi_sign: int = 1) -> Phi:
 
 
 def closed_form_fidelities(
-    chi: float, m: int, n: int, psi_sign: int = 1
+    chi: float, m: int, n: int, psi_sign: int = 1, profile: ScalarProfile = None
 ) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis:
 
@@ -201,12 +204,12 @@ def closed_form_fidelities(
 
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
-    normalization.
+    normalization.  profile is passed on to phase_terms.
     """
     if m < 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
-    prof = scalar_profile(chi)
-    ph = phase_terms(chi, m, n, psi_sign)
+    prof = scalar_profile(chi) if profile is None else profile
+    ph = phase_terms(chi, m, n, psi_sign, prof)
     damping = math.cos(2.0 * prof.psi) ** m
     f = 0.25 * (1.0 + damping * math.cos(2.0 * ph.phi_half))
     cos_gamma = math.cos(ph.phi_half) ** 2
@@ -252,71 +255,40 @@ def majorization_check(after, before, atol: float = MAJORIZATION_ATOL) -> bool:
     return bool(np.all(partial_gap <= atol))
 
 
-def _plane_trajectory(inst: SearchInstance, m_max: int) -> np.ndarray:
-    """Evolve only the 2x2 plane block; valid because t preserves the plane."""
-    channel = build_search_channel(inst)
-    p = plane_basis(inst)
-    ops2 = np.stack([p.conj().T @ k @ p for k in channel.kraus.operators])
-    s2 = p.conj().T @ uniform_state(inst.n) @ p
-    blocks = [s2]
-    cur = s2
-    for _ in range(m_max):
-        cur = sum(
-            w * (k @ cur @ k.conj().T) for w, k in zip(channel.kraus.weights, ops2)
-        )
-        blocks.append(cur)
-    return np.stack(blocks)
-
-
 def trajectory_report(
     inst: SearchInstance, m_max: int, psi_sign: int = 1
 ) -> TrajectoryReport:
     """Run m_max iterations from the uniform state and measure every step.
 
-    Stores full density matrices only for n <= 256; above that the
-    trajectory is evolved directly in the invariant plane and spectra are
-    padded with the exact zeros of the complement.
+    The trajectory is evolved as 2x2 plane blocks (plane_channel), so the
+    cost is independent of n; every quantity is read off those blocks.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     report = TrajectoryReport(instance=inst)
-    if inst.n <= FULL_STATE_LIMIT:
-        states = iterate(build_search_channel(inst), uniform_state(inst.n), m_max)
-        blocks = None
-    else:
-        states = None
-        blocks = _plane_trajectory(inst, m_max)
+    s = uniform_plane_vector(inst.n)
+    blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)
+    profile = scalar_profile(inst.chi)
 
     init_spectrum = None
     prev_spectrum = None
-    for m in range(m_max + 1):
-        if states is not None:
-            rho = states[m]
-            f_paper, p_success = radial_fidelity(rho, inst)
-            block = _plane_block(rho, inst)
-            spectrum = eigvals_hermitian(rho)
-        else:
-            block = blocks[m]
-            p_success = float(block[0, 0].real)
-            f_paper = 0.5 * p_success
-            pad = np.zeros(inst.n - 2)
-            spectrum = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(block).real, pad]
-            ))[::-1]
+    for m, block in enumerate(blocks):
+        p_success = float(block[0, 0].real)
         bloch = _bloch_of_block(block)
         cos_gamma = bloch.z / bloch.norm if bloch.norm > BLOCH_ZERO_ATOL else math.nan
         report.points.append(
             FidelityPoint(
                 m=m,
-                f_paper=f_paper,
+                f_paper=0.5 * p_success,
                 p_success=p_success,
                 cos_gamma=cos_gamma,
                 bloch_norm=bloch.norm,
             )
         )
-        fc, cgc = closed_form_fidelities(inst.chi, m, inst.n, psi_sign)
+        fc, cgc = closed_form_fidelities(inst.chi, m, inst.n, psi_sign, profile)
         report.f_closed.append(fc)
         report.cos_gamma_closed.append(cgc)
+        spectrum = eigvals_hermitian(block)
         report.entropies.append(entropy_from_spectrum(spectrum))
         report.spectra.append(spectrum)
         if init_spectrum is None:
@@ -337,16 +309,16 @@ def high_precision_bloch_norms(
 
     float64 operator construction leaves ~1e-16 defects that pin the
     Bloch vector to a plateau near 1e-15, masking the true geometric
-    decay once norms fall below roughly 1e-7.  Rebuilding the channel and
-    iterating at dps digits resolves the decay to machine-irrelevant
-    depth.  Returns float64 norms (their relative accuracy survives the
-    conversion).  Intended for modest n; cost grows as n^3 per step.
+    decay once norms fall below roughly 1e-7.  Rebuilding the plane
+    channel and iterating its 2x2 block at dps digits resolves the decay
+    to machine-irrelevant depth, at a cost independent of n.  Returns
+    float64 norms (their relative accuracy survives the conversion).
     """
     import mpmath as mp
 
     with mp.workdps(dps):
         chi = mp.mpf(repr(float(inst.chi)))
-        n, w = inst.n, inst.w
+        n = inst.n
         mu = mp.sqrt(chi**2 / 4 + mp.pi**2 / 16)
         delta = mp.sin(mu) / mu
         psi = mp.atan2(abs(chi / 2 * delta), abs(mp.cos(mu)))
@@ -354,27 +326,17 @@ def high_precision_bloch_norms(
         def rot(a):
             return mp.matrix([[mp.cos(a), mp.sin(a)], [-mp.sin(a), mp.cos(a)]])
 
-        basis = mp.matrix(n, 2)
-        basis[w, 0] = mp.mpf(1)
-        for i in range(n):
-            if i != w:
-                basis[i, 1] = 1 / mp.sqrt(n - 1)
-        s = mp.matrix([[1 / mp.sqrt(n)] for _ in range(n)])
-        refl_s = mp.eye(n) - 2 * (s * s.T)
-        refl_w = mp.eye(n)
-        refl_w[w, w] = mp.mpf(-1)
-        ops = []
-        for v in (rot(psi - chi / 2), rot(-chi / 2)):
-            lifted = mp.eye(n) + basis * (v - mp.eye(2)) * basis.T
-            ops.append(lifted * refl_s * lifted.T * refl_w)
+        s = mp.matrix([[1 / mp.sqrt(n)], [mp.sqrt(mp.mpf(n - 1) / n)]])
+        refl_s = mp.eye(2) - 2 * (s * s.T)
+        refl_w = mp.diag([-1, 1])
+        ops = [v * refl_s * v.T * refl_w for v in (rot(psi - chi / 2), rot(-chi / 2))]
         ops_t = [k.T for k in ops]
-        rho = mp.matrix([[mp.mpf(1) / n] * n for _ in range(n)])
+        rho = s * s.T
         half = mp.mpf(1) / 2
         norms = []
         for step in range(m_max + 1):
-            col_w, col_r = basis[:, 0], basis[:, 1]
-            x = 2 * (col_w.T * rho * col_r)[0]
-            z = (col_w.T * rho * col_w)[0] - (col_r.T * rho * col_r)[0]
+            x = 2 * rho[0, 1]
+            z = rho[0, 0] - rho[1, 1]
             norms.append(float(mp.sqrt(x * x + z * z)))
             if step < m_max:
                 rho = half * (ops[0] * rho * ops_t[0]) + half * (ops[1] * rho * ops_t[1])

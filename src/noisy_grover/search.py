@@ -8,10 +8,17 @@ and the unit component |r> of |s> orthogonal to it.  The embedding acts
 as the 2x2 rotation on the ordered basis {|w>, |r>} and as the identity
 on the orthogonal complement; with it, the chi = 0 limit reproduces the
 textbook two-reflection iteration exactly.
+
+Starting from |s>, the state never leaves that plane, so plane_channel
+builds t as a 2x2 channel on {|w>, |r>} whose cost does not depend on n.
+build_search_channel assembles the same map densely in n dimensions and
+is kept as the independent oracle for tests and verification.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,6 @@ from .errors import (
     InvalidDensityMatrix,
     NotNormalized,
 )
-from .kernels import iterate_states
 from .linalg import as_complex_matrix, hermiticity_defect, unitarity_defect
 from .noise import nearest_unitary_pair
 from .tolerances import (
@@ -41,6 +47,8 @@ __all__ = [
     "reflection",
     "plane_basis",
     "embed_plane_rotation",
+    "uniform_plane_vector",
+    "plane_channel",
     "build_search_channel",
     "apply",
     "iterate",
@@ -53,19 +61,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """Database size, target index, and environment coupling strength."""
+    """Database size, target index, and environment coupling strength.
+
+    n and w must be integers (stored as int, never bool), with 2 <= n,
+    n convertible to float, and 0 <= w < n; chi must be finite and >= 0.
+    Anything else raises ValueError.
+    """
 
     n: int
     w: int
     chi: float
 
     def __post_init__(self):
+        for name in ("n", "w"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError(
+                f"database size of {self.n.bit_length()} bits does not fit a float"
+            ) from None
         if self.n < 2:
             raise ValueError(f"database size must be >= 2, got {self.n}")
         if not 0 <= self.w < self.n:
             raise ValueError(f"target index {self.w} out of range [0, {self.n})")
-        if self.chi < 0:
-            raise ValueError(f"noise strength must be >= 0, got {self.chi}")
+        if not (math.isfinite(self.chi) and self.chi >= 0):
+            raise ValueError(f"noise strength must be finite and >= 0, got {self.chi}")
 
 
 @dataclass(eq=False)
@@ -129,6 +153,30 @@ def embed_plane_rotation(v2, inst: SearchInstance) -> np.ndarray:
     return np.eye(inst.n, dtype=complex) + p @ (v2 - np.eye(2)) @ p.conj().T
 
 
+def uniform_plane_vector(n: int) -> np.ndarray:
+    """|s> on the plane basis {|w>, |r>}: (1/sqrt n, sqrt((n-1)/n))."""
+    if n < 2:
+        raise DegeneratePlane("search plane needs n >= 2")
+    return np.array([1.0 / math.sqrt(n), math.sqrt((n - 1) / n)])
+
+
+def plane_channel(inst: SearchInstance) -> KrausChannel:
+    """t restricted to the search plane: 2x2 operators V_i I_s V_i^dag I_w.
+
+    On the basis {|w>, |r>} the rotations V_i act unembedded, I_s reflects
+    about uniform_plane_vector(n) and I_w = diag(-1, 1); weights are 1/2.
+    Iterated from |s><s| it gives the plane block of t^m(|s><s|), whose
+    entries outside the plane are exact zeros, at any n.
+    """
+    refl_s = reflection(uniform_plane_vector(inst.n))
+    refl_w = np.diag([-1.0, 1.0])
+    ops = tuple(
+        v @ refl_s @ v.conj().T @ refl_w
+        for v in nearest_unitary_pair(inst.chi).operators
+    )
+    return KrausChannel(ops, np.array([0.5, 0.5]))
+
+
 def build_search_channel(inst: SearchInstance) -> SearchChannel:
     """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, weights 1/2.
 
@@ -166,8 +214,10 @@ def iterate(ch, rho: np.ndarray, m: int) -> np.ndarray:
     rho = as_complex_matrix(rho)
     if rho.shape[0] != kraus.dim:
         raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {kraus.dim}")
-    ops = np.stack(kraus.operators)
-    return iterate_states(ops, kraus.weights, rho, m)
+    states = [rho]
+    for _ in range(m):
+        states.append(apply_channel(kraus, states[-1]))
+    return np.stack(states)
 
 
 def success_probability(rho: np.ndarray, w: int) -> float:

@@ -2,15 +2,6 @@ import numpy as np
 import pytest
 
 from noisy_grover.channels import KrausChannel
-from noisy_grover.kernels import iterate_states
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernel():
-    # compile the jitted kernel once so timed tests measure math, not JIT
-    rho = np.eye(2, dtype=complex) / 2
-    ops = np.eye(2, dtype=complex)[None, :, :]
-    iterate_states(ops, np.array([1.0]), rho, 1)
 
 
 @pytest.fixture

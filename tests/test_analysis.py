@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisy_grover.analysis import (
@@ -18,7 +20,7 @@ from noisy_grover.analysis import (
     trajectory_report,
 )
 from noisy_grover.errors import LengthMismatch, OffPlaneSupport, ZeroBlochVector
-from noisy_grover.noise import chi_star
+from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import (
     SearchInstance,
     build_search_channel,
@@ -127,6 +129,25 @@ class TestClosedForms:
             assert f == pytest.approx(0.5 * p_sim, abs=1e-9)
             assert cg == pytest.approx(p_sim, abs=1e-9)
 
+    def test_trajectory_evaluates_profile_once(self, monkeypatch):
+        import noisy_grover.analysis as analysis_mod
+
+        calls = []
+
+        def counting(chi):
+            calls.append(chi)
+            return scalar_profile(chi)
+
+        monkeypatch.setattr(analysis_mod, "scalar_profile", counting)
+        for m_max in (1, 40):
+            calls.clear()
+            rep = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), m_max)
+            assert calls == [1.0]
+            for m in range(m_max + 1):
+                f, cos_gamma = closed_form_fidelities(1.0, m, 16)
+                assert rep.f_closed[m] == f
+                assert rep.cos_gamma_closed[m] == cos_gamma
+
     def test_psi_sign_flip_changes_only_phase(self):
         f_plus, _ = closed_form_fidelities(2.0, 3, 8, psi_sign=1)
         f_minus, _ = closed_form_fidelities(2.0, 3, 8, psi_sign=-1)
@@ -153,11 +174,12 @@ class TestContraction:
         assert np.max(np.abs(ratios - CONTRACTION_AT_2)) <= 1e-8
 
     def test_high_precision_path_matches_float64_early_steps(self):
-        inst = SearchInstance(n=16, w=0, chi=1.0)
-        hp = high_precision_bloch_norms(inst, 8)
-        rep = trajectory_report(inst, 8)
-        norms = np.array([p.bloch_norm for p in rep.points])
-        assert_allclose(hp, norms, rtol=1e-8)
+        for n in (16, 2**40):
+            inst = SearchInstance(n=n, w=0, chi=1.0)
+            hp = high_precision_bloch_norms(inst, 8)
+            rep = trajectory_report(inst, 8)
+            norms = np.array([p.bloch_norm for p in rep.points])
+            assert_allclose(hp, norms, rtol=1e-8)
 
 
 class TestEntropy:
@@ -240,27 +262,37 @@ class TestTrajectoryReport:
         assert len(rep.f_closed) == 8
         assert len(rep.cos_gamma_closed) == 8
 
-    def test_plane_reduction_used_above_size_limit(self):
-        # n = 300 exercises the 2x2 plane path; the noiseless run must
+    def test_large_n_noiseless_run_matches_reference(self):
+        # the plane path costs the same at any n; the noiseless run must
         # still match the closed-form reference exactly
-        rep = trajectory_report(SearchInstance(n=300, w=0, chi=0.0), 10)
-        for m, point in enumerate(rep.points):
-            assert point.p_success == pytest.approx(
-                ideal_grover_probability(300, m), abs=1e-9
-            )
-        assert len(rep.spectra[0]) == 300
+        for n in (300, 2**40):
+            rep = trajectory_report(SearchInstance(n=n, w=n - 1, chi=0.0), 10)
+            for m, point in enumerate(rep.points):
+                assert point.p_success == pytest.approx(
+                    ideal_grover_probability(n, m), abs=1e-9
+                )
+            for spectrum in rep.spectra:
+                assert len(spectrum) == 2
+                assert spectrum[0] >= spectrum[1]
+                assert float(np.sum(spectrum)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_plane_reduction_matches_full_simulation(self):
-        full = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 12)
-        import noisy_grover.analysis as analysis_mod
-
-        original = analysis_mod.FULL_STATE_LIMIT
-        analysis_mod.FULL_STATE_LIMIT = 8
-        try:
-            reduced = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 12)
-        finally:
-            analysis_mod.FULL_STATE_LIMIT = original
-        for a, b in zip(full.points, reduced.points):
-            assert a.p_success == pytest.approx(b.p_success, abs=1e-12)
-            assert a.bloch_norm == pytest.approx(b.bloch_norm, abs=1e-12)
-        assert_allclose(full.entropies, reduced.entropies, atol=1e-11)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        case=st.integers(2, 24).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n - 1))
+        ),
+        chi=st.floats(0.0, 13.0),
+        m_max=st.integers(1, 30),
+    )
+    def test_plane_reduction_matches_full_simulation(self, case, chi, m_max):
+        # the dense n x n channel is the oracle; bloch_from_density refuses
+        # any dense state with weight off the search plane
+        n, w = case
+        inst = SearchInstance(n=n, w=w, chi=chi)
+        rep = trajectory_report(inst, m_max)
+        states = iterate(build_search_channel(inst), uniform_state(n), m_max)
+        for point, ent, rho in zip(rep.points, rep.entropies, states):
+            assert point.p_success == pytest.approx(rho[w, w].real, abs=1e-11)
+            bloch = bloch_from_density(rho, inst)
+            assert point.bloch_norm == pytest.approx(bloch.norm, abs=1e-11)
+            assert ent == pytest.approx(entropy(rho), abs=1e-11)

@@ -111,6 +111,22 @@ class TestSearch:
             for ra, rb in zip(read_rows(base), read_rows(flipped))
         )
 
+    def test_oversized_n_is_a_usage_error(self, capsys):
+        huge = "1" + "0" * 400
+        assert main(["search", "--chi", "1", "--n", huge, "--m", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_huge_n_runs_in_the_plane(self, tmp_path):
+        out = tmp_path / "huge.csv"
+        assert main(
+            ["search", "--chi", "1", "--n", "1048576", "--m", "10", "--out", str(out)]
+        ) == 0
+        rows = read_rows(out)
+        assert len(rows) == 11
+        assert rows[0]["n"] == "1048576"
+
     def test_stdout_when_no_out_given(self, capsys):
         assert main(["search", "--chi", "0", "--n", "4", "--m", "1"]) == 0
         out = capsys.readouterr().out

@@ -27,6 +27,7 @@ from noisy_grover.search import (
     ideal_grover_probability,
     iterate,
     plane_basis,
+    plane_channel,
     reflection,
     success_probability,
     target_state,
@@ -46,6 +47,23 @@ class TestInstance:
             SearchInstance(n=4, w=4, chi=0.0)
         with pytest.raises(ValueError):
             SearchInstance(n=4, w=0, chi=-0.5)
+        bad = [
+            (4, 0, math.nan),
+            (4, 0, math.inf),
+            (16.5, 0, 0.0),
+            (16.0, 0, 0.0),
+            (True, 0, 0.0),
+            (4, 1.0, 0.0),
+            (4, False, 0.0),
+            (10**400, 0, 0.0),  # does not fit a float
+        ]
+        for n, w, chi in bad:
+            with pytest.raises(ValueError):
+                SearchInstance(n=n, w=w, chi=chi)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        inst = SearchInstance(n=np.int64(8), w=np.int32(3), chi=0.5)
+        assert type(inst.n) is int and type(inst.w) is int
 
 
 class TestStatesAndReflections:
@@ -124,6 +142,18 @@ class TestBuildChannel:
         assert t.kraus.is_mixed_unitary()
         assert t.kraus.completeness_defect() <= 1e-10
 
+    def test_plane_channel_is_dense_channel_on_plane(self):
+        for n, w, chi in ((2, 1, 0.4), (5, 3, 1.0), (16, 0, chi_star(1)), (9, 8, 11.0)):
+            inst = SearchInstance(n=n, w=w, chi=chi)
+            p = plane_basis(inst)
+            dense = build_search_channel(inst).kraus
+            plane = plane_channel(inst)
+            assert plane.dim == 2
+            assert plane.is_mixed_unitary()
+            assert_allclose(plane.weights, dense.weights)
+            for k2, kn in zip(plane.operators, dense.operators):
+                assert_allclose(k2, p.conj().T @ kn @ p, atol=1e-13)
+
 
 class TestApplyIterate:
     def test_identity_channel_is_neutral(self, rng):
@@ -153,6 +183,13 @@ class TestApplyIterate:
         assert_allclose(traj[0], rho)
         traj = iterate(t, rho, 2)
         assert_allclose(traj[2], apply(t, apply(t, rho)), atol=1e-13)
+
+    def test_iterate_identity_channel_fixes_state(self, rng):
+        rho = random_density(rng, 3)
+        traj = iterate(identity_channel(3), rho, 5)
+        assert traj.shape == (6, 3, 3)
+        for state in traj:
+            assert_allclose(state, rho, atol=1e-14)
 
     def test_trajectory_stays_in_plane(self):
         inst = SearchInstance(n=8, w=2, chi=1.3)
