@@ -11,7 +11,7 @@ oracle, the formulas are hypotheses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,21 +101,50 @@ class Phi:
 
 @dataclass(eq=False)
 class TrajectoryReport:
-    """Everything measured along one trajectory, sequences of length m+1.
+    """Everything measured along one trajectory, one column per quantity.
 
-    Each entry of spectra holds the two eigenvalues of the state's plane
-    block, descending; the other n - 2 eigenvalues are exact zeros and are
-    not stored, as they change neither entropy nor majorization.
+    Row m of every array is iteration m, m = 0..m_max.  p_success is
+    tr(rho |w><w|) and f_paper half of it; bloch_x, bloch_z and bloch_norm
+    are the plane Bloch vector (BlochVector) and cos_gamma is
+    bloch_z / bloch_norm, nan where the norm is at most BLOCH_ZERO_ATOL.
+    f_closed and cos_gamma_closed are the closed-form hypotheses.  Row m of
+    spectra holds the two eigenvalues of the state's plane block,
+    descending; the other n - 2 eigenvalues are exact zeros and are not
+    stored, as they change neither entropy nor majorization.  The
+    majorization flags are True at m = 0.
     """
 
     instance: SearchInstance
-    points: list = field(default_factory=list)
-    f_closed: list = field(default_factory=list)
-    cos_gamma_closed: list = field(default_factory=list)
-    entropies: list = field(default_factory=list)
-    spectra: list = field(default_factory=list)
-    majorized_by_prev: list = field(default_factory=list)
-    majorized_by_init: list = field(default_factory=list)
+    p_success: np.ndarray
+    f_paper: np.ndarray
+    bloch_x: np.ndarray
+    bloch_z: np.ndarray
+    bloch_norm: np.ndarray
+    cos_gamma: np.ndarray
+    f_closed: np.ndarray
+    cos_gamma_closed: np.ndarray
+    entropies: np.ndarray
+    spectra: np.ndarray
+    majorized_by_prev: np.ndarray
+    majorized_by_init: np.ndarray
+
+    @property
+    def points(self) -> list:
+        """The readout columns as one FidelityPoint per iteration.
+
+        Built from the columns on every access; index the columns directly
+        in loops.
+        """
+        return [
+            FidelityPoint(*values)
+            for values in zip(
+                range(len(self.p_success)),
+                self.f_paper.tolist(),
+                self.p_success.tolist(),
+                self.cos_gamma.tolist(),
+                self.bloch_norm.tolist(),
+            )
+        ]
 
 
 def _plane_block(rho: np.ndarray, inst: SearchInstance) -> np.ndarray:
@@ -134,13 +163,16 @@ def _plane_block(rho: np.ndarray, inst: SearchInstance) -> np.ndarray:
     return block
 
 
+def _bloch_coordinates(blocks: np.ndarray) -> tuple:
+    """Bloch (x, z) of a trace-renormalized 2x2 block or (..., 2, 2) stack."""
+    trace = blocks[..., 0, 0].real + blocks[..., 1, 1].real
+    blocks = blocks / trace[..., None, None]
+    return 2.0 * blocks[..., 0, 1].real, (blocks[..., 0, 0] - blocks[..., 1, 1]).real
+
+
 def _bloch_of_block(block: np.ndarray) -> BlochVector:
-    trace = float(np.trace(block).real)
-    block = block / trace
-    return BlochVector(
-        x=float(2.0 * block[0, 1].real),
-        z=float((block[0, 0] - block[1, 1]).real),
-    )
+    x, z = _bloch_coordinates(block)
+    return BlochVector(x=float(x), z=float(z))
 
 
 def bloch_from_density(rho: np.ndarray, inst: SearchInstance) -> BlochVector:
@@ -226,11 +258,17 @@ def bloch_contraction_factor(chi: float) -> float:
     return abs(math.cos(2.0 * scalar_profile(chi).psi))
 
 
-def entropy_from_spectrum(values: np.ndarray) -> float:
-    """-sum l ln(l) in nats, treating values below the floor as zero."""
+def entropy_from_spectrum(values: np.ndarray):
+    """-sum l ln(l) in nats, treating values below the floor as zero.
+
+    A (..., k) array of spectra gives a (...) array of entropies; a single
+    spectrum gives a float.
+    """
     vals = np.asarray(values, dtype=float)
-    vals = vals[vals > EIGENVALUE_FLOOR]
-    return float(-np.sum(vals * np.log(vals)))
+    kept = vals > EIGENVALUE_FLOOR
+    terms = np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0)
+    result = -np.sum(terms, axis=-1)
+    return float(result) if result.ndim == 0 else result
 
 
 def entropy(rho: np.ndarray) -> float:
@@ -238,21 +276,28 @@ def entropy(rho: np.ndarray) -> float:
     return entropy_from_spectrum(eigvals_hermitian(rho))
 
 
-def majorization_check(after, before, atol: float = MAJORIZATION_ATOL) -> bool:
+def majorization_check(after, before, atol: float = MAJORIZATION_ATOL):
     """True iff `after` is majorized by `before` (more mixed than it).
 
     Both spectra are sorted descending; every partial sum of `after`
     must stay below the matching partial sum of `before` within atol,
-    with equal totals.
+    with equal totals.  Spectra run along the last axis and the leading
+    axes broadcast: (..., k) inputs give a (...) boolean array, two single
+    spectra give a bool.
     """
-    a = np.sort(np.asarray(after, dtype=float))[::-1]
-    b = np.sort(np.asarray(before, dtype=float))[::-1]
-    if a.shape != b.shape:
-        raise LengthMismatch(f"spectra lengths differ: {a.size} != {b.size}")
-    if abs(a.sum() - 1.0) > 1e-8 or abs(b.sum() - 1.0) > 1e-8:
+    a = np.sort(np.asarray(after, dtype=float), axis=-1)[..., ::-1]
+    b = np.sort(np.asarray(before, dtype=float), axis=-1)[..., ::-1]
+    if a.shape[-1] != b.shape[-1]:
+        raise LengthMismatch(
+            f"spectra lengths differ: {a.shape[-1]} != {b.shape[-1]}"
+        )
+    if np.any(np.abs(a.sum(axis=-1) - 1.0) > 1e-8) or np.any(
+        np.abs(b.sum(axis=-1) - 1.0) > 1e-8
+    ):
         raise ValueError("spectra must each sum to 1 within 1e-8")
-    partial_gap = np.cumsum(a) - np.cumsum(b)
-    return bool(np.all(partial_gap <= atol))
+    partial_gap = np.cumsum(a, axis=-1) - np.cumsum(b, axis=-1)
+    result = np.all(partial_gap <= atol, axis=-1)
+    return bool(result) if result.ndim == 0 else result
 
 
 def trajectory_report(
@@ -261,45 +306,51 @@ def trajectory_report(
     """Run m_max iterations from the uniform state and measure every step.
 
     The trajectory is evolved as 2x2 plane blocks (plane_channel), so the
-    cost is independent of n; every quantity is read off those blocks.
+    cost is independent of n.  Every quantity is then read off the whole
+    (m_max+1, 2, 2) stack of blocks at once; each entry equals what the
+    single-block helpers (_bloch_of_block, eigvals_hermitian,
+    entropy_from_spectrum, majorization_check) give for that step.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    report = TrajectoryReport(instance=inst)
     s = uniform_plane_vector(inst.n)
     blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)
     profile = scalar_profile(inst.chi)
 
-    init_spectrum = None
-    prev_spectrum = None
-    for m, block in enumerate(blocks):
-        p_success = float(block[0, 0].real)
-        bloch = _bloch_of_block(block)
-        cos_gamma = bloch.z / bloch.norm if bloch.norm > BLOCH_ZERO_ATOL else math.nan
-        report.points.append(
-            FidelityPoint(
-                m=m,
-                f_paper=0.5 * p_success,
-                p_success=p_success,
-                cos_gamma=cos_gamma,
-                bloch_norm=bloch.norm,
-            )
-        )
-        fc, cgc = closed_form_fidelities(inst.chi, m, inst.n, psi_sign, profile)
-        report.f_closed.append(fc)
-        report.cos_gamma_closed.append(cgc)
-        spectrum = eigvals_hermitian(block)
-        report.entropies.append(entropy_from_spectrum(spectrum))
-        report.spectra.append(spectrum)
-        if init_spectrum is None:
-            init_spectrum = spectrum
-            report.majorized_by_prev.append(True)
-            report.majorized_by_init.append(True)
-        else:
-            report.majorized_by_prev.append(majorization_check(spectrum, prev_spectrum))
-            report.majorized_by_init.append(majorization_check(spectrum, init_spectrum))
-        prev_spectrum = spectrum
-    return report
+    p_success = blocks[:, 0, 0].real.copy()
+    bloch_x, bloch_z = _bloch_coordinates(blocks)
+    # math.hypot as in BlochVector.norm: np.hypot can differ in the last bit
+    bloch_norm = np.fromiter(
+        map(math.hypot, bloch_x.tolist(), bloch_z.tolist()), float, len(blocks)
+    )
+    cos_gamma = np.full(len(blocks), math.nan)
+    np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
+    f_closed, cos_gamma_closed = np.array(
+        [
+            closed_form_fidelities(inst.chi, m, inst.n, psi_sign, profile)
+            for m in range(m_max + 1)
+        ]
+    ).T
+    spectra = eigvals_hermitian(blocks)
+
+    def majorized_by(before):  # True at m = 0, which has no earlier step
+        return np.concatenate([[True], majorization_check(spectra[1:], before)])
+
+    return TrajectoryReport(
+        instance=inst,
+        p_success=p_success,
+        f_paper=0.5 * p_success,
+        bloch_x=bloch_x,
+        bloch_z=bloch_z,
+        bloch_norm=bloch_norm,
+        cos_gamma=cos_gamma,
+        f_closed=f_closed,
+        cos_gamma_closed=cos_gamma_closed,
+        entropies=entropy_from_spectrum(spectra),
+        spectra=spectra,
+        majorized_by_prev=majorized_by(spectra[:-1]),
+        majorized_by_init=majorized_by(spectra[0]),
+    )
 
 
 def high_precision_bloch_norms(

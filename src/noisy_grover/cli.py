@@ -13,6 +13,7 @@ variable for the default output directory, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -122,14 +123,23 @@ def cmd_chi_star(args) -> int:
 
 def _trajectory_violations(report) -> list:
     """Gate: trace, positivity, entropy monotonicity, majorization."""
-    problems = []
+    traces = report.spectra.sum(axis=-1)
+    smallest = report.spectra[:, -1]
     entropies = report.entropies
-    for k, spectrum in enumerate(report.spectra):
-        if abs(float(np.sum(spectrum)) - 1.0) > TRACE_ATOL:
-            problems.append(f"m={k}: trace {float(np.sum(spectrum)):.12f}")
-        if float(spectrum[-1]) < -POSITIVITY_ATOL:
-            problems.append(f"m={k}: eigenvalue {float(spectrum[-1]):.3e}")
-        if k > 0 and entropies[k] < entropies[k - 1] - 1e-12:
+    drops = np.zeros(len(entropies), dtype=bool)
+    drops[1:] = entropies[1:] < entropies[:-1] - 1e-12
+    bad_trace = np.abs(traces - 1.0) > TRACE_ATOL
+    negative = smallest < -POSITIVITY_ATOL
+    problems = []
+    for k in np.flatnonzero(
+        bad_trace | negative | drops
+        | ~report.majorized_by_prev | ~report.majorized_by_init
+    ).tolist():
+        if bad_trace[k]:
+            problems.append(f"m={k}: trace {float(traces[k]):.12f}")
+        if negative[k]:
+            problems.append(f"m={k}: eigenvalue {float(smallest[k]):.3e}")
+        if drops[k]:
             problems.append(
                 f"m={k}: entropy drops by {entropies[k - 1] - entropies[k]:.3e}"
             )
@@ -297,13 +307,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one process builds it once.
+_cached_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _cached_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a trajectory's arrays are allocated up front, so an impossible
+        # --m fails here at once instead of running out of memory later
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NoisyGroverError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 from .analysis import TrajectoryReport
 
@@ -19,45 +20,45 @@ CSV_HEADER = (
 )
 
 _COLUMNS = CSV_HEADER.split(",")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+_INT_COLUMNS = ("n", "w", "m")
+_FLAG_COLUMNS = ("majorized_by_prev", "majorized_by_init")  # the last two
+# One printf template per row, so no cell is type-tested: ints in decimal,
+# flags as words, every other column a float at 17 significant digits.
+_ROW_TEMPLATE = ",".join(
+    "%s" if c in _FLAG_COLUMNS else "%d" if c in _INT_COLUMNS else "%.17g"
+    for c in _COLUMNS
+)
+_FLAG_TEXT = {True: "true", False: "false"}
+_row_values = operator.itemgetter(*_COLUMNS)
 
 
 def report_rows(report: TrajectoryReport) -> list:
     """One ordered dict per iteration, matching the CSV schema."""
     inst = report.instance
-    rows = []
-    for k, point in enumerate(report.points):
-        rows.append(
-            {
-                "chi": float(inst.chi),
-                "n": inst.n,
-                "w": inst.w,
-                "m": point.m,
-                "p_success": point.p_success,
-                "f_paper": point.f_paper,
-                "f_closed": report.f_closed[k],
-                "cos_gamma_sim": point.cos_gamma,
-                "cos_gamma_closed": report.cos_gamma_closed[k],
-                "bloch_norm": point.bloch_norm,
-                "entropy_nats": report.entropies[k],
-                "majorized_by_prev": bool(report.majorized_by_prev[k]),
-                "majorized_by_init": bool(report.majorized_by_init[k]),
-            }
-        )
-    return rows
+    count = len(report.p_success)
+    columns = (
+        [float(inst.chi)] * count,
+        [inst.n] * count,
+        [inst.w] * count,
+        range(count),
+        report.p_success.tolist(),
+        report.f_paper.tolist(),
+        report.f_closed.tolist(),
+        report.cos_gamma.tolist(),
+        report.cos_gamma_closed.tolist(),
+        report.bloch_norm.tolist(),
+        report.entropies.tolist(),
+        report.majorized_by_prev.tolist(),
+        report.majorized_by_init.tolist(),
+    )
+    return [dict(zip(_COLUMNS, values)) for values in zip(*columns)]
 
 
 def rows_to_csv(rows: list) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in _COLUMNS))
+        *numbers, prev, init = _row_values(row)
+        lines.append(_ROW_TEMPLATE % (*numbers, _FLAG_TEXT[prev], _FLAG_TEXT[init]))
     return "\n".join(lines) + "\n"
 
 

@@ -207,17 +207,28 @@ def apply(ch, rho: np.ndarray) -> np.ndarray:
 
 
 def iterate(ch, rho: np.ndarray, m: int) -> np.ndarray:
-    """Trajectory [rho, t(rho), ..., t^m(rho)] as an (m+1, n, n) array."""
+    """Trajectory [rho, t(rho), ..., t^m(rho)] as an (m+1, n, n) array.
+
+    The state and channel are validated once; each step then runs
+    apply_channel's arithmetic, sum_i w_i K_i rho K_i^dag accumulated from
+    zero in operator order, so it matches repeated apply() exactly.  The
+    whole array is allocated up front: an m too large for memory raises
+    MemoryError before any step runs.
+    """
     if m < 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
     kraus = _as_kraus(ch)
     rho = as_complex_matrix(rho)
     if rho.shape[0] != kraus.dim:
         raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {kraus.dim}")
-    states = [rho]
-    for _ in range(m):
-        states.append(apply_channel(kraus, states[-1]))
-    return np.stack(states)
+    terms = [(w, k, k.conj().T) for w, k in zip(kraus.weights, kraus.operators)]
+    states = np.zeros((m + 1, *rho.shape), dtype=complex)
+    states[0] = rho
+    for step in range(m):
+        rho, out = states[step], states[step + 1]
+        for w, k, k_dag in terms:
+            out += w * (k @ rho @ k_dag)
+    return states
 
 
 def success_probability(rho: np.ndarray, w: int) -> float:

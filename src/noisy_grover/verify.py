@@ -252,7 +252,7 @@ def _check_entropy_majorization(report) -> None:
             for k in range(1, 41):
                 if ent[k] < ent[k - 1] - 1e-12:
                     violations += 1
-                if rep.points[k - 1].bloch_norm > 1e-3 and ent[k] - ent[k - 1] <= 1e-8:
+                if rep.bloch_norm[k - 1] > 1e-3 and ent[k] - ent[k - 1] <= 1e-8:
                     violations += 1
             if not all(rep.majorized_by_prev) or not all(rep.majorized_by_init):
                 violations += 1
@@ -272,7 +272,7 @@ def _check_contraction(report) -> list:
     ratio_data = []
     for chi in (0.5, 1.0, 2.0):
         rep = trajectory_report(SearchInstance(n=16, w=0, chi=chi), 30)
-        norms = np.array([p.bloch_norm for p in rep.points])
+        norms = rep.bloch_norm
         usable = norms[1:] > 1e-5
         ratios = norms[1:][usable] / norms[:-1][usable]
         factor = bloch_contraction_factor(chi)
@@ -346,7 +346,7 @@ def _record_normalization(report) -> None:
     n = 64
     horizon = int(math.ceil(4 * math.sqrt(n)))
     rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), horizon)
-    best_p = max(p.p_success for p in rep.points)
+    best_p = float(np.max(rep.p_success))
     best_f_closed = max(
         closed_form_fidelities(chi, m, n)[0] for m in range(horizon + 1)
     )

@@ -177,7 +177,7 @@ def test_a6_entropy_and_majorization():
             ent = np.array(rep.entropies)
             worst_drop = max(worst_drop, float(np.max(ent[:-1] - ent[1:], initial=0.0)))
             for k in range(1, 41):
-                if rep.points[k - 1].bloch_norm > 1e-3:
+                if rep.bloch_norm[k - 1] > 1e-3:
                     weakest_gain = min(weakest_gain, ent[k] - ent[k - 1])
             all_majorized = all_majorized and all(rep.majorized_by_prev)
             all_majorized = all_majorized and all(rep.majorized_by_init)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisy_grover.analysis import (
+    FidelityPoint,
+    _bloch_of_block,
     angular_fidelity,
     bloch_contraction_factor,
     bloch_from_density,
@@ -20,6 +22,7 @@ from noisy_grover.analysis import (
     trajectory_report,
 )
 from noisy_grover.errors import LengthMismatch, OffPlaneSupport, ZeroBlochVector
+from noisy_grover.linalg import eigvals_hermitian
 from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import (
     SearchInstance,
@@ -27,9 +30,12 @@ from noisy_grover.search import (
     ideal_grover_probability,
     iterate,
     plane_basis,
+    plane_channel,
     target_state,
+    uniform_plane_vector,
     uniform_state,
 )
+from noisy_grover.tolerances import BLOCH_ZERO_ATOL
 
 ENTROPY_09_01 = 0.3250829733914482  # -0.9 ln 0.9 - 0.1 ln 0.1
 CONTRACTION_AT_2 = 0.7332746302984231  # |cos(2 psi(2))|
@@ -169,7 +175,7 @@ class TestContraction:
         # trajectory ratios confirm the closed-form factor step by step
         inst = SearchInstance(n=16, w=0, chi=2.0)
         rep = trajectory_report(inst, 30)
-        norms = np.array([p.bloch_norm for p in rep.points])
+        norms = rep.bloch_norm
         ratios = norms[1:] / norms[:-1]
         assert np.max(np.abs(ratios - CONTRACTION_AT_2)) <= 1e-8
 
@@ -178,7 +184,7 @@ class TestContraction:
             inst = SearchInstance(n=n, w=0, chi=1.0)
             hp = high_precision_bloch_norms(inst, 8)
             rep = trajectory_report(inst, 8)
-            norms = np.array([p.bloch_norm for p in rep.points])
+            norms = rep.bloch_norm
             assert_allclose(hp, norms, rtol=1e-8)
 
 
@@ -200,6 +206,17 @@ class TestEntropy:
         vals = np.array([1.0 + 1e-16, -1e-16, 5e-15])
         assert entropy_from_spectrum(vals) == 0.0
 
+    def test_stack_equals_each_spectrum(self):
+        spectra = np.array(
+            [[1.0, 0.0], [0.9, 0.1], [0.5, 0.5], [1.0 - 1e-15, 1e-15], [0.7, 0.3]]
+        ).reshape(5, 1, 2)
+        stacked = entropy_from_spectrum(spectra)
+        assert stacked.shape == (5, 1)
+        for row, value in zip(spectra[:, 0], stacked[:, 0]):
+            single = entropy_from_spectrum(row)
+            assert isinstance(single, float)
+            assert np.float64(single).tobytes() == value.tobytes()
+
 
 class TestMajorization:
     def test_two_level_orderings(self):
@@ -219,13 +236,40 @@ class TestMajorization:
         with pytest.raises(ValueError):
             majorization_check([0.5, 0.4], [0.9, 0.1])
 
+    def test_single_spectra_give_a_bool(self):
+        assert type(majorization_check([0.7, 0.3], [0.9, 0.1])) is bool
+
+    def test_stack_equals_each_pair(self):
+        after = np.array([[0.7, 0.3], [0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+        before = np.array([[0.9, 0.1], [0.7, 0.3], [1.0, 0.0], [0.1, 0.9]])
+        stacked = majorization_check(after, before)
+        assert stacked.dtype == bool and stacked.shape == (4,)
+        assert stacked.tolist() == [
+            majorization_check(a, b) for a, b in zip(after, before)
+        ]
+        # leading axes broadcast: a whole chain against one initial spectrum
+        against_first = majorization_check(after, before[0])
+        assert against_first.tolist() == [
+            majorization_check(a, before[0]) for a in after
+        ]
+
+    def test_stack_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            majorization_check(np.full((3, 2), 0.5), np.full((3, 3), 1 / 3))
+
+    def test_stack_sum_precondition_on_one_row(self):
+        after = np.array([[0.7, 0.3], [0.5, 0.4], [0.6, 0.4]])
+        with pytest.raises(ValueError):
+            majorization_check(after, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            majorization_check(np.array([0.5, 0.5]), after)
+
 
 class TestTrajectoryReport:
     def test_noiseless_run_stays_pure(self):
         rep = trajectory_report(SearchInstance(n=4, w=0, chi=0.0), 20)
         assert np.max(np.abs(rep.entropies)) <= 1e-10
-        norms = [p.bloch_norm for p in rep.points]
-        assert np.max(np.abs(np.array(norms) - 1.0)) <= 1e-10
+        assert np.max(np.abs(rep.bloch_norm - 1.0)) <= 1e-10
 
     def test_noisy_run_orders_spectra(self):
         rep = trajectory_report(SearchInstance(n=4, w=0, chi=1.0), 40)
@@ -236,7 +280,7 @@ class TestTrajectoryReport:
 
     def test_magic_run_keeps_unit_bloch_norm(self):
         rep = trajectory_report(SearchInstance(n=16, w=0, chi=chi_star(1)), 50)
-        norms = np.array([p.bloch_norm for p in rep.points])
+        norms = rep.bloch_norm
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -255,6 +299,9 @@ class TestTrajectoryReport:
     def test_sequence_lengths_match(self):
         rep = trajectory_report(SearchInstance(n=4, w=0, chi=0.5), 7)
         assert len(rep.points) == 8
+        for column in (rep.p_success, rep.f_paper, rep.bloch_x, rep.bloch_z,
+                       rep.bloch_norm, rep.cos_gamma):
+            assert column.shape == (8,)
         assert len(rep.entropies) == 8
         assert len(rep.spectra) == 8
         assert len(rep.majorized_by_prev) == 8
@@ -262,19 +309,72 @@ class TestTrajectoryReport:
         assert len(rep.f_closed) == 8
         assert len(rep.cos_gamma_closed) == 8
 
+    def test_points_view_matches_columns(self):
+        rep = trajectory_report(SearchInstance(n=16, w=5, chi=3.0), 30)
+        for m, point in enumerate(rep.points):
+            assert point == FidelityPoint(
+                m=m,
+                f_paper=rep.f_paper[m],
+                p_success=rep.p_success[m],
+                cos_gamma=rep.cos_gamma[m],
+                bloch_norm=rep.bloch_norm[m],
+            )
+            assert type(point.p_success) is float
+
     def test_large_n_noiseless_run_matches_reference(self):
         # the plane path costs the same at any n; the noiseless run must
         # still match the closed-form reference exactly
         for n in (300, 2**40):
             rep = trajectory_report(SearchInstance(n=n, w=n - 1, chi=0.0), 10)
-            for m, point in enumerate(rep.points):
-                assert point.p_success == pytest.approx(
+            for m, p_success in enumerate(rep.p_success):
+                assert p_success == pytest.approx(
                     ideal_grover_probability(n, m), abs=1e-9
                 )
             for spectrum in rep.spectra:
                 assert len(spectrum) == 2
                 assert spectrum[0] >= spectrum[1]
                 assert float(np.sum(spectrum)) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        case=st.integers(2, 2**40).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n - 1))
+        ),
+        chi=st.floats(0.0, 13.0),
+        m_max=st.integers(1, 60),
+    )
+    def test_stacked_report_equals_per_block_helpers(self, case, chi, m_max):
+        # the report measures the whole block stack at once; every entry
+        # must carry the bits (sign of zero and nan included) that the
+        # single-block helpers give step by step
+        n, w = case
+        inst = SearchInstance(n=n, w=w, chi=chi)
+        rep = trajectory_report(inst, m_max)
+        s = uniform_plane_vector(n)
+        blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)
+        spectra = [eigvals_hermitian(block) for block in blocks]
+        blochs = [_bloch_of_block(block) for block in blocks]
+        expected = {
+            "p_success": [float(block[0, 0].real) for block in blocks],
+            "f_paper": [0.5 * float(block[0, 0].real) for block in blocks],
+            "bloch_x": [b.x for b in blochs],
+            "bloch_z": [b.z for b in blochs],
+            "bloch_norm": [b.norm for b in blochs],
+            "cos_gamma": [
+                b.z / b.norm if b.norm > BLOCH_ZERO_ATOL else math.nan for b in blochs
+            ],
+            "entropies": [entropy_from_spectrum(v) for v in spectra],
+            "spectra": spectra,
+            "majorized_by_prev": [True]
+            + [majorization_check(a, b) for a, b in zip(spectra[1:], spectra)],
+            "majorized_by_init": [True]
+            + [majorization_check(a, spectra[0]) for a in spectra[1:]],
+        }
+        for name, values in expected.items():
+            column = getattr(rep, name)
+            reference = np.array(values, dtype=column.dtype)
+            assert column.shape == reference.shape, name
+            assert column.tobytes() == reference.tobytes(), name
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -291,8 +391,10 @@ class TestTrajectoryReport:
         inst = SearchInstance(n=n, w=w, chi=chi)
         rep = trajectory_report(inst, m_max)
         states = iterate(build_search_channel(inst), uniform_state(n), m_max)
-        for point, ent, rho in zip(rep.points, rep.entropies, states):
-            assert point.p_success == pytest.approx(rho[w, w].real, abs=1e-11)
+        for p_success, norm, ent, rho in zip(
+            rep.p_success, rep.bloch_norm, rep.entropies, states
+        ):
+            assert p_success == pytest.approx(rho[w, w].real, abs=1e-11)
             bloch = bloch_from_density(rho, inst)
-            assert point.bloch_norm == pytest.approx(bloch.norm, abs=1e-11)
+            assert norm == pytest.approx(bloch.norm, abs=1e-11)
             assert ent == pytest.approx(entropy(rho), abs=1e-11)

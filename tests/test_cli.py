@@ -2,10 +2,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from noisy_grover import cli
+from noisy_grover.analysis import trajectory_report
 from noisy_grover.cli import main
 from noisy_grover.reporting import CSV_HEADER
+from noisy_grover.search import SearchInstance
+from noisy_grover.tolerances import POSITIVITY_ATOL, TRACE_ATOL
 
 
 def read_rows(path):
@@ -28,6 +33,39 @@ class TestExitCodes:
         assert main([]) == 1
         capsys.readouterr()
 
+    def test_impossible_m_is_a_usage_error(self, capsys):
+        # the trajectory's arrays are allocated before the first step, so
+        # this fails at once with a typed error instead of exhausting memory
+        code = main(["search", "--chi", "1", "--n", "16", "--m", "1000000000000000"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert "Traceback" not in captured.err
+
+    def test_parser_reuse_matches_fresh_parsers(self, capsys):
+        commands = [
+            ["search", "--chi", "1", "--n", "8", "--m", "3"],
+            ["sweep", "--chi", "0", "2", "--n", "4", "5", "--m", "2"],
+            ["search", "--chi", "0", "--n", "4"],  # missing --m
+            ["search", "--chi", "1", "--n", "8", "--m", "3", "--format", "json"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in commands:
+            cli._cached_parser.cache_clear()
+            fresh.append(run(argv))
+        cli._cached_parser.cache_clear()
+        reused = [run(argv) for argv in commands]
+        assert cli._cached_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0]
+
     def test_unwritable_output_exits_one(self, capsys):
         code = main(
             ["search", "--chi", "0", "--n", "4", "--m", "1",
@@ -35,6 +73,44 @@ class TestExitCodes:
         )
         assert code == 1
         capsys.readouterr()
+
+
+def per_step_violations(report) -> list:
+    """The gate evaluated one step at a time, as the reference."""
+    problems = []
+    entropies = report.entropies
+    for k, spectrum in enumerate(report.spectra):
+        if abs(float(np.sum(spectrum)) - 1.0) > TRACE_ATOL:
+            problems.append(f"m={k}: trace {float(np.sum(spectrum)):.12f}")
+        if float(spectrum[-1]) < -POSITIVITY_ATOL:
+            problems.append(f"m={k}: eigenvalue {float(spectrum[-1]):.3e}")
+        if k > 0 and entropies[k] < entropies[k - 1] - 1e-12:
+            problems.append(
+                f"m={k}: entropy drops by {entropies[k - 1] - entropies[k]:.3e}"
+            )
+        if not report.majorized_by_prev[k]:
+            problems.append(f"m={k}: not majorized by previous step")
+        if not report.majorized_by_init[k]:
+            problems.append(f"m={k}: not majorized by initial state")
+    return problems
+
+
+class TestViolationGate:
+    def test_clean_trajectory_passes(self):
+        report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 30)
+        assert cli._trajectory_violations(report) == []
+
+    def test_matches_per_step_gate_on_a_corrupted_report(self):
+        report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 12)
+        report.spectra[2] = [0.6, 0.4 + 1e-6]  # trace off
+        report.spectra[4, 1] = -1e-6  # negative eigenvalue, trace off too
+        report.entropies[7] = report.entropies[6] - 1e-6  # entropy drop
+        report.majorized_by_prev[9] = False
+        report.majorized_by_init[9] = False
+        report.majorized_by_init[11] = False
+        expected = per_step_violations(report)
+        assert len(expected) == 7
+        assert cli._trajectory_violations(report) == expected
 
 
 class TestKraus:

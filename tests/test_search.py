@@ -34,7 +34,7 @@ from noisy_grover.search import (
     uniform_state,
 )
 
-from conftest import random_density
+from conftest import random_channel, random_density
 
 IDEAL_100_7 = 0.9953444003575990  # sin^2(15 asin(0.1)), 30-digit evaluation
 
@@ -183,6 +183,21 @@ class TestApplyIterate:
         assert_allclose(traj[0], rho)
         traj = iterate(t, rho, 2)
         assert_allclose(traj[2], apply(t, apply(t, rho)), atol=1e-13)
+
+    def test_iterate_equals_repeated_apply_exactly(self, rng):
+        # iterate validates once and runs apply's arithmetic; every step
+        # must carry the same bits as one more apply() call
+        plane = plane_channel(SearchInstance(n=2**40, w=3, chi=2.2))
+        for channel, rho in (
+            (random_channel(rng, 3, 3), random_density(rng, 3)),
+            (plane, random_density(rng, 2)),
+        ):
+            traj = iterate(channel, rho, 12)
+            assert isinstance(traj, np.ndarray) and traj.shape == (13, *rho.shape)
+            state = rho.astype(complex)
+            for k in range(13):
+                assert traj[k].tobytes() == state.tobytes()
+                state = apply(channel, state)
 
     def test_iterate_identity_channel_fixes_state(self, rng):
         rho = random_density(rng, 3)
