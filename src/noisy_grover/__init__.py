@@ -72,9 +72,7 @@ from .noise import (
     scalar_profile,
 )
 from .search import (
-    SearchChannel,
     SearchInstance,
-    apply,
     build_search_channel,
     check_density_matrix,
     ideal_grover_probability,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -89,6 +90,7 @@ class Phi:
 
     alpha = arccos(1/sqrt(n)); theta = pi + chi + arcsin(2 sqrt(n-1)/n)
     on the principal arcsin branch; phi_half = m*psi - m*theta + alpha.
+    m and phi_half are arrays when phase_terms is given an array of m.
     """
 
     chi: float
@@ -212,13 +214,15 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
 
 
 def phase_terms(
-    chi: float, m: int, n: int, psi_sign: int = 1, profile: ScalarProfile = None
+    chi: float, m, n: int, psi_sign: int = 1, profile: ScalarProfile = None
 ) -> Phi:
     """Assemble the closed-form phase phi_half = m*psi - m*theta + alpha.
 
-    psi_sign flips the sign of psi; its defining relation only fixes
-    cos^2(psi), so the branch is explorable.  profile, when given, must be
-    scalar_profile(chi); it saves re-evaluating it.
+    m is an int or an integer array; with an array, phi_half is the array
+    of phases, and alpha and theta are still computed once.  psi_sign flips
+    the sign of psi; its defining relation only fixes cos^2(psi), so the
+    branch is explorable.  profile, when given, must be scalar_profile(chi);
+    it saves re-evaluating it.
     """
     prof = scalar_profile(chi) if profile is None else profile
     alpha = math.acos(1.0 / math.sqrt(n))
@@ -227,8 +231,17 @@ def phase_terms(
     return Phi(chi=chi, m=m, n=n, phi_half=phi_half, theta=theta, alpha=alpha)
 
 
+def _libm(fn, *args) -> np.ndarray:
+    """fn mapped over Python floats, as a float array.
+
+    np.power, an array's ** 2 and np.hypot can differ from libm's pow and
+    hypot in the last bit; the columns must carry the scalar formulas' bits.
+    """
+    return np.fromiter(map(fn, *args), float)
+
+
 def closed_form_fidelities(
-    chi: float, m: int, n: int, psi_sign: int = 1, profile: ScalarProfile = None
+    chi: float, m, n: int, psi_sign: int = 1, profile: ScalarProfile = None
 ) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis:
 
@@ -236,15 +249,21 @@ def closed_form_fidelities(
 
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
-    normalization.  profile is passed on to phase_terms.
+    normalization.  An int m gives two floats, a 1-d integer array of m
+    two arrays, each entry carrying the bits of the scalar call.  profile is
+    passed on to phase_terms.
     """
-    if m < 0:
-        raise ValueError(f"iteration count must be >= 0, got {m}")
+    ms = np.atleast_1d(m)
+    counts = ms.tolist()
+    if min(counts) < 0:
+        raise ValueError(f"iteration count must be >= 0, got {min(counts)}")
     prof = scalar_profile(chi) if profile is None else profile
-    ph = phase_terms(chi, m, n, psi_sign, prof)
-    damping = math.cos(2.0 * prof.psi) ** m
-    f = 0.25 * (1.0 + damping * math.cos(2.0 * ph.phi_half))
-    cos_gamma = math.cos(ph.phi_half) ** 2
+    phi_half = phase_terms(chi, ms, n, psi_sign, prof).phi_half
+    damping = _libm(pow, repeat(math.cos(2.0 * prof.psi)), counts)
+    f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
+    cos_gamma = _libm(pow, map(math.cos, phi_half.tolist()), repeat(2))
+    if np.ndim(m) == 0:
+        return float(f[0]), float(cos_gamma[0])
     return f, cos_gamma
 
 
@@ -309,28 +328,22 @@ def trajectory_report(
     cost is independent of n.  Every quantity is then read off the whole
     (m_max+1, 2, 2) stack of blocks at once; each entry equals what the
     single-block helpers (_bloch_of_block, eigvals_hermitian,
-    entropy_from_spectrum, majorization_check) give for that step.
+    entropy_from_spectrum, majorization_check) give for that step.  The
+    closed forms come from one closed_form_fidelities call over all m.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     s = uniform_plane_vector(inst.n)
     blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)
-    profile = scalar_profile(inst.chi)
 
     p_success = blocks[:, 0, 0].real.copy()
     bloch_x, bloch_z = _bloch_coordinates(blocks)
-    # math.hypot as in BlochVector.norm: np.hypot can differ in the last bit
-    bloch_norm = np.fromiter(
-        map(math.hypot, bloch_x.tolist(), bloch_z.tolist()), float, len(blocks)
-    )
+    bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
     cos_gamma = np.full(len(blocks), math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
-    f_closed, cos_gamma_closed = np.array(
-        [
-            closed_form_fidelities(inst.chi, m, inst.n, psi_sign, profile)
-            for m in range(m_max + 1)
-        ]
-    ).T
+    f_closed, cos_gamma_closed = closed_form_fidelities(
+        inst.chi, np.arange(m_max + 1), inst.n, psi_sign
+    )
     spectra = eigvals_hermitian(blocks)
 
     def majorized_by(before):  # True at m = 0, which has no earlier step

@@ -110,14 +110,15 @@ def cmd_kraus(args) -> int:
 def cmd_chi_star(args) -> int:
     if args.n_max < 1:
         raise _UsageError("chi-star: --n-max must be >= 1")
-    perturb = args.perturb
+    # the whole table is built first, so a failing row prints nothing
+    lines = ["n,chi_n,psi"]
     worst = 0.0
-    print("n,chi_n,psi")
     for n in range(1, args.n_max + 1):
-        value = chi_star(n) + perturb
+        value = chi_star(n) + args.perturb
         psi = scalar_profile(value).psi
         worst = max(worst, psi)
-        print(f"{n},{value:.17g},{psi:.17g}")
+        lines.append(f"{n},{value:.17g},{psi:.17g}")
+    print("\n".join(lines))
     return 0 if worst <= UNITARITY_ATOL else 2
 
 
@@ -158,11 +159,10 @@ def _emit(text: str, out_path) -> None:
             handle.write(text)
 
 
-def _render(report, fmt: str) -> str:
-    rows = report_rows(report)
-    if fmt == "json":
-        return rows_to_json(rows, [])
-    return rows_to_csv(rows)
+def _render(reports, fmt: str) -> str:
+    """The rows of every report, in order, as one CSV or JSON text."""
+    rows = [row for report in reports for row in report_rows(report)]
+    return rows_to_json(rows, []) if fmt == "json" else rows_to_csv(rows)
 
 
 def cmd_search(args) -> int:
@@ -178,7 +178,7 @@ def cmd_search(args) -> int:
     inst = SearchInstance(n=args.n, w=target, chi=args.chi)
     psi_sign = -1 if args.flip_psi_sign else 1
     report = trajectory_report(inst, args.m, psi_sign=psi_sign)
-    _emit(_render(report, fmt), args.out)
+    _emit(_render([report], fmt), args.out)
     problems = _trajectory_violations(report)
     for problem in problems:
         print(f"invariant violation: {problem}", file=sys.stderr)
@@ -216,11 +216,9 @@ def cmd_sweep(args) -> int:
         os.makedirs(directory, exist_ok=True)
         for (chi, n), report in zip(cells, reports):
             name = f"cell_chi{chi:.17g}_n{n}.{fmt}"
-            _emit(_render(report, fmt), os.path.join(directory, name))
+            _emit(_render([report], fmt), os.path.join(directory, name))
     else:
-        all_rows = [row for report in reports for row in report_rows(report)]
-        text = rows_to_json(all_rows, []) if fmt == "json" else rows_to_csv(all_rows)
-        _emit(text, args.out)
+        _emit(_render(reports, fmt), args.out)
 
     for problem in problems:
         print(f"invariant violation: {problem}", file=sys.stderr)

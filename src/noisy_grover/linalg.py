@@ -16,7 +16,6 @@ from .errors import DegeneratePolar, DimensionMismatch, NotHermitian
 from .tolerances import HERMITICITY_ATOL, SINGULARITY_FLOOR
 
 __all__ = [
-    "dagger",
     "as_complex_matrix",
     "hermiticity_defect",
     "require_hermitian",
@@ -27,11 +26,6 @@ __all__ = [
     "eigvals_hermitian",
     "unitarity_defect",
 ]
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
 
 
 def _as_complex_stack(m) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+from itertools import repeat
 
 from .analysis import TrajectoryReport
 
@@ -29,35 +29,33 @@ _ROW_TEMPLATE = ",".join(
     for c in _COLUMNS
 )
 _FLAG_TEXT = {True: "true", False: "false"}
-_row_values = operator.itemgetter(*_COLUMNS)
 
 
 def report_rows(report: TrajectoryReport) -> list:
-    """One ordered dict per iteration, matching the CSV schema."""
+    """One tuple per iteration, its values in CSV_HEADER order."""
     inst = report.instance
-    count = len(report.p_success)
-    columns = (
-        [float(inst.chi)] * count,
-        [inst.n] * count,
-        [inst.w] * count,
-        range(count),
-        report.p_success.tolist(),
-        report.f_paper.tolist(),
-        report.f_closed.tolist(),
-        report.cos_gamma.tolist(),
-        report.cos_gamma_closed.tolist(),
-        report.bloch_norm.tolist(),
-        report.entropies.tolist(),
-        report.majorized_by_prev.tolist(),
-        report.majorized_by_init.tolist(),
+    return list(
+        zip(
+            repeat(float(inst.chi)),
+            repeat(inst.n),
+            repeat(inst.w),
+            range(len(report.p_success)),
+            report.p_success.tolist(),
+            report.f_paper.tolist(),
+            report.f_closed.tolist(),
+            report.cos_gamma.tolist(),
+            report.cos_gamma_closed.tolist(),
+            report.bloch_norm.tolist(),
+            report.entropies.tolist(),
+            report.majorized_by_prev.tolist(),
+            report.majorized_by_init.tolist(),
+        )
     )
-    return [dict(zip(_COLUMNS, values)) for values in zip(*columns)]
 
 
 def rows_to_csv(rows: list) -> str:
     lines = [CSV_HEADER]
-    for row in rows:
-        *numbers, prev, init = _row_values(row)
+    for *numbers, prev, init in rows:
         lines.append(_ROW_TEMPLATE % (*numbers, _FLAG_TEXT[prev], _FLAG_TEXT[init]))
     return "\n".join(lines) + "\n"
 
@@ -70,7 +68,9 @@ def _json_safe(value):
 
 def rows_to_json(rows: list, discrepancies: list) -> str:
     payload = {
-        "rows": [{k: _json_safe(v) for k, v in row.items()} for row in rows],
+        "rows": [
+            {k: _json_safe(v) for k, v in zip(_COLUMNS, row)} for row in rows
+        ],
         "discrepancies": [d.to_dict() for d in discrepancies],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

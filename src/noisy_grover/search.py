@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, compose_channels
+from .channels import KrausChannel
 from .errors import (
     DegeneratePlane,
     DimensionMismatch,
@@ -41,7 +41,6 @@ from .tolerances import (
 
 __all__ = [
     "SearchInstance",
-    "SearchChannel",
     "uniform_state",
     "target_state",
     "reflection",
@@ -50,9 +49,7 @@ __all__ = [
     "uniform_plane_vector",
     "plane_channel",
     "build_search_channel",
-    "apply",
     "iterate",
-    "compose_channels",
     "success_probability",
     "ideal_grover_probability",
     "check_density_matrix",
@@ -90,14 +87,6 @@ class SearchInstance:
             raise ValueError(f"target index {self.w} out of range [0, {self.n})")
         if not (math.isfinite(self.chi) and self.chi >= 0):
             raise ValueError(f"noise strength must be finite and >= 0, got {self.chi}")
-
-
-@dataclass(eq=False)
-class SearchChannel:
-    """A search iteration: mixed-unitary Kraus channel plus its instance."""
-
-    instance: SearchInstance
-    kraus: KrausChannel
 
 
 def uniform_state(n: int) -> np.ndarray:
@@ -177,7 +166,7 @@ def plane_channel(inst: SearchInstance) -> KrausChannel:
     return KrausChannel(ops, np.array([0.5, 0.5]))
 
 
-def build_search_channel(inst: SearchInstance) -> SearchChannel:
+def build_search_channel(inst: SearchInstance) -> KrausChannel:
     """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, weights 1/2.
 
     Each operator is unitary (a product of unitaries), so t is
@@ -193,31 +182,20 @@ def build_search_channel(inst: SearchInstance) -> SearchChannel:
     for v in pair.operators:
         lifted = embed_plane_rotation(v, inst)
         ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
-    kraus = KrausChannel(tuple(ops), np.array([0.5, 0.5]))
-    return SearchChannel(instance=inst, kraus=kraus)
+    return KrausChannel(tuple(ops), np.array([0.5, 0.5]))
 
 
-def _as_kraus(ch) -> KrausChannel:
-    return ch.kraus if isinstance(ch, SearchChannel) else ch
-
-
-def apply(ch, rho: np.ndarray) -> np.ndarray:
-    """One application of the channel to a state."""
-    return apply_channel(_as_kraus(ch), rho)
-
-
-def iterate(ch, rho: np.ndarray, m: int) -> np.ndarray:
+def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
     """Trajectory [rho, t(rho), ..., t^m(rho)] as an (m+1, n, n) array.
 
     The state and channel are validated once; each step then runs
     apply_channel's arithmetic, sum_i w_i K_i rho K_i^dag accumulated from
-    zero in operator order, so it matches repeated apply() exactly.  The
+    zero in operator order, so it matches repeated kraus(rho) exactly.  The
     whole array is allocated up front: an m too large for memory raises
     MemoryError before any step runs.
     """
     if m < 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
-    kraus = _as_kraus(ch)
     rho = as_complex_matrix(rho)
     if rho.shape[0] != kraus.dim:
         raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {kraus.dim}")

@@ -40,7 +40,6 @@ from .noise import (
 )
 from .search import (
     SearchInstance,
-    apply,
     build_search_channel,
     ideal_grover_probability,
     iterate,
@@ -199,7 +198,7 @@ def _check_composition(report, seed: int) -> None:
     for _ in range(10):
         chi = float(rng.uniform(0.0, 13.0))
         n = int(rng.choice([2, 3, 4, 6, 8, 12]))
-        channel = build_search_channel(SearchInstance(n=n, w=0, chi=chi)).kraus
+        channel = build_search_channel(SearchInstance(n=n, w=0, chi=chi))
         squared = compose_channels(channel, channel)
         worst_unitarity = max(worst_unitarity, float(np.max(squared.unitarity_defects())))
         sequential = choi_of_map(lambda r: channel(channel(r)), n)
@@ -224,7 +223,7 @@ def _check_unitality(report) -> None:
         maximally_mixed = np.eye(n, dtype=complex) / n
         worst = max(
             worst,
-            float(np.linalg.norm(apply(channel, maximally_mixed) - maximally_mixed)),
+            float(np.linalg.norm(channel(maximally_mixed) - maximally_mixed)),
         )
     for chi in (0.0, 0.5, 2.0, 7.0):
         pair = nearest_unitary_pair(chi)
@@ -347,8 +346,8 @@ def _record_normalization(report) -> None:
     horizon = int(math.ceil(4 * math.sqrt(n)))
     rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), horizon)
     best_p = float(np.max(rep.p_success))
-    best_f_closed = max(
-        closed_form_fidelities(chi, m, n)[0] for m in range(horizon + 1)
+    best_f_closed = float(
+        np.max(closed_form_fidelities(chi, np.arange(horizon + 1), n)[0])
     )
     report.discrepancies.append(
         DiscrepancyRecord(

@@ -207,7 +207,7 @@ def test_a7_composition_stays_mixed_unitary():
     for _ in range(10):
         chi = float(rng.uniform(0.0, 13.0))
         n = int(rng.choice([2, 3, 4, 6, 8, 12]))
-        t = build_search_channel(SearchInstance(n=n, w=0, chi=chi)).kraus
+        t = build_search_channel(SearchInstance(n=n, w=0, chi=chi))
         squared = compose_channels(t, t)
         worst_unitarity = max(
             worst_unitarity, float(np.max(squared.unitarity_defects()))

@@ -154,6 +154,59 @@ class TestClosedForms:
                 assert rep.f_closed[m] == f
                 assert rep.cos_gamma_closed[m] == cos_gamma
 
+    def test_trajectory_calls_closed_forms_once(self, monkeypatch):
+        import noisy_grover.analysis as analysis_mod
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return closed_form_fidelities(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "closed_form_fidelities", counting)
+        rep = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 40)
+        assert len(calls) == 1
+        assert calls[0][1].tolist() == list(range(41))
+        assert rep.f_closed.shape == rep.cos_gamma_closed.shape == (41,)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 2**40),
+        chi=st.one_of(st.floats(0.0, 13.0), st.just(chi_star(1))),
+        psi_sign=st.sampled_from([1, -1]),
+        m_max=st.integers(0, 200),
+    )
+    def test_columns_equal_scalar_calls(self, n, chi, psi_sign, m_max):
+        # one array call must carry the bits of one scalar call per m, and
+        # both must carry the bits of the formulas in Python floats (libm)
+        ms = np.arange(m_max + 1)
+        ph = phase_terms(chi, ms, n, psi_sign)
+        f, cos_gamma = closed_form_fidelities(chi, ms, n, psi_sign)
+        scalar = [phase_terms(chi, m, n, psi_sign) for m in range(m_max + 1)]
+        pairs = [closed_form_fidelities(chi, m, n, psi_sign) for m in range(m_max + 1)]
+        assert all(type(p.phi_half) is float for p in scalar)
+        assert all(type(a) is float and type(b) is float for a, b in pairs)
+        assert (ph.alpha, ph.theta) == (scalar[0].alpha, scalar[0].theta)
+        psi = scalar_profile(chi).psi
+        halves = [m * psi_sign * psi - m * ph.theta + ph.alpha for m in range(m_max + 1)]
+        for column, values in (
+            (ph.phi_half, [p.phi_half for p in scalar]),
+            (ph.phi_half, halves),
+            (f, [a for a, _ in pairs]),
+            (f, [0.25 * (1.0 + math.cos(2.0 * psi) ** m * math.cos(2.0 * h))
+                 for m, h in enumerate(halves)]),
+            (cos_gamma, [b for _, b in pairs]),
+            (cos_gamma, [math.cos(h) ** 2 for h in halves]),
+        ):
+            assert column.shape == (m_max + 1,)
+            assert column.tobytes() == np.array(values).tobytes()
+
+    def test_negative_m_is_rejected(self):
+        with pytest.raises(ValueError):
+            closed_form_fidelities(1.0, -1, 16)
+        with pytest.raises(ValueError):
+            closed_form_fidelities(1.0, np.array([0, 3, -2]), 16)
+
     def test_psi_sign_flip_changes_only_phase(self):
         f_plus, _ = closed_form_fidelities(2.0, 3, 8, psi_sign=1)
         f_minus, _ = closed_form_fidelities(2.0, 3, 8, psi_sign=-1)

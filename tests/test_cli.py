@@ -144,6 +144,14 @@ class TestChiStar:
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert float(line.split(",")[2]) > 1e-3
 
+    @pytest.mark.parametrize("perturb", ["nan", "-20"])
+    def test_failing_table_prints_nothing(self, perturb, capsys):
+        # the table is built before printing, so no header is left behind
+        assert main(["chi-star", "--n-max", "3", "--perturb", perturb]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestSearch:
     def test_single_step_reaches_target(self, tmp_path, capsys):
@@ -265,6 +273,18 @@ class TestSweep:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_cell_sweep_equals_search(self, fmt, tmp_path):
+        # search, per-cell and combined sweep output share one renderer
+        cell = ["--chi", "2.5", "--n", "300", "--m", "12", "--target", "7",
+                "--format", fmt]
+        search, sweep = tmp_path / "search", tmp_path / "sweep"
+        assert main(["search", *cell, "--out", str(search)]) == 0
+        assert main(["sweep", *cell, "--out", str(sweep)]) == 0
+        assert main(["sweep", *cell, "--per-cell", "--out-dir", str(tmp_path)]) == 0
+        per_cell = tmp_path / f"cell_chi2.5_n300.{fmt}"
+        assert search.read_bytes() == sweep.read_bytes() == per_cell.read_bytes()
 
 
 class TestVerify:

@@ -20,7 +20,6 @@ from noisy_grover.errors import (
 from noisy_grover.noise import chi_star, rotation_y
 from noisy_grover.search import (
     SearchInstance,
-    apply,
     build_search_channel,
     check_density_matrix,
     embed_plane_rotation,
@@ -125,28 +124,28 @@ class TestBuildChannel:
         t = build_search_channel(inst)
         s = np.full(4, 0.5)
         expected = reflection(s) @ reflection([1.0, 0.0, 0.0, 0.0])
-        for op in t.kraus.operators:
+        for op in t.operators:
             assert_allclose(op, expected, atol=1e-12)
 
     def test_magic_strength_gives_unitary_channel(self):
         for order in (1, 2):
             inst = SearchInstance(n=8, w=0, chi=chi_star(order))
             t = build_search_channel(inst)
-            assert_allclose(t.kraus.operators[0], t.kraus.operators[1], atol=1e-10)
-            assert choi_rank(t.kraus) == 1
+            assert_allclose(t.operators[0], t.operators[1], atol=1e-10)
+            assert choi_rank(t) == 1
 
     def test_generic_strength_gives_rank_two(self):
         inst = SearchInstance(n=4, w=0, chi=1.0)
         t = build_search_channel(inst)
-        assert choi_rank(t.kraus) == 2
-        assert t.kraus.is_mixed_unitary()
-        assert t.kraus.completeness_defect() <= 1e-10
+        assert choi_rank(t) == 2
+        assert t.is_mixed_unitary()
+        assert t.completeness_defect() <= 1e-10
 
     def test_plane_channel_is_dense_channel_on_plane(self):
         for n, w, chi in ((2, 1, 0.4), (5, 3, 1.0), (16, 0, chi_star(1)), (9, 8, 11.0)):
             inst = SearchInstance(n=n, w=w, chi=chi)
             p = plane_basis(inst)
-            dense = build_search_channel(inst).kraus
+            dense = build_search_channel(inst)
             plane = plane_channel(inst)
             assert plane.dim == 2
             assert plane.is_mixed_unitary()
@@ -158,20 +157,20 @@ class TestBuildChannel:
 class TestApplyIterate:
     def test_identity_channel_is_neutral(self, rng):
         rho = random_density(rng, 4)
-        assert_allclose(apply(identity_channel(4), rho), rho)
+        assert_allclose(identity_channel(4)(rho), rho)
 
     def test_unitality(self):
         for chi in (0.0, 1.0, chi_star(1)):
             inst = SearchInstance(n=16, w=0, chi=chi)
             t = build_search_channel(inst)
             mixed = np.eye(16, dtype=complex) / 16
-            assert np.linalg.norm(apply(t, mixed) - mixed) <= 1e-12
+            assert np.linalg.norm(t(mixed) - mixed) <= 1e-12
 
     def test_trace_preserved_on_random_states(self, rng):
         t = build_search_channel(SearchInstance(n=6, w=1, chi=0.9))
         for _ in range(100):
             rho = random_density(rng, 6)
-            out = apply(t, rho)
+            out = t(rho)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
 
     def test_iterate_base_cases(self):
@@ -182,11 +181,11 @@ class TestApplyIterate:
         assert traj.shape == (1, 4, 4)
         assert_allclose(traj[0], rho)
         traj = iterate(t, rho, 2)
-        assert_allclose(traj[2], apply(t, apply(t, rho)), atol=1e-13)
+        assert_allclose(traj[2], t(t(rho)), atol=1e-13)
 
     def test_iterate_equals_repeated_apply_exactly(self, rng):
         # iterate validates once and runs apply's arithmetic; every step
-        # must carry the same bits as one more apply() call
+        # must carry the same bits as one more channel application
         plane = plane_channel(SearchInstance(n=2**40, w=3, chi=2.2))
         for channel, rho in (
             (random_channel(rng, 3, 3), random_density(rng, 3)),
@@ -197,7 +196,7 @@ class TestApplyIterate:
             state = rho.astype(complex)
             for k in range(13):
                 assert traj[k].tobytes() == state.tobytes()
-                state = apply(channel, state)
+                state = channel(state)
 
     def test_iterate_identity_channel_fixes_state(self, rng):
         rho = random_density(rng, 3)
@@ -225,7 +224,7 @@ class TestApplyIterate:
 class TestComposition:
     def test_squared_channel_matches_two_applications(self):
         for chi, n in ((0.6, 4), (2.0, 6)):
-            t = build_search_channel(SearchInstance(n=n, w=0, chi=chi)).kraus
+            t = build_search_channel(SearchInstance(n=n, w=0, chi=chi))
             squared = compose_channels(t, t)
             assert len(squared.operators) == 4
             assert_allclose(squared.weights, [0.25] * 4)
@@ -234,7 +233,7 @@ class TestComposition:
             assert np.linalg.norm(choi_matrix(squared) - sequential) <= 1e-10
 
     def test_identity_composition(self):
-        t = build_search_channel(SearchInstance(n=4, w=0, chi=1.0)).kraus
+        t = build_search_channel(SearchInstance(n=4, w=0, chi=1.0))
         assert channel_choi_distance(compose_channels(identity_channel(4), t), t) <= 1e-12
 
 
