@@ -3,8 +3,8 @@
 A pi/4-rotation Grover iteration is corrupted by a two-level environment
 of strength chi, preconditioned by nearest-unitary replacement, and run
 as a mixed-unitary channel on an N-item projector database.  The package
-provides the channel constructions, the search dynamics (run on the 2x2
-block of the invariant search plane at any N, with the dense N-dimensional
+provides the channel constructions, the search dynamics (run on the Bloch
+vector of the invariant search plane at any N, with the dense N-dimensional
 channel kept as its oracle), fidelity/entropy/majorization analysis, a
 verification suite, and a CLI.
 """
@@ -73,6 +73,7 @@ from .noise import (
 )
 from .search import (
     SearchInstance,
+    bloch_map,
     build_search_channel,
     check_density_matrix,
     ideal_grover_probability,

@@ -22,15 +22,9 @@ from .errors import (
     OffPlaneSupport,
     ZeroBlochVector,
 )
-from .linalg import as_complex_matrix, eigvals_hermitian
+from .linalg import as_complex_matrix, require_hermitian
 from .noise import ScalarProfile, scalar_profile
-from .search import (
-    SearchInstance,
-    iterate,
-    plane_basis,
-    plane_channel,
-    uniform_plane_vector,
-)
+from .search import SearchInstance, bloch_map, plane_basis, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
@@ -105,15 +99,15 @@ class Phi:
 class TrajectoryReport:
     """Everything measured along one trajectory, one column per quantity.
 
-    Row m of every array is iteration m, m = 0..m_max.  p_success is
-    tr(rho |w><w|) and f_paper half of it; bloch_x, bloch_z and bloch_norm
-    are the plane Bloch vector (BlochVector) and cos_gamma is
+    Row m of every array is iteration m, m = 0..m_max.  bloch_x, bloch_z
+    and bloch_norm are the plane Bloch vector (BlochVector); p_success is
+    tr(rho |w><w|) = (1 + bloch_z)/2 and f_paper half of it; cos_gamma is
     bloch_z / bloch_norm, nan where the norm is at most BLOCH_ZERO_ATOL.
     f_closed and cos_gamma_closed are the closed-form hypotheses.  Row m of
     spectra holds the two eigenvalues of the state's plane block,
-    descending; the other n - 2 eigenvalues are exact zeros and are not
-    stored, as they change neither entropy nor majorization.  The
-    majorization flags are True at m = 0.
+    (1 + bloch_norm)/2 and (1 - bloch_norm)/2; the other n - 2 eigenvalues
+    are exact zeros and are not stored, as they change neither entropy nor
+    majorization.  The majorization flags are True at m = 0.
     """
 
     instance: SearchInstance
@@ -165,16 +159,10 @@ def _plane_block(rho: np.ndarray, inst: SearchInstance) -> np.ndarray:
     return block
 
 
-def _bloch_coordinates(blocks: np.ndarray) -> tuple:
-    """Bloch (x, z) of a trace-renormalized 2x2 block or (..., 2, 2) stack."""
-    trace = blocks[..., 0, 0].real + blocks[..., 1, 1].real
-    blocks = blocks / trace[..., None, None]
-    return 2.0 * blocks[..., 0, 1].real, (blocks[..., 0, 0] - blocks[..., 1, 1]).real
-
-
 def _bloch_of_block(block: np.ndarray) -> BlochVector:
-    x, z = _bloch_coordinates(block)
-    return BlochVector(x=float(x), z=float(z))
+    """Bloch vector of a 2x2 plane block, renormalized to unit trace."""
+    b = block / (block[0, 0].real + block[1, 1].real)
+    return BlochVector(x=float(2.0 * b[0, 1].real), z=float((b[0, 0] - b[1, 1]).real))
 
 
 def bloch_from_density(rho: np.ndarray, inst: SearchInstance) -> BlochVector:
@@ -291,8 +279,10 @@ def entropy_from_spectrum(values: np.ndarray):
 
 
 def entropy(rho: np.ndarray) -> float:
-    """von Neumann entropy -tr(rho ln rho) in nats."""
-    return entropy_from_spectrum(eigvals_hermitian(rho))
+    """von Neumann entropy -tr(rho ln rho) in nats of a Hermitian matrix."""
+    rho = as_complex_matrix(rho)
+    require_hermitian(rho)
+    return entropy_from_spectrum(np.linalg.eigvalsh(rho))
 
 
 def majorization_check(after, before, atol: float = MAJORIZATION_ATOL):
@@ -324,27 +314,33 @@ def trajectory_report(
 ) -> TrajectoryReport:
     """Run m_max iterations from the uniform state and measure every step.
 
-    The trajectory is evolved as 2x2 plane blocks (plane_channel), so the
-    cost is independent of n.  Every quantity is then read off the whole
-    (m_max+1, 2, 2) stack of blocks at once; each entry equals what the
-    single-block helpers (_bloch_of_block, eigvals_hermitian,
-    entropy_from_spectrum, majorization_check) give for that step.  The
-    closed forms come from one closed_form_fidelities call over all m.
+    The state is its Bloch vector (x, z), two Python floats, and a step is
+    the 2x2 matrix bloch_map(inst), at a cost independent of n.  The
+    (m_max+1, 2) array is allocated first, so an m_max too large for memory
+    raises MemoryError at once.  Every column is read off x and z, with the
+    spectrum ((1 + r)/2, (1 - r)/2) for the Bloch norm r; the closed forms
+    come from one closed_form_fidelities call over all m.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    s = uniform_plane_vector(inst.n)
-    blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)
+    (a, b), (c, d) = bloch_map(inst).tolist()
+    s0, s1 = uniform_plane_vector(inst.n).tolist()
+    x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
+    bloch = np.empty((m_max + 1, 2))
+    cells = memoryview(bloch)
+    for m in range(m_max + 1):
+        cells[m, 0], cells[m, 1] = x, z
+        x, z = a * x + b * z, c * x + d * z
 
-    p_success = blocks[:, 0, 0].real.copy()
-    bloch_x, bloch_z = _bloch_coordinates(blocks)
+    bloch_x, bloch_z = bloch[:, 0].copy(), bloch[:, 1].copy()
+    p_success = 0.5 * (1.0 + bloch_z)
     bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
-    cos_gamma = np.full(len(blocks), math.nan)
+    cos_gamma = np.full(m_max + 1, math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
     f_closed, cos_gamma_closed = closed_form_fidelities(
         inst.chi, np.arange(m_max + 1), inst.n, psi_sign
     )
-    spectra = eigvals_hermitian(blocks)
+    spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
 
     def majorized_by(before):  # True at m = 0, which has no earlier step
         return np.concatenate([[True], majorization_check(spectra[1:], before)])
@@ -371,11 +367,10 @@ def high_precision_bloch_norms(
 ) -> np.ndarray:
     """Bloch norms along the trajectory, built and run in mpmath.
 
-    float64 operator construction leaves ~1e-16 defects that pin the
-    Bloch vector to a plateau near 1e-15, masking the true geometric
-    decay once norms fall below roughly 1e-7.  Rebuilding the plane
-    channel and iterating its 2x2 block at dps digits resolves the decay
-    to machine-irrelevant depth, at a cost independent of n.  Returns
+    The float64 density iteration (iterate on plane_channel) leaves ~1e-16
+    defects that pin the Bloch norm to a plateau near 1e-15; the report's
+    Bloch iteration does not.  Iterating the mpmath 2x2 block at dps digits
+    resolves the decay to any depth, at a cost independent of n.  Returns
     float64 norms (their relative accuracy survives the conversion).
     """
     import mpmath as mp

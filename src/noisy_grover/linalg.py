@@ -28,27 +28,19 @@ __all__ = [
 ]
 
 
-def _as_complex_stack(m) -> np.ndarray:
-    """Coerce to a complex128 stack (..., d, d) of square matrices, all finite."""
+def as_complex_matrix(m) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionMismatch("matrix contains non-finite entries")
     return a
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
-    a = _as_complex_stack(m)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry of |m - m^dagger| over a matrix or a (..., d, d) stack."""
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    """Largest entry of |m - m^dagger|."""
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
@@ -137,12 +129,11 @@ def partial_trace_env(
 def eigvals_hermitian(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    A (..., d, d) stack gives a (..., d) array of spectra, one per matrix;
-    NotHermitian is raised when any matrix of the stack fails the check.
+    NotHermitian is raised when m fails the hermiticity check.
     """
-    m = _as_complex_stack(m)
+    m = as_complex_matrix(m)
     require_hermitian(m, atol)
-    return np.linalg.eigvalsh(m)[..., ::-1].copy()
+    return np.linalg.eigvalsh(m)[::-1].copy()
 
 
 def unitarity_defect(m: np.ndarray) -> float:

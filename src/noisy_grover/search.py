@@ -10,9 +10,10 @@ on the orthogonal complement; with it, the chi = 0 limit reproduces the
 textbook two-reflection iteration exactly.
 
 Starting from |s>, the state never leaves that plane, so plane_channel
-builds t as a 2x2 channel on {|w>, |r>} whose cost does not depend on n.
+builds t as a 2x2 channel on {|w>, |r>}, and bloch_map as the real 2x2
+matrix it applies to the Bloch vector (x, z); neither cost depends on n.
 build_search_channel assembles the same map densely in n dimensions and
-is kept as the independent oracle for tests and verification.
+is kept, with iterate, as the independent oracle for tests and verification.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "embed_plane_rotation",
     "uniform_plane_vector",
     "plane_channel",
+    "bloch_map",
     "build_search_channel",
     "iterate",
     "success_probability",
@@ -118,8 +120,6 @@ def plane_basis(inst: SearchInstance) -> np.ndarray:
     Returns an (n, 2) matrix with orthonormal real columns spanning the
     invariant search plane.
     """
-    if inst.n < 2:
-        raise DegeneratePlane("search plane needs n >= 2")
     basis = np.zeros((inst.n, 2), dtype=complex)
     basis[inst.w, 0] = 1.0
     rest = np.full(inst.n, 1.0 / np.sqrt(inst.n - 1.0))
@@ -164,6 +164,18 @@ def plane_channel(inst: SearchInstance) -> KrausChannel:
         for v in nearest_unitary_pair(inst.chi).operators
     )
     return KrausChannel(ops, np.array([0.5, 0.5]))
+
+
+def bloch_map(inst: SearchInstance) -> np.ndarray:
+    """The real 2x2 matrix of plane_channel(inst) on Bloch vectors (x, z).
+
+    Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
+    t((1 + sigma_z)/2), with no offset as t is unital; being a half-half
+    mixture of two rotations of the Bloch disc, it is cos(2 psi) R(phi).
+    """
+    t = plane_channel(inst)
+    out = np.array([t(np.full((2, 2), 0.5)), t(np.diag([1.0, 0.0]))]).real
+    return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
 
 
 def build_search_channel(inst: SearchInstance) -> KrausChannel:

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from noisy_grover.errors import DegeneratePolar, DimensionMismatch, NotHermitian
 from noisy_grover.linalg import (
     eigvals_hermitian,
-    hermiticity_defect,
     kron,
     matexp_i_hermitian,
     partial_trace_env,
@@ -194,34 +193,9 @@ class TestEigvalsHermitian:
         with pytest.raises(NotHermitian):
             eigvals_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
-    def test_stack_equals_each_matrix(self, rng):
-        stack = np.array([random_hermitian(rng, 3) for _ in range(7)]).reshape(
-            7, 1, 3, 3
-        )
-        spectra = eigvals_hermitian(stack)
-        assert spectra.shape == (7, 1, 3)
-        for matrix, spectrum in zip(stack[:, 0], spectra[:, 0]):
-            assert spectrum.tobytes() == eigvals_hermitian(matrix).tobytes()
-
-    def test_stack_defect_is_worst_block(self, rng):
-        stack = np.array([random_hermitian(rng, 2) for _ in range(5)])
-        stack[3, 0, 1] += 1e-9
-        assert hermiticity_defect(stack) == max(hermiticity_defect(m) for m in stack)
-        assert hermiticity_defect(stack) == pytest.approx(1e-9, rel=1e-6)
-
-    def test_one_bad_block_rejects_the_stack(self, rng):
-        stack = np.array([random_hermitian(rng, 2) for _ in range(5)])
-        eigvals_hermitian(stack)
-        stack[2, 1, 0] += 1e-9
-        with pytest.raises(NotHermitian):
-            eigvals_hermitian(stack)
-
-    def test_rejects_non_square_and_non_finite_stacks(self):
-        with pytest.raises(DimensionMismatch):
-            eigvals_hermitian(np.zeros((4, 2, 3)))
-        with pytest.raises(DimensionMismatch):
-            eigvals_hermitian(np.zeros(3))
-        bad = np.zeros((3, 2, 2))
-        bad[1, 0, 0] = np.nan
-        with pytest.raises(DimensionMismatch):
-            eigvals_hermitian(bad)
+    def test_rejects_non_square_non_finite_and_stacked_input(self):
+        bad = np.eye(2)
+        bad[1, 0] = np.nan
+        for matrix in (np.zeros((2, 3)), np.zeros(3), bad, np.zeros((4, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                eigvals_hermitian(matrix)
