@@ -23,7 +23,6 @@ from .analysis import (
     high_precision_bloch_norms,
     majorization_check,
     phase_terms,
-    radial_fidelity,
     trajectory_report,
 )
 from .channels import (
@@ -53,7 +52,6 @@ from .errors import (
 )
 from .linalg import (
     eigvals_hermitian,
-    kron,
     matexp_i_hermitian,
     partial_trace_env,
     polar_unitary_factor,

@@ -1,8 +1,9 @@
 """Measurable quantities along a search trajectory.
 
-Plane-restricted Bloch vectors, the two fidelity readings (the
-half-normalized overlap and the operational success probability), their
-closed-form counterparts, von Neumann entropy, and majorization checks.
+Plane-restricted Bloch vectors, the angular fidelity, the closed-form
+fidelity hypotheses, von Neumann entropy, majorization checks, and the
+columnar trajectory report, whose columns carry the success probability
+and its half-normalized overlap f_paper.
 Closed-form values are carried side by side with simulated ones for
 comparison and are never used as the reference: the simulator is the
 oracle, the formulas are hypotheses.
@@ -22,8 +23,8 @@ from .errors import (
     OffPlaneSupport,
     ZeroBlochVector,
 )
-from .linalg import as_complex_matrix, require_hermitian
-from .noise import ScalarProfile, scalar_profile
+from .linalg import as_complex_matrix, eigvals_hermitian
+from .noise import scalar_profile
 from .search import SearchInstance, bloch_map, plane_basis, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
@@ -39,7 +40,6 @@ __all__ = [
     "Phi",
     "TrajectoryReport",
     "bloch_from_density",
-    "radial_fidelity",
     "angular_fidelity",
     "phase_terms",
     "closed_form_fidelities",
@@ -83,16 +83,15 @@ class Phi:
     """Angle bookkeeping for the closed-form fidelities.
 
     alpha = arccos(1/sqrt(n)); theta = pi + chi + arcsin(2 sqrt(n-1)/n)
-    on the principal arcsin branch; phi_half = m*psi - m*theta + alpha.
-    m and phi_half are arrays when phase_terms is given an array of m.
+    on the principal arcsin branch; psi = scalar_profile(chi).psi;
+    phi_half = m*psi_sign*psi - m*theta + alpha, an array when phase_terms
+    is given an array of m.
     """
 
-    chi: float
-    m: int
-    n: int
     phi_half: float
     theta: float
     alpha: float
+    psi: float
 
 
 @dataclass(eq=False)
@@ -174,21 +173,6 @@ def bloch_from_density(rho: np.ndarray, inst: SearchInstance) -> BlochVector:
     return _bloch_of_block(_plane_block(rho, inst))
 
 
-def radial_fidelity(rho: np.ndarray, inst: SearchInstance) -> tuple:
-    """(f_paper, p_success) overlaps with the target projector.
-
-    f_paper = tr(rho |w><w|) / 2 is the half-normalized overlap (its
-    ceiling is 1/2); p_success = tr(rho |w><w|)
-    is the operational success probability.  Both are returned so the
-    normalization ambiguity stays explicit.
-    """
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != inst.n:
-        raise DimensionMismatch(f"state dim {rho.shape[0]} != instance n {inst.n}")
-    p = float(rho[inst.w, inst.w].real)
-    return 0.5 * p, p
-
-
 def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     """Cosine of the plane angle between rho and the target at (0, 1).
 
@@ -201,22 +185,19 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     return bloch.z / bloch.norm
 
 
-def phase_terms(
-    chi: float, m, n: int, psi_sign: int = 1, profile: ScalarProfile = None
-) -> Phi:
+def phase_terms(chi: float, m, n: int, psi_sign: int = 1) -> Phi:
     """Assemble the closed-form phase phi_half = m*psi - m*theta + alpha.
 
     m is an int or an integer array; with an array, phi_half is the array
-    of phases, and alpha and theta are still computed once.  psi_sign flips
-    the sign of psi; its defining relation only fixes cos^2(psi), so the
-    branch is explorable.  profile, when given, must be scalar_profile(chi);
-    it saves re-evaluating it.
+    of phases, and alpha, theta and psi are still computed once.  psi_sign
+    flips the sign of psi; its defining relation only fixes cos^2(psi), so
+    the branch is explorable.
     """
-    prof = scalar_profile(chi) if profile is None else profile
+    psi = scalar_profile(chi).psi
     alpha = math.acos(1.0 / math.sqrt(n))
     theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
-    phi_half = m * psi_sign * prof.psi - m * theta + alpha
-    return Phi(chi=chi, m=m, n=n, phi_half=phi_half, theta=theta, alpha=alpha)
+    phi_half = m * psi_sign * psi - m * theta + alpha
+    return Phi(phi_half=phi_half, theta=theta, alpha=alpha, psi=psi)
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -228,9 +209,7 @@ def _libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *args), float)
 
 
-def closed_form_fidelities(
-    chi: float, m, n: int, psi_sign: int = 1, profile: ScalarProfile = None
-) -> tuple:
+def closed_form_fidelities(chi: float, m, n: int, psi_sign: int = 1) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis:
 
     f = (1/4)[1 + cos^m(2 psi) cos(phi)], cos_gamma = cos^2(phi/2).
@@ -238,16 +217,15 @@ def closed_form_fidelities(
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
     normalization.  An int m gives two floats, a 1-d integer array of m
-    two arrays, each entry carrying the bits of the scalar call.  profile is
-    passed on to phase_terms.
+    two arrays, each entry carrying the bits of the scalar call.
     """
     ms = np.atleast_1d(m)
     counts = ms.tolist()
     if min(counts) < 0:
         raise ValueError(f"iteration count must be >= 0, got {min(counts)}")
-    prof = scalar_profile(chi) if profile is None else profile
-    phi_half = phase_terms(chi, ms, n, psi_sign, prof).phi_half
-    damping = _libm(pow, repeat(math.cos(2.0 * prof.psi)), counts)
+    phase = phase_terms(chi, ms, n, psi_sign)
+    phi_half = phase.phi_half
+    damping = _libm(pow, repeat(math.cos(2.0 * phase.psi)), counts)
     f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
     cos_gamma = _libm(pow, map(math.cos, phi_half.tolist()), repeat(2))
     if np.ndim(m) == 0:
@@ -280,19 +258,17 @@ def entropy_from_spectrum(values: np.ndarray):
 
 def entropy(rho: np.ndarray) -> float:
     """von Neumann entropy -tr(rho ln rho) in nats of a Hermitian matrix."""
-    rho = as_complex_matrix(rho)
-    require_hermitian(rho)
-    return entropy_from_spectrum(np.linalg.eigvalsh(rho))
+    return entropy_from_spectrum(eigvals_hermitian(rho))
 
 
-def majorization_check(after, before, atol: float = MAJORIZATION_ATOL):
+def majorization_check(after, before):
     """True iff `after` is majorized by `before` (more mixed than it).
 
     Both spectra are sorted descending; every partial sum of `after`
-    must stay below the matching partial sum of `before` within atol,
-    with equal totals.  Spectra run along the last axis and the leading
-    axes broadcast: (..., k) inputs give a (...) boolean array, two single
-    spectra give a bool.
+    must stay below the matching partial sum of `before` within
+    MAJORIZATION_ATOL, with equal totals.  Spectra run along the last axis
+    and the leading axes broadcast: (..., k) inputs give a (...) boolean
+    array, two single spectra give a bool.
     """
     a = np.sort(np.asarray(after, dtype=float), axis=-1)[..., ::-1]
     b = np.sort(np.asarray(before, dtype=float), axis=-1)[..., ::-1]
@@ -305,7 +281,7 @@ def majorization_check(after, before, atol: float = MAJORIZATION_ATOL):
     ):
         raise ValueError("spectra must each sum to 1 within 1e-8")
     partial_gap = np.cumsum(a, axis=-1) - np.cumsum(b, axis=-1)
-    result = np.all(partial_gap <= atol, axis=-1)
+    result = np.all(partial_gap <= MAJORIZATION_ATOL, axis=-1)
     return bool(result) if result.ndim == 0 else result
 
 

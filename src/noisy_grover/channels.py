@@ -9,13 +9,13 @@ instead of pre-scaled operators, which keeps unitarity assertable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotTracePreserving
 from .linalg import as_complex_matrix, unitarity_defect
-from .tolerances import TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import CHOI_RANK_ATOL, TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "KrausChannel",
@@ -73,8 +73,8 @@ class KrausChannel:
     def unitarity_defects(self) -> np.ndarray:
         return np.array([unitarity_defect(k) for k in self.operators])
 
-    def is_mixed_unitary(self, atol: float = UNITARITY_ATOL) -> bool:
-        return bool(np.max(self.unitarity_defects()) <= atol)
+    def is_mixed_unitary(self) -> bool:
+        return bool(np.max(self.unitarity_defects()) <= UNITARITY_ATOL)
 
     def fractional_weights(self) -> np.ndarray:
         """Probability each operator carries: w_i tr(K_i^dag K_i) / dim."""
@@ -167,7 +167,7 @@ def channel_choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     return float(np.linalg.norm(choi_matrix(a) - choi_matrix(b)))
 
 
-def choi_rank(channel: KrausChannel, atol: float = 1e-8) -> int:
-    """Number of Choi eigenvalues above atol (minimal Kraus count)."""
+def choi_rank(channel: KrausChannel) -> int:
+    """Number of Choi eigenvalues above CHOI_RANK_ATOL (minimal Kraus count)."""
     vals = np.linalg.eigvalsh(choi_matrix(channel))
-    return int(np.sum(vals > atol))
+    return int(np.sum(vals > CHOI_RANK_ATOL))

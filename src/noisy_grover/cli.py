@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -162,7 +161,7 @@ def _emit(text: str, out_path) -> None:
 def _render(reports, fmt: str) -> str:
     """The rows of every report, in order, as one CSV or JSON text."""
     rows = [row for report in reports for row in report_rows(report)]
-    return rows_to_json(rows, []) if fmt == "json" else rows_to_csv(rows)
+    return rows_to_json(rows) if fmt == "json" else rows_to_csv(rows)
 
 
 def cmd_search(args) -> int:

@@ -2,10 +2,10 @@
 
 Everything here is a pure function of ndarray inputs.  Matrix exponentials
 go through Hermitian eigendecomposition (exact at these dimensions, no
-scaling-and-squaring), polar factors through SVD with a closed-form path
-for 2x2 inputs.  Tensor ordering convention: the system is always the
-left Kronecker factor and the environment the right one; all environment
-indexing below follows that layout.
+scaling-and-squaring), polar factors through SVD at every size.  Tensor
+ordering convention: the system is always the left Kronecker factor and
+the environment the right one; all environment indexing below follows
+that layout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "as_complex_matrix",
     "hermiticity_defect",
     "require_hermitian",
-    "kron",
     "matexp_i_hermitian",
     "polar_unitary_factor",
     "partial_trace_env",
@@ -43,15 +42,12 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
+def require_hermitian(m: np.ndarray) -> None:
     defect = hermiticity_defect(m)
-    if defect > atol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {atol:.1e}")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor outermost (block structure a_ij * b)."""
-    return np.kron(a, b)
+    if defect > HERMITICITY_ATOL:
+        raise NotHermitian(
+            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_ATOL:.1e}"
+        )
 
 
 def matexp_i_hermitian(h) -> np.ndarray:
@@ -66,28 +62,6 @@ def matexp_i_hermitian(h) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _polar_unitary_2x2(m: np.ndarray) -> np.ndarray:
-    # Closed form: W = m (m^dag m)^{-1/2} using the 2x2 PSD square root
-    # sqrt(H) = (H + sqrt(det H) I) / sqrt(tr H + 2 sqrt(det H)).
-    h = m.conj().T @ m
-    tr = h[0, 0].real + h[1, 1].real
-    det = max((h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real, 0.0)
-    root_det = np.sqrt(det)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    smallest_sv = np.sqrt(max((tr - np.sqrt(disc)) / 2.0, 0.0))
-    if smallest_sv <= SINGULARITY_FLOOR:
-        raise DegeneratePolar(
-            f"smallest singular value {smallest_sv:.3e} at or below {SINGULARITY_FLOOR:.1e}"
-        )
-    sqrt_h = (h + root_det * np.eye(2)) / np.sqrt(tr + 2.0 * root_det)
-    det_sqrt_h = sqrt_h[0, 0] * sqrt_h[1, 1] - sqrt_h[0, 1] * sqrt_h[1, 0]
-    inv_sqrt_h = (
-        np.array([[sqrt_h[1, 1], -sqrt_h[0, 1]], [-sqrt_h[1, 0], sqrt_h[0, 0]]])
-        / det_sqrt_h
-    )
-    return m @ inv_sqrt_h
-
-
 def polar_unitary_factor(m) -> np.ndarray:
     """Unitary factor W of the polar decomposition m = P W, P >= 0 Hermitian.
 
@@ -96,8 +70,6 @@ def polar_unitary_factor(m) -> np.ndarray:
     nearest unitary is then not unique.
     """
     m = as_complex_matrix(m)
-    if m.shape[0] == 2:
-        return _polar_unitary_2x2(m)
     u, s, vh = np.linalg.svd(m)
     if s[-1] <= SINGULARITY_FLOOR:
         raise DegeneratePolar(
@@ -126,13 +98,13 @@ def partial_trace_env(
     return m[env_row::env_dim, env_col::env_dim].copy()
 
 
-def eigvals_hermitian(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def eigvals_hermitian(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     NotHermitian is raised when m fails the hermiticity check.
     """
     m = as_complex_matrix(m)
-    require_hermitian(m, atol)
+    require_hermitian(m)
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import Indeterminate
-from .linalg import kron, matexp_i_hermitian, partial_trace_env, polar_unitary_factor
+from .linalg import matexp_i_hermitian, partial_trace_env, polar_unitary_factor
 from .tolerances import PSI_INDETERMINATE_ATOL
 
 __all__ = [
@@ -123,7 +123,9 @@ def hamiltonian_kraus(chi: float) -> KrausChannel:
     every chi.
     """
     chi = _require_nonnegative(chi)
-    h = math.pi / 4.0 * kron(PAULI_Y, _ID2) + chi / 2.0 * kron(_ID2 - PAULI_Z, PAULI_Y)
+    h = math.pi / 4.0 * np.kron(PAULI_Y, _ID2) + chi / 2.0 * np.kron(
+        _ID2 - PAULI_Z, PAULI_Y
+    )
     u = matexp_i_hermitian(h)
     r0 = partial_trace_env(u, 2, 2, 0, 0)
     r1 = partial_trace_env(u, 2, 2, 1, 0)
@@ -172,13 +174,11 @@ def chi_star(n: int) -> float:
     return math.pi * math.sqrt(4.0 * n * n - 0.25)
 
 
-def psi_zero_scan(
-    chi_max: float = 13.0, step: float = 1e-3, threshold: float = 1e-2
-) -> np.ndarray:
+def psi_zero_scan(chi_max: float = 13.0, step: float = 1e-3) -> np.ndarray:
     """Locate zeros of psi(chi) on a grid, independently of chi_star.
 
     Returns grid points that are local minima of psi with value below
-    threshold.  Serves as the root-finding oracle that double-checks the
+    1e-2.  Serves as the root-finding oracle that double-checks the
     closed form for the magic strengths.
     """
     grid = np.arange(0.0, chi_max + step / 2.0, step)
@@ -187,4 +187,4 @@ def psi_zero_scan(
     psi = np.arctan2(np.abs(grid / 2.0 * delta), np.abs(np.cos(mu)))
     padded = np.concatenate(([np.inf], psi, [np.inf]))
     is_min = (padded[1:-1] < padded[:-2]) & (padded[1:-1] <= padded[2:])
-    return grid[is_min & (psi < threshold)]
+    return grid[is_min & (psi < 1e-2)]

@@ -14,6 +14,14 @@ builds t as a 2x2 channel on {|w>, |r>}, and bloch_map as the real 2x2
 matrix it applies to the Bloch vector (x, z); neither cost depends on n.
 build_search_channel assembles the same map densely in n dimensions and
 is kept, with iterate, as the independent oracle for tests and verification.
+
+Modelling assumption: embed_plane_rotation acts on span{|w>, |r>}, so it
+needs w, and every step carries target information beyond its one I_w
+query.  At chi_1 and m = 8, p_success is 0.9982 at n = 2^20 and 0.9994 at
+n = 2^40, while no 8-query algorithm exceeds
+ideal_grover_probability(2^40, 8) = 2.6e-10 (Bennett, Bernstein, Brassard
+& Vazirani 1997; Zalka 1999).  The model is the paper's; it is not an
+algorithm in the query model.
 """
 
 from __future__ import annotations
@@ -200,24 +208,19 @@ def build_search_channel(inst: SearchInstance) -> KrausChannel:
 def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
     """Trajectory [rho, t(rho), ..., t^m(rho)] as an (m+1, n, n) array.
 
-    The state and channel are validated once; each step then runs
-    apply_channel's arithmetic, sum_i w_i K_i rho K_i^dag accumulated from
-    zero in operator order, so it matches repeated kraus(rho) exactly.  The
-    whole array is allocated up front: an m too large for memory raises
-    MemoryError before any step runs.
+    Each step writes kraus(states[k]) into the array, which is allocated
+    up front: an m too large for memory raises MemoryError before any step
+    runs.
     """
     if m < 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
     rho = as_complex_matrix(rho)
     if rho.shape[0] != kraus.dim:
         raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {kraus.dim}")
-    terms = [(w, k, k.conj().T) for w, k in zip(kraus.weights, kraus.operators)]
-    states = np.zeros((m + 1, *rho.shape), dtype=complex)
+    states = np.empty((m + 1, *rho.shape), dtype=complex)
     states[0] = rho
     for step in range(m):
-        rho, out = states[step], states[step + 1]
-        for w, k, k_dag in terms:
-            out += w * (k @ rho @ k_dag)
+        states[step + 1] = kraus(states[step])
     return states
 
 
@@ -242,7 +245,7 @@ def ideal_grover_probability(n: int, m: int) -> float:
     return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2)
 
 
-def check_density_matrix(rho: np.ndarray, context: str = "state") -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidDensityMatrix unless rho is a valid state.
 
     Hermitian within HERMITICITY_ATOL, unit trace within TRACE_ATOL,
@@ -251,10 +254,10 @@ def check_density_matrix(rho: np.ndarray, context: str = "state") -> None:
     rho = as_complex_matrix(rho)
     defect = hermiticity_defect(rho)
     if defect > HERMITICITY_ATOL:
-        raise InvalidDensityMatrix(f"{context}: hermiticity defect {defect:.3e}")
+        raise InvalidDensityMatrix(f"state: hermiticity defect {defect:.3e}")
     trace_err = abs(np.trace(rho).real - 1.0)
     if trace_err > TRACE_ATOL:
-        raise InvalidDensityMatrix(f"{context}: trace deviates by {trace_err:.3e}")
+        raise InvalidDensityMatrix(f"state: trace deviates by {trace_err:.3e}")
     smallest = float(np.linalg.eigvalsh(rho)[0])
     if smallest < -POSITIVITY_ATOL:
-        raise InvalidDensityMatrix(f"{context}: eigenvalue {smallest:.3e} below zero")
+        raise InvalidDensityMatrix(f"state: eigenvalue {smallest:.3e} below zero")

@@ -16,6 +16,9 @@ TRACE_ATOL = 1e-10
 # Agreement between a computation and its independent oracle.
 ORACLE_ATOL = 1e-9
 
+# Choi eigenvalues at or below this do not count towards a channel's rank.
+CHOI_RANK_ATOL = 1e-8
+
 # Smallest singular value below which a polar factor is considered
 # undefined (the nearest unitary is non-unique at singularity).
 SINGULARITY_FLOOR = 1e-10

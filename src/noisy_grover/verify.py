@@ -164,15 +164,20 @@ def _check_ideal_limit(report) -> None:
     for n in (4, 16, 64):
         inst = SearchInstance(n=n, w=0, chi=0.0)
         states = iterate(build_search_channel(inst), uniform_state(n), 30)
+        plane = trajectory_report(inst, 30).p_success.tolist()
         for m in range(31):
-            sim = success_probability(states[m], 0)
-            worst = max(worst, abs(sim - ideal_grover_probability(n, m)))
+            ideal = ideal_grover_probability(n, m)
+            dense = success_probability(states[m], 0)
+            worst = max(worst, abs(dense - ideal), abs(plane[m] - ideal))
     report.checks.append(
         CheckResult(
             name="noiseless_reference",
             passed=worst <= ORACLE_ATOL,
             worst=worst,
-            detail="chi=0 vs closed-form reference, n in {4,16,64}, m <= 30",
+            detail=(
+                "chi=0 dense channel and plane report vs closed-form reference, "
+                "n in {4,16,64}, m <= 30"
+            ),
         )
     )
 

@@ -18,7 +18,6 @@ from noisy_grover.analysis import (
     high_precision_bloch_norms,
     majorization_check,
     phase_terms,
-    radial_fidelity,
     trajectory_report,
 )
 from noisy_grover.errors import LengthMismatch, OffPlaneSupport, ZeroBlochVector
@@ -75,19 +74,6 @@ class TestBloch:
 
 
 class TestFidelities:
-    def test_radial_at_target(self):
-        inst = SearchInstance(n=4, w=0, chi=0.0)
-        assert radial_fidelity(target_state(4, 0), inst) == pytest.approx((0.5, 1.0))
-
-    def test_radial_at_maximally_mixed(self):
-        inst = SearchInstance(n=8, w=0, chi=0.0)
-        f, p = radial_fidelity(np.eye(8, dtype=complex) / 8, inst)
-        assert (f, p) == pytest.approx((1.0 / 16.0, 1.0 / 8.0))
-
-    def test_radial_at_uniform(self):
-        inst = SearchInstance(n=4, w=0, chi=0.0)
-        assert radial_fidelity(uniform_state(4), inst) == pytest.approx((0.125, 0.25))
-
     def test_angular_at_target(self):
         inst = SearchInstance(n=4, w=0, chi=0.0)
         assert angular_fidelity(target_state(4, 0), inst) == pytest.approx(1.0)

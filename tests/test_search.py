@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from noisy_grover.analysis import trajectory_report
 from noisy_grover.channels import (
     channel_choi_distance,
     choi_matrix,
@@ -253,12 +254,11 @@ class TestProbabilities:
         assert ideal_grover_probability(100, 7) == pytest.approx(IDEAL_100_7, abs=1e-14)
 
     def test_noiseless_simulator_matches_reference(self):
+        # the plane report `search` emits; a4 checks the dense channel
         for n in (4, 16, 64):
-            inst = SearchInstance(n=n, w=0, chi=0.0)
-            states = iterate(build_search_channel(inst), uniform_state(n), 30)
+            report = trajectory_report(SearchInstance(n=n, w=0, chi=0.0), 30)
             for m in range(31):
-                sim = success_probability(states[m], 0)
-                assert sim == pytest.approx(
+                assert report.p_success[m] == pytest.approx(
                     ideal_grover_probability(n, m), abs=1e-9
                 )
 
