@@ -24,6 +24,7 @@ from .analysis import (
     majorization_check,
     phase_terms,
     trajectory_report,
+    trajectory_violations,
 )
 from .channels import (
     KrausChannel,

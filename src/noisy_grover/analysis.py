@@ -1,9 +1,10 @@
 """Measurable quantities along a search trajectory.
 
 Plane-restricted Bloch vectors, the angular fidelity, the closed-form
-fidelity hypotheses, von Neumann entropy, majorization checks, and the
+fidelity hypotheses, von Neumann entropy, majorization checks, the
 columnar trajectory report, whose columns carry the success probability
-and its half-normalized overlap f_paper.
+and its half-normalized overlap f_paper, and the gate on such a report
+that search, sweep and verify share (trajectory_violations).
 Closed-form values are carried side by side with simulated ones for
 comparison and are never used as the reference: the simulator is the
 oracle, the formulas are hypotheses.
@@ -29,9 +30,12 @@ from .search import SearchInstance, bloch_map, plane_basis, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
+    ENTROPY_DROP_ATOL,
     MAJORIZATION_ATOL,
     PLANE_RESIDUAL_ATOL,
     PLANE_TRACE_ATOL,
+    POSITIVITY_ATOL,
+    TRACE_ATOL,
 )
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "entropy_from_spectrum",
     "majorization_check",
     "trajectory_report",
+    "trajectory_violations",
     "high_precision_bloch_norms",
 ]
 
@@ -252,7 +257,8 @@ def entropy_from_spectrum(values: np.ndarray):
     vals = np.asarray(values, dtype=float)
     kept = vals > EIGENVALUE_FLOOR
     terms = np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0)
-    result = -np.sum(terms, axis=-1)
+    # 0.0 - x, not -x: a pure state's entropy is +0.0, not -0.0
+    result = 0.0 - np.sum(terms, axis=-1)
     return float(result) if result.ndim == 0 else result
 
 
@@ -336,6 +342,35 @@ def trajectory_report(
         majorized_by_prev=majorized_by(spectra[:-1]),
         majorized_by_init=majorized_by(spectra[0]),
     )
+
+
+def trajectory_violations(report: TrajectoryReport) -> list:
+    """The gate on a report: one message per failed check, in step order.
+
+    Each step's spectrum must sum to 1 within TRACE_ATOL and stay above
+    -POSITIVITY_ATOL; its entropy may not drop by more than
+    ENTROPY_DROP_ATOL; and it must be majorized by the previous and the
+    initial spectrum.  An empty list means the trajectory passes.
+    """
+    traces = report.spectra.sum(axis=-1)
+    smallest = report.spectra[:, -1]
+    ent = report.entropies
+    bad_trace = np.abs(traces - 1.0) > TRACE_ATOL
+    negative = smallest < -POSITIVITY_ATOL
+    drops = np.zeros(len(ent), dtype=bool)
+    drops[1:] = ent[1:] < ent[:-1] - ENTROPY_DROP_ATOL
+    not_prev, not_init = ~report.majorized_by_prev, ~report.majorized_by_init
+    failed = np.flatnonzero(bad_trace | negative | drops | not_prev | not_init)
+    checks = (  # (failed at step k, message at step k), in message order
+        (bad_trace, lambda k: f"trace {traces[k]:.12f}"),
+        (negative, lambda k: f"eigenvalue {smallest[k]:.3e}"),
+        (drops, lambda k: f"entropy drops by {ent[k - 1] - ent[k]:.3e}"),
+        (not_prev, lambda k: "not majorized by previous step"),
+        (not_init, lambda k: "not majorized by initial state"),
+    )
+    return [
+        f"m={k}: {say(k)}" for k in failed.tolist() for flags, say in checks if flags[k]
+    ]
 
 
 def high_precision_bloch_norms(

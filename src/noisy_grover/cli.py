@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: kraus, chi-star, search, sweep, verify.  Exit codes are a
-three-way contract: 0 success, 1 usage or I/O error, 2 numerical
-invariant violation.  Identical invocations (including seeds) produce
-byte-identical output files.
+Subcommands: kraus, chi-star, search, sweep, verify.  search is the
+one-cell sweep; only sweep names the (chi, n) cell in front of each
+invariant violation it prints.  Exit codes are a three-way contract:
+0 success, 1 usage or I/O error, 2 numerical invariant violation.
+Identical invocations (including seeds) produce byte-identical output
+files.
 
 Configuration precedence: command-line flags, then an optional key=value
 config file (--config), then the NOISY_GROVER_OUT_DIR environment
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analysis import trajectory_report
+from .analysis import trajectory_report, trajectory_violations
 from .channels import channel_choi_distance
 from .errors import NoisyGroverError
 from .noise import (
@@ -31,7 +33,7 @@ from .noise import (
 )
 from .reporting import report_rows, rows_to_csv, rows_to_json
 from .search import SearchInstance
-from .tolerances import POSITIVITY_ATOL, TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 from .verify import run_verification
 
 __all__ = ["main", "entrypoint"]
@@ -70,10 +72,6 @@ def _resolve(flag_value, cfg, key, default):
     if key in cfg:
         return cfg[key]
     return default
-
-
-def _out_dir(flag_value, cfg) -> str:
-    return _resolve(flag_value, cfg, "out_dir", os.environ.get(OUT_DIR_ENV, "."))
 
 
 def _print_matrix(label: str, matrix) -> None:
@@ -121,35 +119,6 @@ def cmd_chi_star(args) -> int:
     return 0 if worst <= UNITARITY_ATOL else 2
 
 
-def _trajectory_violations(report) -> list:
-    """Gate: trace, positivity, entropy monotonicity, majorization."""
-    traces = report.spectra.sum(axis=-1)
-    smallest = report.spectra[:, -1]
-    entropies = report.entropies
-    drops = np.zeros(len(entropies), dtype=bool)
-    drops[1:] = entropies[1:] < entropies[:-1] - 1e-12
-    bad_trace = np.abs(traces - 1.0) > TRACE_ATOL
-    negative = smallest < -POSITIVITY_ATOL
-    problems = []
-    for k in np.flatnonzero(
-        bad_trace | negative | drops
-        | ~report.majorized_by_prev | ~report.majorized_by_init
-    ).tolist():
-        if bad_trace[k]:
-            problems.append(f"m={k}: trace {float(traces[k]):.12f}")
-        if negative[k]:
-            problems.append(f"m={k}: eigenvalue {float(smallest[k]):.3e}")
-        if drops[k]:
-            problems.append(
-                f"m={k}: entropy drops by {entropies[k - 1] - entropies[k]:.3e}"
-            )
-        if not report.majorized_by_prev[k]:
-            problems.append(f"m={k}: not majorized by previous step")
-        if not report.majorized_by_init[k]:
-            problems.append(f"m={k}: not majorized by initial state")
-    return problems
-
-
 def _emit(text: str, out_path) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
@@ -164,54 +133,36 @@ def _render(reports, fmt: str) -> str:
     return rows_to_json(rows) if fmt == "json" else rows_to_csv(rows)
 
 
-def cmd_search(args) -> int:
+def cmd_trajectories(args) -> int:
+    """search and sweep: one trajectory per (chi, n) cell, chi-major.
+
+    Every report is emitted, then every message of
+    analysis.trajectory_violations is printed; search is the one-cell
+    sweep, and only sweep names the cell in front of each message.
+    """
+    sweep = args.command == "sweep"
     cfg = _load_config(args.config)
     fmt = _resolve(args.format, cfg, "format", "csv")
     if fmt not in ("csv", "json"):
-        raise _UsageError(f"search: unknown format {fmt!r}")
+        raise _UsageError(f"{args.command}: unknown format {fmt!r}")
     target = int(_resolve(args.target, cfg, "target", 0))
-    if args.chi < 0:
-        raise _UsageError("search: --chi must be >= 0")
+    chis, sizes = (args.chi, args.n) if sweep else ([args.chi], [args.n])
+    if any(chi < 0 for chi in chis):
+        values = " values" if sweep else ""
+        raise _UsageError(f"{args.command}: --chi{values} must be >= 0")
     if args.m < 1:
-        raise _UsageError("search: --m must be >= 1")
-    inst = SearchInstance(n=args.n, w=target, chi=args.chi)
-    psi_sign = -1 if args.flip_psi_sign else 1
-    report = trajectory_report(inst, args.m, psi_sign=psi_sign)
-    _emit(_render([report], fmt), args.out)
-    problems = _trajectory_violations(report)
-    for problem in problems:
-        print(f"invariant violation: {problem}", file=sys.stderr)
-    return 2 if problems else 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    fmt = _resolve(args.format, cfg, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise _UsageError(f"sweep: unknown format {fmt!r}")
-    target = int(_resolve(args.target, cfg, "target", 0))
-    if not args.chi or not args.n:
-        raise _UsageError("sweep: need at least one --chi and one --n")
-    if any(c < 0 for c in args.chi):
-        raise _UsageError("sweep: --chi values must be >= 0")
-    if args.m < 1:
-        raise _UsageError("sweep: --m must be >= 1")
+        raise _UsageError(f"{args.command}: --m must be >= 1")
     psi_sign = -1 if args.flip_psi_sign else 1
 
     # chi-major, then n: deterministic cell order independent of scheduling
-    cells = [(chi, n) for chi in args.chi for n in args.n]
+    cells = [(chi, n) for chi in chis for n in sizes]
     reports = [
         trajectory_report(SearchInstance(n=n, w=target, chi=chi), args.m, psi_sign)
         for chi, n in cells
     ]
-    problems = []
-    for (chi, n), report in zip(cells, reports):
-        problems.extend(
-            f"chi={chi:.17g} n={n} {p}" for p in _trajectory_violations(report)
-        )
-
     if args.per_cell:
-        directory = _out_dir(args.out_dir, cfg)
+        default_dir = os.environ.get(OUT_DIR_ENV, ".")
+        directory = _resolve(args.out_dir, cfg, "out_dir", default_dir)
         os.makedirs(directory, exist_ok=True)
         for (chi, n), report in zip(cells, reports):
             name = f"cell_chi{chi:.17g}_n{n}.{fmt}"
@@ -219,6 +170,11 @@ def cmd_sweep(args) -> int:
     else:
         _emit(_render(reports, fmt), args.out)
 
+    problems = [
+        f"chi={chi:.17g} n={n} {problem}" if sweep else problem
+        for (chi, n), report in zip(cells, reports)
+        for problem in trajectory_violations(report)
+    ]
     for problem in problems:
         print(f"invariant violation: {problem}", file=sys.stderr)
     return 2 if problems else 0
@@ -247,6 +203,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _add_trajectory_parser(sub, name: str, nargs, text: str) -> _Parser:
+    """The options search and sweep share; nargs of --chi and --n tells them apart."""
+    parser = sub.add_parser(name, help=text)
+    parser.add_argument("--chi", type=float, nargs=nargs, required=True)
+    parser.add_argument("--n", type=int, nargs=nargs, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--target", type=int, default=None)
+    parser.add_argument("--out", default=None, help="output path, '-' for stdout")
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--flip-psi-sign", action="store_true")
+    parser.add_argument("--config", default=None)
+    parser.set_defaults(func=cmd_trajectories, out_dir=None, per_cell=False)
+    return parser
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="noisy-grover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -265,31 +236,12 @@ def build_parser() -> _Parser:
     )
     p_star.set_defaults(func=cmd_chi_star)
 
-    p_search = sub.add_parser("search", help="one trajectory, one row per iteration")
-    p_search.add_argument("--chi", type=float, required=True)
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--m", type=int, required=True)
-    p_search.add_argument("--target", type=int, default=None)
-    p_search.add_argument("--out", default=None, help="output path, '-' for stdout")
-    p_search.add_argument("--format", choices=("csv", "json"), default=None)
-    p_search.add_argument("--flip-psi-sign", action="store_true")
-    p_search.add_argument("--config", default=None)
-    p_search.set_defaults(func=cmd_search)
-
-    p_sweep = sub.add_parser("sweep", help="cross product of chi and n values")
-    p_sweep.add_argument("--chi", type=float, nargs="+", required=True)
-    p_sweep.add_argument("--n", type=int, nargs="+", required=True)
-    p_sweep.add_argument("--m", type=int, required=True)
-    p_sweep.add_argument("--target", type=int, default=None)
-    p_sweep.add_argument("--out", default=None, help="combined output path")
+    _add_trajectory_parser(sub, "search", None, "one trajectory, one row per iteration")
+    p_sweep = _add_trajectory_parser(sub, "sweep", "+", "cross product of chi and n values")
     p_sweep.add_argument("--out-dir", default=None)
     p_sweep.add_argument(
         "--per-cell", action="store_true", help="one file per (chi, n) cell"
     )
-    p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sweep.add_argument("--flip-psi-sign", action="store_true")
-    p_sweep.add_argument("--config", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--seed", type=int, default=0)

@@ -26,7 +26,7 @@ import numpy as np
 from .channels import KrausChannel
 from .errors import Indeterminate
 from .linalg import matexp_i_hermitian, partial_trace_env, polar_unitary_factor
-from .tolerances import PSI_INDETERMINATE_ATOL
+from .tolerances import CHI_MAX, PSI_INDETERMINATE_ATOL
 
 __all__ = [
     "PAULI_Y",
@@ -48,9 +48,12 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 def _require_nonnegative(chi: float) -> float:
+    """chi as a float, or ValueError unless it is finite and in [0, CHI_MAX]."""
     chi = float(chi)
     if chi < 0.0 or not math.isfinite(chi):
         raise ValueError(f"noise strength must be finite and >= 0, got {chi}")
+    if chi > CHI_MAX:
+        raise ValueError(f"noise strength chi must be <= {CHI_MAX:.17g}, got {chi}")
     return chi
 
 

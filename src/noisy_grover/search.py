@@ -40,7 +40,7 @@ from .errors import (
     NotNormalized,
 )
 from .linalg import as_complex_matrix, hermiticity_defect, unitarity_defect
-from .noise import nearest_unitary_pair
+from .noise import _require_nonnegative, nearest_unitary_pair
 from .tolerances import (
     HERMITICITY_ATOL,
     POSITIVITY_ATOL,
@@ -71,7 +71,8 @@ class SearchInstance:
     """Database size, target index, and environment coupling strength.
 
     n and w must be integers (stored as int, never bool), with 2 <= n,
-    n convertible to float, and 0 <= w < n; chi must be finite and >= 0.
+    n convertible to float, and 0 <= w < n; chi is stored as a float and
+    must be finite and in [0, CHI_MAX] (noise._require_nonnegative).
     Anything else raises ValueError.
     """
 
@@ -95,8 +96,7 @@ class SearchInstance:
             raise ValueError(f"database size must be >= 2, got {self.n}")
         if not 0 <= self.w < self.n:
             raise ValueError(f"target index {self.w} out of range [0, {self.n})")
-        if not (math.isfinite(self.chi) and self.chi >= 0):
-            raise ValueError(f"noise strength must be finite and >= 0, got {self.chi}")
+        object.__setattr__(self, "chi", _require_nonnegative(self.chi))
 
 
 def uniform_state(n: int) -> np.ndarray:

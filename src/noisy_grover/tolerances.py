@@ -33,6 +33,9 @@ POSITIVITY_ATOL = 1e-10
 # Majorization partial-sum slack.
 MAJORIZATION_ATOL = 1e-10
 
+# Largest entropy drop between consecutive steps a trajectory may show.
+ENTROPY_DROP_ATOL = 1e-12
+
 # Search-plane support: residual outside the plane, and minimum plane
 # trace, before Bloch extraction refuses the state.
 PLANE_RESIDUAL_ATOL = 1e-8
@@ -40,6 +43,10 @@ PLANE_TRACE_ATOL = 1e-6
 
 # Bloch vectors shorter than this have no direction.
 BLOCH_ZERO_ATOL = 1e-10
+
+# Largest noise strength accepted: above 2**52 consecutive doubles are at
+# least 1 apart, so chi/2 no longer resolves an angle.
+CHI_MAX = 2.0**52
 
 # Both terms of the defining relation for the preconditioning angle below
 # this means the angle is undefined.

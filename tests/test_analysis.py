@@ -242,6 +242,14 @@ class TestEntropy:
             ENTROPY_09_01, abs=1e-14
         )
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        # -0.0 would print as "-0" in every output's m = 0 row
+        assert math.copysign(1.0, entropy_from_spectrum([1.0, 0.0])) == 1.0
+        stacked = entropy_from_spectrum(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert np.all(np.copysign(1.0, stacked) == 1.0)
+        report = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 3)
+        assert math.copysign(1.0, report.entropies[0]) == 1.0
+
     def test_floor_swallows_negative_dust(self):
         vals = np.array([1.0 + 1e-16, -1e-16, 5e-15])
         assert entropy_from_spectrum(vals) == 0.0

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from noisy_grover import cli
-from noisy_grover.analysis import trajectory_report
+from noisy_grover.analysis import trajectory_report, trajectory_violations
 from noisy_grover.cli import main
 from noisy_grover.reporting import CSV_HEADER
 from noisy_grover.search import SearchInstance
@@ -98,7 +99,7 @@ def per_step_violations(report) -> list:
 class TestViolationGate:
     def test_clean_trajectory_passes(self):
         report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 30)
-        assert cli._trajectory_violations(report) == []
+        assert trajectory_violations(report) == []
 
     def test_matches_per_step_gate_on_a_corrupted_report(self):
         report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 12)
@@ -110,7 +111,72 @@ class TestViolationGate:
         report.majorized_by_init[11] = False
         expected = per_step_violations(report)
         assert len(expected) == 7
-        assert cli._trajectory_violations(report) == expected
+        assert trajectory_violations(report) == expected
+
+
+class TestStderrContract:
+    """What search and sweep write to stderr, with which exit code."""
+
+    @pytest.fixture
+    def one_problem(self, monkeypatch):
+        monkeypatch.setattr(cli, "trajectory_violations", lambda report: ["m=3: x"])
+
+    def test_search_prints_violations_unprefixed(self, one_problem, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        argv = ["search", "--chi", "1", "--n", "4", "--m", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "invariant violation: m=3: x\n"
+        assert len(read_rows(out)) == 4
+
+    def test_sweep_prefixes_each_line_with_its_cell(self, one_problem, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--chi", "1", "2.5", "--n", "4", "--m", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "invariant violation: chi=1 n=4 m=3: x\n"
+            "invariant violation: chi=2.5 n=4 m=3: x\n"
+        )
+        assert len(read_rows(out)) == 8
+
+    def test_per_cell_sweep_still_writes_its_files(self, one_problem, tmp_path, capsys):
+        argv = ["sweep", "--chi", "1", "--n", "4", "8", "--m", "3",
+                "--per-cell", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "invariant violation: chi=1 n=4 m=3: x\n"
+            "invariant violation: chi=1 n=8 m=3: x\n"
+        )
+        assert len(read_rows(tmp_path / "cell_chi1_n8.csv")) == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "--chi", "-1", "--n", "4", "--m", "3"],
+             "search: --chi must be >= 0"),
+            (["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"],
+             "sweep: --chi values must be >= 0"),
+            (["search", "--chi", "1", "--n", "4", "--m", "0"],
+             "search: --m must be >= 1"),
+            (["sweep", "--chi", "1", "--n", "4", "--m", "0"],
+             "sweep: --m must be >= 1"),
+            (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
+             "search: unknown format 'xml'"),
+            (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
+             "sweep: unknown format 'xml'"),
+            (["search", "--chi", "--n", "4", "--m", "3"],
+             "noisy-grover search: argument --chi: expected one argument"),
+            (["sweep", "--chi", "--n", "4", "--m", "3"],
+             "noisy-grover sweep: argument --chi: expected at least one argument"),
+        ],
+    )
+    def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("format=xml\n")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 class TestKraus:
@@ -210,6 +276,33 @@ class TestSearch:
         rows = read_rows(out)
         assert len(rows) == 11
         assert rows[0]["n"] == "1048576"
+
+    def test_pure_initial_state_prints_zero_entropy(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["search", "--chi", "1", "--n", "16", "--m", "3", "--out", str(out)]) == 0
+        assert read_rows(out)[0]["entropy_nats"] == "0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--chi", "1e308", "--n", "4", "--m", "3"],
+            ["search", "--chi", "1e305", "--n", "4", "--m", "10000"],
+            ["sweep", "--chi", "1", "1e308", "--n", "4", "--m", "3"],
+            ["kraus", "--chi", "1e308"],
+        ],
+    )
+    def test_huge_chi_is_a_usage_error(self, argv, capsys):
+        # above CHI_MAX, chi/2 resolves no angle and m * theta overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: noise strength chi must be <= 4503599627370496, got"
+        )
+        assert "Traceback" not in captured.err
 
     def test_stdout_when_no_out_given(self, capsys):
         assert main(["search", "--chi", "0", "--n", "4", "--m", "1"]) == 0

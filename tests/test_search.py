@@ -33,6 +33,7 @@ from noisy_grover.search import (
     target_state,
     uniform_state,
 )
+from noisy_grover.tolerances import CHI_MAX
 
 from conftest import random_channel, random_density
 
@@ -60,6 +61,12 @@ class TestInstance:
         for n, w, chi in bad:
             with pytest.raises(ValueError):
                 SearchInstance(n=n, w=w, chi=chi)
+
+    def test_chi_is_bounded_and_stored_as_float(self):
+        assert SearchInstance(n=4, w=0, chi=CHI_MAX).chi == CHI_MAX
+        assert type(SearchInstance(n=4, w=0, chi=np.float64(0.5)).chi) is float
+        with pytest.raises(ValueError, match="chi must be <= 4503599627370496,"):
+            SearchInstance(n=4, w=0, chi=math.nextafter(CHI_MAX, math.inf))
 
     def test_numpy_integers_are_stored_as_int(self):
         inst = SearchInstance(n=np.int64(8), w=np.int32(3), chi=0.5)
