@@ -41,7 +41,6 @@ from .errors import (
     DegeneratePlane,
     DegeneratePolar,
     DimensionMismatch,
-    Indeterminate,
     InvalidDensityMatrix,
     LengthMismatch,
     NoisyGroverError,

@@ -89,11 +89,11 @@ class Phi:
 
     alpha = arccos(1/sqrt(n)); theta = pi + chi + arcsin(2 sqrt(n-1)/n)
     on the principal arcsin branch; psi = scalar_profile(chi).psi;
-    phi_half = m*psi_sign*psi - m*theta + alpha, an array when phase_terms
-    is given an array of m.
+    phi_half is the array of m*psi_sign*psi - m*theta + alpha over
+    m = 0..m_max.
     """
 
-    phi_half: float
+    phi_half: np.ndarray
     theta: float
     alpha: float
     psi: float
@@ -190,17 +190,17 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     return bloch.z / bloch.norm
 
 
-def phase_terms(chi: float, m, n: int, psi_sign: int = 1) -> Phi:
+def phase_terms(chi: float, m_max: int, n: int, psi_sign: int = 1) -> Phi:
     """Assemble the closed-form phase phi_half = m*psi - m*theta + alpha.
 
-    m is an int or an integer array; with an array, phi_half is the array
-    of phases, and alpha, theta and psi are still computed once.  psi_sign
-    flips the sign of psi; its defining relation only fixes cos^2(psi), so
-    the branch is explorable.
+    phi_half is the array over m = 0..m_max; alpha, theta and psi are
+    computed once.  psi_sign flips the sign of psi; its defining relation
+    only fixes cos^2(psi), so the branch is explorable.
     """
     psi = scalar_profile(chi).psi
     alpha = math.acos(1.0 / math.sqrt(n))
     theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
+    m = np.arange(m_max + 1)
     phi_half = m * psi_sign * psi - m * theta + alpha
     return Phi(phi_half=phi_half, theta=theta, alpha=alpha, psi=psi)
 
@@ -214,27 +214,23 @@ def _libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *args), float)
 
 
-def closed_form_fidelities(chi: float, m, n: int, psi_sign: int = 1) -> tuple:
-    """The closed-form (f, cos_gamma) hypothesis:
+def closed_form_fidelities(chi: float, m_max: int, n: int, psi_sign: int = 1) -> tuple:
+    """The closed-form (f, cos_gamma) hypothesis for m = 0..m_max:
 
     f = (1/4)[1 + cos^m(2 psi) cos(phi)], cos_gamma = cos^2(phi/2).
 
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
-    normalization.  An int m gives two floats, a 1-d integer array of m
-    two arrays, each entry carrying the bits of the scalar call.
+    normalization.  Two arrays of m_max + 1 entries, each entry carrying
+    the bits of the formulas evaluated in Python floats.
     """
-    ms = np.atleast_1d(m)
-    counts = ms.tolist()
-    if min(counts) < 0:
-        raise ValueError(f"iteration count must be >= 0, got {min(counts)}")
-    phase = phase_terms(chi, ms, n, psi_sign)
+    if m_max < 0:
+        raise ValueError(f"iteration count must be >= 0, got {m_max}")
+    phase = phase_terms(chi, m_max, n, psi_sign)
     phi_half = phase.phi_half
-    damping = _libm(pow, repeat(math.cos(2.0 * phase.psi)), counts)
+    damping = _libm(pow, repeat(math.cos(2.0 * phase.psi)), range(m_max + 1))
     f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
     cos_gamma = _libm(pow, map(math.cos, phi_half.tolist()), repeat(2))
-    if np.ndim(m) == 0:
-        return float(f[0]), float(cos_gamma[0])
     return f, cos_gamma
 
 
@@ -319,9 +315,7 @@ def trajectory_report(
     bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
     cos_gamma = np.full(m_max + 1, math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
-    f_closed, cos_gamma_closed = closed_form_fidelities(
-        inst.chi, np.arange(m_max + 1), inst.n, psi_sign
-    )
+    f_closed, cos_gamma_closed = closed_form_fidelities(inst.chi, m_max, inst.n, psi_sign)
     spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
 
     def majorized_by(before):  # True at m = 0, which has no earlier step

@@ -145,13 +145,21 @@ def cmd_trajectories(args) -> int:
     fmt = _resolve(args.format, cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise _UsageError(f"{args.command}: unknown format {fmt!r}")
-    target = int(_resolve(args.target, cfg, "target", 0))
+    target = _resolve(args.target, cfg, "target", 0)
+    try:  # only a config value can fail: a flag is parsed as int already
+        target = int(target)
+    except ValueError:
+        raise _UsageError(
+            f"{args.command}: config target must be an integer, got {target!r}"
+        ) from None
     chis, sizes = (args.chi, args.n) if sweep else ([args.chi], [args.n])
     if any(chi < 0 for chi in chis):
         values = " values" if sweep else ""
         raise _UsageError(f"{args.command}: --chi{values} must be >= 0")
     if args.m < 1:
         raise _UsageError(f"{args.command}: --m must be >= 1")
+    if args.per_cell and args.out is not None:
+        raise _UsageError(f"{args.command}: --out cannot be combined with --per-cell")
     psi_sign = -1 if args.flip_psi_sign else 1
 
     # chi-major, then n: deterministic cell order independent of scheduling
@@ -181,7 +189,7 @@ def cmd_trajectories(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verification(seed=args.seed, random_chi=args.random_chi)
+    report = run_verification(seed=args.seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: worst {check.worst:.3e} ({check.detail})")
@@ -245,7 +253,6 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--random-chi", type=int, default=100)
     p_verify.add_argument(
         "--strict-paper",
         action="store_true",

@@ -21,10 +21,6 @@ class NotTracePreserving(NoisyGroverError):
     """Kraus operators fail the completeness relation."""
 
 
-class Indeterminate(NoisyGroverError):
-    """The preconditioning angle is undefined for these inputs."""
-
-
 class NotNormalized(NoisyGroverError):
     """Vector expected to have unit norm does not."""
 

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import Indeterminate
 from .linalg import matexp_i_hermitian, partial_trace_env, polar_unitary_factor
-from .tolerances import CHI_MAX, PSI_INDETERMINATE_ATOL
+from .tolerances import CHI_MAX
 
 __all__ = [
     "PAULI_Y",
@@ -84,18 +83,14 @@ def scalar_profile(chi: float) -> ScalarProfile:
     psi is taken on the principal non-negative branch [0, pi/2], computed
     as atan2(|chi*delta/2|, |cos mu|) which satisfies the defining
     relation exactly and degrades gracefully near the magic strengths
-    where delta crosses zero.
+    where delta crosses zero.  The two atan2 arguments never vanish
+    together: (chi/2)^2 = mu^2 - pi^2/16 gives
+    cos^2 mu + (chi delta/2)^2 = 1 - (pi^2/16)(sin mu/mu)^2 >= 1/2.
     """
     chi = _require_nonnegative(chi)
     mu = math.hypot(chi / 2.0, math.pi / 4.0)
     delta = math.sin(mu) / mu
-    cos_mu = math.cos(mu)
-    coupling = chi / 2.0 * delta
-    if cos_mu**2 < PSI_INDETERMINATE_ATOL and coupling**2 < PSI_INDETERMINATE_ATOL:
-        raise Indeterminate(
-            f"both cos^2(mu) and (chi^2/4) delta^2 vanish at chi={chi}; psi undefined"
-        )
-    psi = math.atan2(abs(coupling), abs(cos_mu))
+    psi = math.atan2(abs(chi / 2.0 * delta), abs(math.cos(mu)))
     return ScalarProfile(chi=chi, mu=mu, delta=delta, psi=psi)
 
 
@@ -177,13 +172,15 @@ def chi_star(n: int) -> float:
     return math.pi * math.sqrt(4.0 * n * n - 0.25)
 
 
-def psi_zero_scan(chi_max: float = 13.0, step: float = 1e-3) -> np.ndarray:
+def psi_zero_scan() -> np.ndarray:
     """Locate zeros of psi(chi) on a grid, independently of chi_star.
 
-    Returns grid points that are local minima of psi with value below
-    1e-2.  Serves as the root-finding oracle that double-checks the
-    closed form for the magic strengths.
+    The grid spans [0, 13] in steps of 1e-3.  Returns grid points that
+    are local minima of psi with value below 1e-2: 0, chi_1 and chi_2,
+    each to within a step.  Serves as the root-finding oracle that
+    double-checks the closed form for the magic strengths.
     """
+    chi_max, step = 13.0, 1e-3
     grid = np.arange(0.0, chi_max + step / 2.0, step)
     mu = np.hypot(grid / 2.0, math.pi / 4.0)
     delta = np.sin(mu) / mu

@@ -47,7 +47,3 @@ BLOCH_ZERO_ATOL = 1e-10
 # Largest noise strength accepted: above 2**52 consecutive doubles are at
 # least 1 apart, so chi/2 no longer resolves an angle.
 CHI_MAX = 2.0**52
-
-# Both terms of the defining relation for the preconditioning angle below
-# this means the angle is undefined.
-PSI_INDETERMINATE_ATOL = 1e-14

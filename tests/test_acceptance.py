@@ -61,7 +61,7 @@ def test_a1_completeness_of_both_constructions():
 def test_a2_magic_strengths():
     start = time.perf_counter()
     worst_psi = max(scalar_profile(chi_star(n)).psi for n in range(1, 6))
-    zeros = psi_zero_scan(13.0, 1e-3)
+    zeros = psi_zero_scan()
     expected = np.array([0.0, chi_star(1), chi_star(2)])
     scan_ok = zeros.size == 3 and bool(np.all(np.abs(zeros - expected) <= 2e-3))
     elapsed = time.perf_counter() - start
@@ -230,7 +230,7 @@ def test_a7_composition_stays_mixed_unitary():
 def test_a8_discrepancies_surface_not_hidden(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify", "--out", str(out)])
-    strict_code = main(["verify", "--random-chi", "10", "--strict-paper"])
+    strict_code = main(["verify", "--strict-paper"])
     capsys.readouterr()
     import json
 

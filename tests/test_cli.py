@@ -167,16 +167,24 @@ class TestStderrContract:
              "noisy-grover search: argument --chi: expected one argument"),
             (["sweep", "--chi", "--n", "4", "--m", "3"],
              "noisy-grover sweep: argument --chi: expected at least one argument"),
+            (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--per-cell", "--out", "x.csv"],
+             "sweep: --out cannot be combined with --per-cell"),
+            (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "abc.cfg"],
+             "search: config target must be an integer, got 'abc'"),
+            (["verify", "--random-chi", "5"],
+             "noisy-grover: unrecognized arguments: --random-chi 5"),
         ],
     )
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NOISY_GROVER_OUT_DIR", raising=False)
         (tmp_path / "bad.cfg").write_text("format=xml\n")
+        (tmp_path / "abc.cfg").write_text("target=abc\n")
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.cfg", "bad.cfg"]
 
 
 class TestKraus:
@@ -384,7 +392,7 @@ class TestVerify:
     def test_default_run_passes_and_records_gap(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         assert main(
-            ["verify", "--random-chi", "10", "--out", str(out)]
+            ["verify", "--out", str(out)]
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["all_hard_passed"] is True
@@ -398,13 +406,13 @@ class TestVerify:
         capsys.readouterr()
 
     def test_strict_mode_fails_on_recorded_gaps(self, capsys):
-        assert main(["verify", "--random-chi", "10", "--strict-paper"]) == 2
+        assert main(["verify", "--strict-paper"]) == 2
         capsys.readouterr()
 
     def test_seeded_determinism(self, capsys):
-        assert main(["verify", "--seed", "42", "--random-chi", "10"]) == 0
+        assert main(["verify", "--seed", "42"]) == 0
         first = capsys.readouterr().out
-        assert main(["verify", "--seed", "42", "--random-chi", "10"]) == 0
+        assert main(["verify", "--seed", "42"]) == 0
         second = capsys.readouterr().out
         assert first == second
 

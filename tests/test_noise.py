@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisy_grover.channels import channel_choi_distance, choi_rank, unitary_channel
@@ -16,6 +18,7 @@ from noisy_grover.noise import (
     rotation_y,
     scalar_profile,
 )
+from noisy_grover.tolerances import CHI_MAX
 
 # frozen from a 30-digit evaluation of the defining formulas
 MU_AT_2 = 1.2715542753135176
@@ -24,6 +27,12 @@ PSI_AT_2 = 1.1969609816743351
 CHI_STAR_1 = 6.0836680139604178
 CHI_STAR_2 = 12.4678093230991225
 DELTA_AT_0 = 0.9003163161571061
+
+
+def psi_denominator(chi):
+    """cos^2 mu + (chi delta/2)^2, the sum of the squared atan2 arguments of psi."""
+    prof = scalar_profile(chi)
+    return math.cos(prof.mu) ** 2 + (chi / 2.0 * prof.delta) ** 2
 
 
 def aligned_distance(a, b):
@@ -68,6 +77,24 @@ class TestScalarProfile:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             scalar_profile(-1.0)
+
+    def test_psi_denominator_stays_above_half_at_extremes(self):
+        # = 1 - (pi^2/16)(sin mu/mu)^2 >= 1/2, so the two atan2 arguments of
+        # psi never vanish together: check at chi = 0, where the bound is
+        # reached, and where either argument vanishes (delta at the magic
+        # strengths, cos mu at its zeros)
+        cos_zeros = [
+            2.0 * math.sqrt((math.pi / 2 + k * math.pi) ** 2 - math.pi**2 / 16)
+            for k in range(51)
+        ]
+        magic = [chi_star(n) for n in range(1, 51)]
+        for chi in [0.0, *magic, *cos_zeros]:
+            assert psi_denominator(chi) >= 0.5 - 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.0, CHI_MAX))
+    def test_psi_denominator_stays_above_half(self, chi):
+        assert psi_denominator(chi) >= 0.5 - 1e-15
 
 
 class TestClosedFormKraus:
@@ -189,12 +216,8 @@ class TestChiStar:
 
     def test_scan_oracle_confirms_closed_form(self):
         # root scan of psi finds exactly the closed-form zeros
-        zeros = psi_zero_scan(13.0, 1e-3)
+        zeros = psi_zero_scan()
         expected = [0.0, chi_star(1), chi_star(2)]
         assert zeros.size == 3
         for found, true in zip(zeros, expected):
             assert abs(found - true) <= 2e-3
-
-    def test_scan_sees_no_zero_off_magic(self):
-        zeros = psi_zero_scan(5.0, 1e-3)
-        assert zeros.size == 1  # only chi = 0 below the first magic point

@@ -1,14 +1,19 @@
+import pytest
+
 from noisy_grover.verify import DiscrepancyRecord, run_verification
 
 
-def test_hard_invariants_pass():
-    report = run_verification(seed=0, random_chi=25)
+@pytest.fixture(scope="module")
+def report():
+    return run_verification(seed=0)
+
+
+def test_hard_invariants_pass(report):
     failed = [c.name for c in report.checks if not c.passed]
     assert not failed, f"hard checks failed: {failed}"
 
 
-def test_discrepancy_ledger_contents():
-    report = run_verification(seed=0, random_chi=10)
+def test_discrepancy_ledger_contents(report):
     kinds = {d.kind for d in report.discrepancies}
     assert {"prop1_choi_gap", "prop2_phase_gap", "prop3_normalization",
             "prop3_exponent"} <= kinds
@@ -29,8 +34,7 @@ def test_discrepancy_ledger_contents():
     assert "exponent m" in exponent[0].detail
 
 
-def test_phase_gap_records_show_branch_behavior():
-    report = run_verification(seed=0, random_chi=10)
+def test_phase_gap_records_show_branch_behavior(report):
     by_chi = {
         round(d.chi, 3): d.magnitude
         for d in report.discrepancies
@@ -43,8 +47,7 @@ def test_phase_gap_records_show_branch_behavior():
     assert by_chi[5.0] > 1e-2
 
 
-def test_report_serialization_roundtrip():
-    report = run_verification(seed=0, random_chi=5)
+def test_report_serialization_roundtrip(report):
     payload = report.to_dict()
     assert payload["all_hard_passed"] is True
     assert isinstance(payload["checks"], list)
@@ -59,8 +62,8 @@ def test_report_serialization_roundtrip():
 
 
 def test_seeded_runs_are_reproducible():
-    a = run_verification(seed=3, random_chi=8)
-    b = run_verification(seed=3, random_chi=8)
+    a = run_verification(seed=3)
+    b = run_verification(seed=3)
     assert [c.worst for c in a.checks] == [c.worst for c in b.checks]
     assert [d.magnitude for d in a.discrepancies] == [
         d.magnitude for d in b.discrepancies
