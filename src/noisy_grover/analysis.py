@@ -89,8 +89,7 @@ class Phi:
 
     alpha = arccos(1/sqrt(n)); theta = pi + chi + arcsin(2 sqrt(n-1)/n)
     on the principal arcsin branch; psi = scalar_profile(chi).psi;
-    phi_half is the array of m*psi_sign*psi - m*theta + alpha over
-    m = 0..m_max.
+    phi_half is the array of m*psi - m*theta + alpha over m = 0..m_max.
     """
 
     phi_half: np.ndarray
@@ -190,18 +189,18 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     return bloch.z / bloch.norm
 
 
-def phase_terms(chi: float, m_max: int, n: int, psi_sign: int = 1) -> Phi:
+def phase_terms(chi: float, m_max: int, n: int) -> Phi:
     """Assemble the closed-form phase phi_half = m*psi - m*theta + alpha.
 
     phi_half is the array over m = 0..m_max; alpha, theta and psi are
-    computed once.  psi_sign flips the sign of psi; its defining relation
-    only fixes cos^2(psi), so the branch is explorable.
+    computed once.  The paper fixes psi only through cos^2(psi); psi is
+    scalar_profile's principal branch [0, pi/2], the one every output uses.
     """
     psi = scalar_profile(chi).psi
     alpha = math.acos(1.0 / math.sqrt(n))
     theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
     m = np.arange(m_max + 1)
-    phi_half = m * psi_sign * psi - m * theta + alpha
+    phi_half = m * psi - m * theta + alpha
     return Phi(phi_half=phi_half, theta=theta, alpha=alpha, psi=psi)
 
 
@@ -214,10 +213,11 @@ def _libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *args), float)
 
 
-def closed_form_fidelities(chi: float, m_max: int, n: int, psi_sign: int = 1) -> tuple:
+def closed_form_fidelities(chi: float, m_max: int, n: int) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis for m = 0..m_max:
 
-    f = (1/4)[1 + cos^m(2 psi) cos(phi)], cos_gamma = cos^2(phi/2).
+    f = (1/4)[1 + cos^m(2 psi) cos(phi)], cos_gamma = cos^2(phi/2), with
+    phi/2 = phase_terms(chi, m_max, n).phi_half on the principal psi branch.
 
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
@@ -226,7 +226,7 @@ def closed_form_fidelities(chi: float, m_max: int, n: int, psi_sign: int = 1) ->
     """
     if m_max < 0:
         raise ValueError(f"iteration count must be >= 0, got {m_max}")
-    phase = phase_terms(chi, m_max, n, psi_sign)
+    phase = phase_terms(chi, m_max, n)
     phi_half = phase.phi_half
     damping = _libm(pow, repeat(math.cos(2.0 * phase.psi)), range(m_max + 1))
     f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
@@ -287,9 +287,7 @@ def majorization_check(after, before):
     return bool(result) if result.ndim == 0 else result
 
 
-def trajectory_report(
-    inst: SearchInstance, m_max: int, psi_sign: int = 1
-) -> TrajectoryReport:
+def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     """Run m_max iterations from the uniform state and measure every step.
 
     The state is its Bloch vector (x, z), two Python floats, and a step is
@@ -297,7 +295,8 @@ def trajectory_report(
     (m_max+1, 2) array is allocated first, so an m_max too large for memory
     raises MemoryError at once.  Every column is read off x and z, with the
     spectrum ((1 + r)/2, (1 - r)/2) for the Bloch norm r; the closed forms
-    come from one closed_form_fidelities call over all m.
+    come from one closed_form_fidelities(inst.chi, m_max, inst.n) call over
+    all m.  m_max < 1 raises ValueError.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -315,7 +314,7 @@ def trajectory_report(
     bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
     cos_gamma = np.full(m_max + 1, math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
-    f_closed, cos_gamma_closed = closed_form_fidelities(inst.chi, m_max, inst.n, psi_sign)
+    f_closed, cos_gamma_closed = closed_form_fidelities(inst.chi, m_max, inst.n)
     spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
 
     def majorized_by(before):  # True at m = 0, which has no earlier step

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -33,7 +34,7 @@ from .noise import (
 )
 from .reporting import report_rows, rows_to_csv, rows_to_json
 from .search import SearchInstance
-from .tolerances import TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import CHI_MAX, TRACE_ATOL, UNITARITY_ATOL
 from .verify import run_verification
 
 __all__ = ["main", "entrypoint"]
@@ -105,17 +106,34 @@ def cmd_kraus(args) -> int:
 
 
 def cmd_chi_star(args) -> int:
-    if args.n_max < 1:
+    """The table n, chi_n + perturb, psi for n = 1..n_max, printed row by row.
+
+    chi_n + perturb rises with n, so checking rows 1 and n_max before the
+    header means no row can fail; n_max above CHI_MAX is refused before
+    chi_star is called, as chi_star overflows for huge n.
+    """
+    n_max, perturb = args.n_max, args.perturb
+    if n_max < 1:
         raise _UsageError("chi-star: --n-max must be >= 1")
-    # the whole table is built first, so a failing row prints nothing
-    lines = ["n,chi_n,psi"]
+    if not math.isfinite(perturb):
+        raise _UsageError(f"chi-star: --perturb must be finite, got {perturb}")
+    first = chi_star(1) + perturb
+    if not 0.0 <= first <= CHI_MAX:
+        raise _UsageError(
+            f"chi-star: --perturb puts chi_1 + perturb = {first:.17g} "
+            f"outside [0, {CHI_MAX:.17g}]"
+        )
+    if n_max > CHI_MAX or chi_star(n_max) + perturb > CHI_MAX:
+        raise _UsageError(
+            f"chi-star: --n-max puts chi_n + perturb above {CHI_MAX:.17g}"
+        )
+    print("n,chi_n,psi")
     worst = 0.0
-    for n in range(1, args.n_max + 1):
-        value = chi_star(n) + args.perturb
+    for n in range(1, n_max + 1):
+        value = chi_star(n) + perturb
         psi = scalar_profile(value).psi
         worst = max(worst, psi)
-        lines.append(f"{n},{value:.17g},{psi:.17g}")
-    print("\n".join(lines))
+        print(f"{n},{value:.17g},{psi:.17g}")
     return 0 if worst <= UNITARITY_ATOL else 2
 
 
@@ -160,12 +178,11 @@ def cmd_trajectories(args) -> int:
         raise _UsageError(f"{args.command}: --m must be >= 1")
     if args.per_cell and args.out is not None:
         raise _UsageError(f"{args.command}: --out cannot be combined with --per-cell")
-    psi_sign = -1 if args.flip_psi_sign else 1
 
     # chi-major, then n: deterministic cell order independent of scheduling
     cells = [(chi, n) for chi in chis for n in sizes]
     reports = [
-        trajectory_report(SearchInstance(n=n, w=target, chi=chi), args.m, psi_sign)
+        trajectory_report(SearchInstance(n=n, w=target, chi=chi), args.m)
         for chi, n in cells
     ]
     if args.per_cell:
@@ -189,6 +206,8 @@ def cmd_trajectories(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise _UsageError("verify: --seed must be >= 0")
     report = run_verification(seed=args.seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -220,7 +239,6 @@ def _add_trajectory_parser(sub, name: str, nargs, text: str) -> _Parser:
     parser.add_argument("--target", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path, '-' for stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--flip-psi-sign", action="store_true")
     parser.add_argument("--config", default=None)
     parser.set_defaults(func=cmd_trajectories, out_dir=None, per_cell=False)
     return parser

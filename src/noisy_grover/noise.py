@@ -104,10 +104,9 @@ def closed_form_kraus(chi: float) -> KrausChannel:
     family reduces to the identity channel at chi = 0, not to the pi/4
     rotation that hamiltonian_kraus produces there.
     """
-    chi = _require_nonnegative(chi)
     prof = scalar_profile(chi)
-    half_turn = rotation_y(-chi / 2.0)
-    r0 = (math.cos(prof.mu) * _ID2 + 0.5j * chi * prof.delta * PAULI_Y) @ half_turn
+    half_turn = rotation_y(-prof.chi / 2.0)
+    r0 = (math.cos(prof.mu) * _ID2 + 0.5j * prof.chi * prof.delta * PAULI_Y) @ half_turn
     r1 = (math.pi / 4.0) * prof.delta * half_turn
     return KrausChannel((r0, r1))
 
@@ -137,10 +136,9 @@ def nearest_unitary_pair(chi: float) -> KrausChannel:
     each weighted 1/2.  At chi = 0 and at the magic strengths psi = 0,
     the two rotations coincide and the channel is unitary.
     """
-    chi = _require_nonnegative(chi)
     prof = scalar_profile(chi)
-    v0 = rotation_y(prof.psi - chi / 2.0)
-    v1 = rotation_y(-chi / 2.0)
+    v0 = rotation_y(prof.psi - prof.chi / 2.0)
+    v1 = rotation_y(-prof.chi / 2.0)
     return KrausChannel((v0, v1), np.array([0.5, 0.5]))
 
 
@@ -154,7 +152,6 @@ def nearest_unitary_oracle(chi: float) -> KrausChannel:
     Compare against nearest_unitary_pair per operator, optimally over a
     global phase; residual branch disagreements are findings, not bugs.
     """
-    chi = _require_nonnegative(chi)
     base = closed_form_kraus(chi)
     factors = tuple(polar_unitary_factor(k) for k in base.operators)
     return KrausChannel(factors, np.array([0.5, 0.5]))
@@ -175,16 +172,15 @@ def chi_star(n: int) -> float:
 def psi_zero_scan() -> np.ndarray:
     """Locate zeros of psi(chi) on a grid, independently of chi_star.
 
-    The grid spans [0, 13] in steps of 1e-3.  Returns grid points that
-    are local minima of psi with value below 1e-2: 0, chi_1 and chi_2,
-    each to within a step.  Serves as the root-finding oracle that
-    double-checks the closed form for the magic strengths.
+    The grid spans [0, 13] in steps of 1e-3, and psi at each point is
+    scalar_profile(chi).psi, the value every output uses.  Returns grid
+    points that are local minima of psi with value below 1e-2: 0, chi_1
+    and chi_2, each to within a step.  Serves as the root-finding oracle
+    that checks scalar_profile against chi_star at the magic strengths.
     """
     chi_max, step = 13.0, 1e-3
     grid = np.arange(0.0, chi_max + step / 2.0, step)
-    mu = np.hypot(grid / 2.0, math.pi / 4.0)
-    delta = np.sin(mu) / mu
-    psi = np.arctan2(np.abs(grid / 2.0 * delta), np.abs(np.cos(mu)))
+    psi = np.array([scalar_profile(chi).psi for chi in grid.tolist()])
     padded = np.concatenate(([np.inf], psi, [np.inf]))
     is_min = (padded[1:-1] < padded[:-2]) & (padded[1:-1] <= padded[2:])
     return grid[is_min & (psi < 1e-2)]

@@ -157,19 +157,18 @@ class TestClosedForms:
     @given(
         n=st.integers(2, 2**40),
         chi=st.one_of(st.floats(0.0, 13.0), st.just(chi_star(1))),
-        psi_sign=st.sampled_from([1, -1]),
         m_max=st.integers(0, 200),
     )
-    def test_columns_equal_scalar_calls(self, n, chi, psi_sign, m_max):
+    def test_columns_equal_scalar_calls(self, n, chi, m_max):
         # every entry of the columns must carry the bits of the formulas
         # evaluated one m at a time in Python floats (libm)
-        ph = phase_terms(chi, m_max, n, psi_sign)
-        f, cos_gamma = closed_form_fidelities(chi, m_max, n, psi_sign)
+        ph = phase_terms(chi, m_max, n)
+        f, cos_gamma = closed_form_fidelities(chi, m_max, n)
         alpha = math.acos(1.0 / math.sqrt(n))
         theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
         assert (ph.alpha, ph.theta) == (alpha, theta)
         psi = scalar_profile(chi).psi
-        halves = [m * psi_sign * psi - m * theta + alpha for m in range(m_max + 1)]
+        halves = [m * psi - m * theta + alpha for m in range(m_max + 1)]
         for column, values in (
             (ph.phi_half, halves),
             (f, [0.25 * (1.0 + math.cos(2.0 * psi) ** m * math.cos(2.0 * h))
@@ -182,14 +181,8 @@ class TestClosedForms:
     def test_negative_m_is_rejected(self):
         with pytest.raises(ValueError):
             closed_form_fidelities(1.0, -1, 16)
-
-    def test_psi_sign_flip_changes_only_phase(self):
-        f_plus = closed_form_fidelities(2.0, 3, 8, psi_sign=1)[0][3]
-        f_minus = closed_form_fidelities(2.0, 3, 8, psi_sign=-1)[0][3]
-        assert f_plus != pytest.approx(f_minus)  # phases differ
-        prof_damping = abs(math.cos(2 * 1.1969609816743351)) ** 3
-        assert abs(f_plus - 0.25) <= 0.25 * prof_damping + 1e-12
-        assert abs(f_minus - 0.25) <= 0.25 * prof_damping + 1e-12
+        with pytest.raises(ValueError):  # a trajectory needs at least one step
+            trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 0)
 
 
 class TestContraction:

@@ -26,6 +26,8 @@ class TestKrausChannel:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch):
             KrausChannel((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(())
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DimensionMismatch):

@@ -9,6 +9,7 @@ import pytest
 from noisy_grover import cli
 from noisy_grover.analysis import trajectory_report, trajectory_violations
 from noisy_grover.cli import main
+from noisy_grover.errors import NoisyGroverError
 from noisy_grover.reporting import CSV_HEADER
 from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import POSITIVITY_ATOL, TRACE_ATOL
@@ -173,18 +174,34 @@ class TestStderrContract:
              "search: config target must be an integer, got 'abc'"),
             (["verify", "--random-chi", "5"],
              "noisy-grover: unrecognized arguments: --random-chi 5"),
+            (["verify", "--seed", "-1"], "verify: --seed must be >= 0"),
+            (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "noeq.cfg"],
+             "config line without '=': 'format json'"),
         ],
     )
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("NOISY_GROVER_OUT_DIR", raising=False)
-        (tmp_path / "bad.cfg").write_text("format=xml\n")
-        (tmp_path / "abc.cfg").write_text("target=abc\n")
+        configs = {"bad.cfg": "format=xml\n", "abc.cfg": "target=abc\n",
+                   "noeq.cfg": "format json\n"}
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.cfg", "bad.cfg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)
+
+    def test_library_contract_violation_exits_two(self, monkeypatch, capsys):
+        # main maps any NoisyGroverError that escapes a command to exit 2
+        def violated(inst, m_max):
+            raise NoisyGroverError("x")
+
+        monkeypatch.setattr(cli, "trajectory_report", violated)
+        assert main(["search", "--chi", "1", "--n", "4", "--m", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: x\n"
 
 
 class TestKraus:
@@ -218,13 +235,25 @@ class TestChiStar:
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert float(line.split(",")[2]) > 1e-3
 
-    @pytest.mark.parametrize("perturb", ["nan", "-20"])
-    def test_failing_table_prints_nothing(self, perturb, capsys):
-        # the table is built before printing, so no header is left behind
-        assert main(["chi-star", "--n-max", "3", "--perturb", perturb]) == 1
+    @pytest.mark.parametrize(
+        "n_max, perturb, flag",
+        [
+            pytest.param("3", "nan", "--perturb", id="nan"),
+            pytest.param("3", "-20", "--perturb", id="-20"),
+            pytest.param("3", "inf", "--perturb", id="inf"),
+            pytest.param("3", "-6.1", "--perturb", id="-6.1"),
+            pytest.param("3", "1e16", "--perturb", id="1e16"),
+            pytest.param("3", "4503599627370486", "--n-max", id="row-3-past-chi-max"),
+            pytest.param(str(10**15), "0", "--n-max", id="n-max-1e15"),
+            pytest.param("1" + "0" * 400, "0", "--n-max", id="n-max-1e400"),
+        ],
+    )
+    def test_failing_table_prints_nothing(self, n_max, perturb, flag, capsys):
+        # both flags are checked before the header, so no row can fail
+        assert main(["chi-star", "--n-max", n_max, "--perturb", perturb]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(f"error: chi-star: {flag} ")
 
 
 class TestSearch:
@@ -246,28 +275,24 @@ class TestSearch:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
-        out = tmp_path / "run.json"
-        assert main(
-            ["search", "--chi", "0.5", "--n", "4", "--m", "3",
-             "--format", "json", "--out", str(out)]
-        ) == 0
-        payload = json.loads(out.read_text())
-        assert set(payload) == {"rows", "discrepancies"}
-        assert len(payload["rows"]) == 4
-        assert payload["rows"][0]["m"] == 0
+        # cos_gamma_sim is nan where the Bloch norm vanishes (10 rows at
+        # chi = 7.716): null in JSON, which must parse with no NaN or
+        # Infinity, and nan in CSV
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
 
-    def test_flip_psi_sign_changes_closed_columns_only(self, tmp_path):
-        base, flipped = tmp_path / "p.csv", tmp_path / "m.csv"
-        args = ["search", "--chi", "2", "--n", "8", "--m", "6"]
-        assert main(args + ["--out", str(base)]) == 0
-        assert main(args + ["--flip-psi-sign", "--out", str(flipped)]) == 0
-        for ra, rb in zip(read_rows(base), read_rows(flipped)):
-            assert ra["p_success"] == rb["p_success"]
-            assert ra["bloch_norm"] == rb["bloch_norm"]
-        assert any(
-            ra["f_closed"] != rb["f_closed"]
-            for ra, rb in zip(read_rows(base), read_rows(flipped))
-        )
+        out, csv = tmp_path / "run.json", tmp_path / "run.csv"
+        for chi, n, m, nulls in (("0.5", "4", 3, 0), ("7.716", "16", 12, 10)):
+            argv = ["search", "--chi", chi, "--n", n, "--m", str(m)]
+            assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+            assert main([*argv, "--out", str(csv)]) == 0
+            payload = json.loads(out.read_text(), parse_constant=reject)
+            assert set(payload) == {"rows", "discrepancies"}
+            assert len(payload["rows"]) == m + 1
+            assert payload["rows"][0]["m"] == 0
+            undefined = [row["cos_gamma_sim"] is None for row in payload["rows"]]
+            assert undefined == [row["cos_gamma_sim"] == "nan" for row in read_rows(csv)]
+            assert sum(undefined) == nulls
 
     def test_oversized_n_is_a_usage_error(self, capsys):
         huge = "1" + "0" * 400

@@ -14,6 +14,7 @@ from noisy_grover.channels import (
     identity_channel,
 )
 from noisy_grover.errors import (
+    DegeneratePlane,
     DimensionMismatch,
     InvalidDensityMatrix,
     NotNormalized,
@@ -31,6 +32,7 @@ from noisy_grover.search import (
     reflection,
     success_probability,
     target_state,
+    uniform_plane_vector,
     uniform_state,
 )
 from noisy_grover.tolerances import CHI_MAX
@@ -77,6 +79,10 @@ class TestStatesAndReflections:
     def test_uniform_state_entries(self):
         assert_allclose(uniform_state(2), np.full((2, 2), 0.5))
         assert_allclose(uniform_state(4), np.full((4, 4), 0.25))
+        with pytest.raises(ValueError):
+            uniform_state(1)
+        with pytest.raises(DegeneratePlane):
+            uniform_plane_vector(1)
 
     def test_uniform_state_is_rank_one(self):
         rho = uniform_state(1024)
@@ -124,6 +130,8 @@ class TestEmbedding:
         inst = SearchInstance(n=4, w=0, chi=0.0)
         with pytest.raises(DimensionMismatch):
             embed_plane_rotation(np.diag([2.0, 1.0]), inst)
+        with pytest.raises(DimensionMismatch):
+            embed_plane_rotation(np.eye(3), inst)
 
 
 class TestBuildChannel:
@@ -190,6 +198,8 @@ class TestApplyIterate:
         assert_allclose(traj[0], rho)
         traj = iterate(t, rho, 2)
         assert_allclose(traj[2], t(t(rho)), atol=1e-13)
+        with pytest.raises(ValueError):
+            iterate(t, rho, -1)
 
     def test_iterate_equals_repeated_apply_exactly(self, rng):
         # iterate validates once and runs apply's arithmetic; every step
@@ -259,6 +269,9 @@ class TestProbabilities:
         assert ideal_grover_probability(4, 1) == pytest.approx(1.0, abs=1e-12)
         assert ideal_grover_probability(4, 0) == pytest.approx(0.25, abs=1e-14)
         assert ideal_grover_probability(100, 7) == pytest.approx(IDEAL_100_7, abs=1e-14)
+        for n, m in ((1, 0), (4, -1)):
+            with pytest.raises(ValueError):
+                ideal_grover_probability(n, m)
 
     def test_noiseless_simulator_matches_reference(self):
         # the plane report `search` emits; a4 checks the dense channel
