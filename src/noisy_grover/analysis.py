@@ -41,11 +41,9 @@ from .tolerances import (
 __all__ = [
     "BlochVector",
     "FidelityPoint",
-    "Phi",
     "TrajectoryReport",
     "bloch_from_density",
     "angular_fidelity",
-    "phase_terms",
     "closed_form_fidelities",
     "bloch_contraction_factor",
     "entropy",
@@ -81,21 +79,6 @@ class FidelityPoint:
     p_success: float
     cos_gamma: float
     bloch_norm: float
-
-
-@dataclass(frozen=True)
-class Phi:
-    """Angle bookkeeping for the closed-form fidelities.
-
-    alpha = arccos(1/sqrt(n)); theta = pi + chi + arcsin(2 sqrt(n-1)/n)
-    on the principal arcsin branch; psi = scalar_profile(chi).psi;
-    phi_half is the array of m*psi - m*theta + alpha over m = 0..m_max.
-    """
-
-    phi_half: np.ndarray
-    theta: float
-    alpha: float
-    psi: float
 
 
 @dataclass(eq=False)
@@ -189,21 +172,6 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     return bloch.z / bloch.norm
 
 
-def phase_terms(chi: float, m_max: int, n: int) -> Phi:
-    """Assemble the closed-form phase phi_half = m*psi - m*theta + alpha.
-
-    phi_half is the array over m = 0..m_max; alpha, theta and psi are
-    computed once.  The paper fixes psi only through cos^2(psi); psi is
-    scalar_profile's principal branch [0, pi/2], the one every output uses.
-    """
-    psi = scalar_profile(chi).psi
-    alpha = math.acos(1.0 / math.sqrt(n))
-    theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
-    m = np.arange(m_max + 1)
-    phi_half = m * psi - m * theta + alpha
-    return Phi(phi_half=phi_half, theta=theta, alpha=alpha, psi=psi)
-
-
 def _libm(fn, *args) -> np.ndarray:
     """fn mapped over Python floats, as a float array.
 
@@ -217,7 +185,10 @@ def closed_form_fidelities(chi: float, m_max: int, n: int) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis for m = 0..m_max:
 
     f = (1/4)[1 + cos^m(2 psi) cos(phi)], cos_gamma = cos^2(phi/2), with
-    phi/2 = phase_terms(chi, m_max, n).phi_half on the principal psi branch.
+    phi/2 = m psi - m theta + alpha, alpha = arccos(1/sqrt(n)) and
+    theta = pi + chi + arcsin(2 sqrt(n-1)/n) on the principal arcsin
+    branch.  The paper fixes psi only through cos^2(psi); psi is
+    scalar_profile's principal branch [0, pi/2], the one every output uses.
 
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
@@ -226,9 +197,12 @@ def closed_form_fidelities(chi: float, m_max: int, n: int) -> tuple:
     """
     if m_max < 0:
         raise ValueError(f"iteration count must be >= 0, got {m_max}")
-    phase = phase_terms(chi, m_max, n)
-    phi_half = phase.phi_half
-    damping = _libm(pow, repeat(math.cos(2.0 * phase.psi)), range(m_max + 1))
+    psi = scalar_profile(chi).psi
+    alpha = math.acos(1.0 / math.sqrt(n))
+    theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
+    m = np.arange(m_max + 1)
+    phi_half = m * psi - m * theta + alpha
+    damping = _libm(pow, repeat(math.cos(2.0 * psi)), range(m_max + 1))
     f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
     cos_gamma = _libm(pow, map(math.cos, phi_half.tolist()), repeat(2))
     return f, cos_gamma

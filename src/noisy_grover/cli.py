@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -82,8 +81,6 @@ def _print_matrix(label: str, matrix) -> None:
 
 def cmd_kraus(args) -> int:
     chi = args.chi
-    if chi < 0:
-        raise _UsageError("kraus: --chi must be >= 0")
     prof = scalar_profile(chi)
     closed = closed_form_kraus(chi)
     derived = hamiltonian_kraus(chi)
@@ -106,31 +103,21 @@ def cmd_kraus(args) -> int:
 
 
 def cmd_chi_star(args) -> int:
-    """The table n, chi_n + perturb, psi for n = 1..n_max, printed row by row.
+    """The table n, chi_n, psi for n = 1..n_max, printed row by row.
 
-    chi_n + perturb rises with n, so checking rows 1 and n_max before the
-    header means no row can fail; n_max above CHI_MAX is refused before
-    chi_star is called, as chi_star overflows for huge n.
+    chi_n rises with n, so checking n_max before the header means no row
+    can fail; n_max above CHI_MAX is refused before chi_star is called, as
+    chi_star overflows for huge n.
     """
-    n_max, perturb = args.n_max, args.perturb
+    n_max = args.n_max
     if n_max < 1:
         raise _UsageError("chi-star: --n-max must be >= 1")
-    if not math.isfinite(perturb):
-        raise _UsageError(f"chi-star: --perturb must be finite, got {perturb}")
-    first = chi_star(1) + perturb
-    if not 0.0 <= first <= CHI_MAX:
-        raise _UsageError(
-            f"chi-star: --perturb puts chi_1 + perturb = {first:.17g} "
-            f"outside [0, {CHI_MAX:.17g}]"
-        )
-    if n_max > CHI_MAX or chi_star(n_max) + perturb > CHI_MAX:
-        raise _UsageError(
-            f"chi-star: --n-max puts chi_n + perturb above {CHI_MAX:.17g}"
-        )
+    if n_max > CHI_MAX or chi_star(n_max) > CHI_MAX:
+        raise _UsageError(f"chi-star: --n-max puts chi_n above {CHI_MAX:.17g}")
     print("n,chi_n,psi")
     worst = 0.0
     for n in range(1, n_max + 1):
-        value = chi_star(n) + perturb
+        value = chi_star(n)
         psi = scalar_profile(value).psi
         worst = max(worst, psi)
         print(f"{n},{value:.17g},{psi:.17g}")
@@ -171,9 +158,6 @@ def cmd_trajectories(args) -> int:
             f"{args.command}: config target must be an integer, got {target!r}"
         ) from None
     chis, sizes = (args.chi, args.n) if sweep else ([args.chi], [args.n])
-    if any(chi < 0 for chi in chis):
-        values = " values" if sweep else ""
-        raise _UsageError(f"{args.command}: --chi{values} must be >= 0")
     if args.m < 1:
         raise _UsageError(f"{args.command}: --m must be >= 1")
     if args.per_cell and args.out is not None:
@@ -181,10 +165,9 @@ def cmd_trajectories(args) -> int:
 
     # chi-major, then n: deterministic cell order independent of scheduling
     cells = [(chi, n) for chi in chis for n in sizes]
-    reports = [
-        trajectory_report(SearchInstance(n=n, w=target, chi=chi), args.m)
-        for chi, n in cells
-    ]
+    # every instance is checked before the first trajectory runs
+    instances = [SearchInstance(n=n, w=target, chi=chi) for chi, n in cells]
+    reports = [trajectory_report(inst, args.m) for inst in instances]
     if args.per_cell:
         default_dir = os.environ.get(OUT_DIR_ENV, ".")
         directory = _resolve(args.out_dir, cfg, "out_dir", default_dir)
@@ -254,12 +237,6 @@ def build_parser() -> _Parser:
 
     p_star = sub.add_parser("chi-star", help="table of magic strengths and psi")
     p_star.add_argument("--n-max", type=int, required=True)
-    p_star.add_argument(
-        "--perturb",
-        type=float,
-        default=0.0,
-        help="debug: offset added to each chi_n before evaluating psi",
-    )
     p_star.set_defaults(func=cmd_chi_star)
 
     _add_trajectory_parser(sub, "search", None, "one trajectory, one row per iteration")

@@ -50,7 +50,7 @@ def _require_nonnegative(chi: float) -> float:
     """chi as a float, or ValueError unless it is finite and in [0, CHI_MAX]."""
     chi = float(chi)
     if chi < 0.0 or not math.isfinite(chi):
-        raise ValueError(f"noise strength must be finite and >= 0, got {chi}")
+        raise ValueError(f"noise strength chi must be finite and >= 0, got {chi}")
     if chi > CHI_MAX:
         raise ValueError(f"noise strength chi must be <= {CHI_MAX:.17g}, got {chi}")
     return chi

@@ -17,7 +17,6 @@ import numpy as np
 
 from .analysis import (
     bloch_contraction_factor,
-    closed_form_fidelities,
     trajectory_report,
     trajectory_violations,
 )
@@ -332,7 +331,7 @@ def _record_normalization(report) -> None:
     horizon = int(math.ceil(4 * math.sqrt(n)))
     rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), horizon)
     best_p = float(np.max(rep.p_success))
-    best_f_closed = float(np.max(closed_form_fidelities(chi, horizon, n)[0]))
+    best_f_closed = float(np.max(rep.f_closed))
     report.discrepancies.append(
         DiscrepancyRecord(
             kind="prop3_normalization",

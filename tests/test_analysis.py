@@ -17,10 +17,14 @@ from noisy_grover.analysis import (
     entropy_from_spectrum,
     high_precision_bloch_norms,
     majorization_check,
-    phase_terms,
     trajectory_report,
 )
-from noisy_grover.errors import LengthMismatch, OffPlaneSupport, ZeroBlochVector
+from noisy_grover.errors import (
+    DimensionMismatch,
+    LengthMismatch,
+    OffPlaneSupport,
+    ZeroBlochVector,
+)
 from noisy_grover.linalg import eigvals_hermitian
 from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import (
@@ -39,7 +43,6 @@ from noisy_grover.tolerances import BLOCH_ZERO_ATOL
 
 ENTROPY_09_01 = 0.3250829733914482  # -0.9 ln 0.9 - 0.1 ln 0.1
 CONTRACTION_AT_2 = 0.7332746302984231  # |cos(2 psi(2))|
-THETA_AT_0_N4 = 4.1887902047863910  # pi + asin(sqrt(3)/2) = 4 pi / 3
 
 
 def plane_state(inst, block):
@@ -72,6 +75,11 @@ class TestBloch:
         with pytest.raises(OffPlaneSupport):
             bloch_from_density(basis_state, inst)
 
+    def test_wrong_dimension_rejected(self):
+        inst = SearchInstance(n=4, w=0, chi=0.0)
+        with pytest.raises(DimensionMismatch):
+            bloch_from_density(uniform_state(3), inst)
+
 
 class TestFidelities:
     def test_angular_at_target(self):
@@ -97,10 +105,11 @@ class TestFidelities:
 
 class TestClosedForms:
     def test_phase_bookkeeping_at_zero(self):
-        ph = phase_terms(0.0, 0, 4)
-        assert ph.alpha == pytest.approx(math.pi / 3, abs=1e-14)
-        assert ph.theta == pytest.approx(THETA_AT_0_N4, abs=1e-13)
-        assert ph.phi_half.tolist() == pytest.approx([ph.alpha], abs=1e-14)
+        # n = 4: alpha = pi/3 and theta = 4 pi/3, so phi/2 = pi/3 at m = 0
+        # and -pi at m = 1
+        f, cos_gamma = closed_form_fidelities(0.0, 1, 4)
+        assert f.tolist() == pytest.approx([0.125, 0.5], abs=1e-14)
+        assert cos_gamma.tolist() == pytest.approx([0.25, 1.0], abs=1e-14)
 
     def test_half_normalization_ceiling(self):
         # the half-normalized radial fidelity cannot exceed 1/2 anywhere
@@ -162,15 +171,12 @@ class TestClosedForms:
     def test_columns_equal_scalar_calls(self, n, chi, m_max):
         # every entry of the columns must carry the bits of the formulas
         # evaluated one m at a time in Python floats (libm)
-        ph = phase_terms(chi, m_max, n)
         f, cos_gamma = closed_form_fidelities(chi, m_max, n)
         alpha = math.acos(1.0 / math.sqrt(n))
         theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
-        assert (ph.alpha, ph.theta) == (alpha, theta)
         psi = scalar_profile(chi).psi
         halves = [m * psi - m * theta + alpha for m in range(m_max + 1)]
         for column, values in (
-            (ph.phi_half, halves),
             (f, [0.25 * (1.0 + math.cos(2.0 * psi) ** m * math.cos(2.0 * h))
                  for m, h in enumerate(halves)]),
             (cos_gamma, [math.cos(h) ** 2 for h in halves]),

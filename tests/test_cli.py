@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from noisy_grover import cli
 from noisy_grover.analysis import trajectory_report, trajectory_violations
 from noisy_grover.cli import main
 from noisy_grover.errors import NoisyGroverError
+from noisy_grover.noise import scalar_profile
 from noisy_grover.reporting import CSV_HEADER
 from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import POSITIVITY_ATOL, TRACE_ATOL
+from noisy_grover.verify import CheckResult, VerificationReport
 
 
 def read_rows(path):
@@ -152,10 +155,12 @@ class TestStderrContract:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["search", "--chi", "-1", "--n", "4", "--m", "3"],
-             "search: --chi must be >= 0"),
-            (["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"],
-             "sweep: --chi values must be >= 0"),
+            pytest.param(["search", "--chi", "-1", "--n", "4", "--m", "3"],
+                         "noise strength chi must be finite and >= 0, got -1.0",
+                         id="search-chi-minus-1"),
+            pytest.param(["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"],
+                         "noise strength chi must be finite and >= 0, got -1.0",
+                         id="sweep-chi-minus-1"),
             (["search", "--chi", "1", "--n", "4", "--m", "0"],
              "search: --m must be >= 1"),
             (["sweep", "--chi", "1", "--n", "4", "--m", "0"],
@@ -177,6 +182,15 @@ class TestStderrContract:
             (["verify", "--seed", "-1"], "verify: --seed must be >= 0"),
             (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "noeq.cfg"],
              "config line without '=': 'format json'"),
+            pytest.param(["search", "--chi", "nan", "--n", "4", "--m", "3"],
+                         "noise strength chi must be finite and >= 0, got nan",
+                         id="search-chi-nan"),
+            pytest.param(["search", "--chi", "inf", "--n", "4", "--m", "3"],
+                         "noise strength chi must be finite and >= 0, got inf",
+                         id="search-chi-inf"),
+            pytest.param(["kraus", "--chi", "-1"],
+                         "noise strength chi must be finite and >= 0, got -1.0",
+                         id="kraus-chi-minus-1"),
         ],
     )
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -191,6 +205,14 @@ class TestStderrContract:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)
+
+    def test_bad_chi_in_any_cell_runs_no_trajectory(self, monkeypatch, capsys):
+        # every cell's instance is built, and its chi checked, first
+        calls = []
+        monkeypatch.setattr(cli, "trajectory_report", lambda *args: calls.append(args))
+        assert main(["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"]) == 1
+        assert calls == []
+        assert capsys.readouterr().out == ""
 
     def test_library_contract_violation_exits_two(self, monkeypatch, capsys):
         # main maps any NoisyGroverError that escapes a command to exit 2
@@ -230,30 +252,39 @@ class TestChiStar:
         n2 = lines[2].split(",")
         assert float(n2[1]) == pytest.approx(12.4678093230991225, abs=1e-12)
 
-    def test_perturbed_point_fails_gate(self, capsys):
-        assert main(["chi-star", "--n-max", "1", "--perturb", "0.1"]) == 2
-        line = capsys.readouterr().out.strip().splitlines()[1]
-        assert float(line.split(",")[2]) > 1e-3
+    def test_perturbed_point_fails_gate(self, monkeypatch, capsys):
+        # psi(chi_n) stays below 1e-10 up to n = 131270, so the gate is
+        # exercised by moving psi off zero at every row
+        monkeypatch.setattr(
+            cli, "scalar_profile", lambda chi: replace(scalar_profile(chi), psi=0.1)
+        )
+        assert main(["chi-star", "--n-max", "2"]) == 2
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == [0.1, 0.1]
 
     @pytest.mark.parametrize(
-        "n_max, perturb, flag",
+        "n_max",
         [
-            pytest.param("3", "nan", "--perturb", id="nan"),
-            pytest.param("3", "-20", "--perturb", id="-20"),
-            pytest.param("3", "inf", "--perturb", id="inf"),
-            pytest.param("3", "-6.1", "--perturb", id="-6.1"),
-            pytest.param("3", "1e16", "--perturb", id="1e16"),
-            pytest.param("3", "4503599627370486", "--n-max", id="row-3-past-chi-max"),
-            pytest.param(str(10**15), "0", "--n-max", id="n-max-1e15"),
-            pytest.param("1" + "0" * 400, "0", "--n-max", id="n-max-1e400"),
+            # chi_n first exceeds CHI_MAX at this n
+            pytest.param("716770142402833", id="first-row-past-chi-max"),
+            pytest.param(str(10**15), id="n-max-1e15"),
+            pytest.param("1" + "0" * 400, id="n-max-1e400"),
         ],
     )
-    def test_failing_table_prints_nothing(self, n_max, perturb, flag, capsys):
-        # both flags are checked before the header, so no row can fail
-        assert main(["chi-star", "--n-max", n_max, "--perturb", perturb]) == 1
+    def test_failing_table_prints_nothing(self, n_max, capsys):
+        # --n-max is checked before the header, so no row can fail
+        assert main(["chi-star", "--n-max", n_max]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: chi-star: {flag} ")
+        assert captured.err.startswith("error: chi-star: --n-max ")
+
+    def test_perturb_is_not_an_option(self, capsys):
+        assert main(["chi-star", "--n-max", "5", "--perturb", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: noisy-grover: unrecognized arguments: --perturb 0.1\n"
+        )
 
 
 class TestSearch:
@@ -433,6 +464,14 @@ class TestVerify:
     def test_strict_mode_fails_on_recorded_gaps(self, capsys):
         assert main(["verify", "--strict-paper"]) == 2
         capsys.readouterr()
+
+    def test_failed_hard_check_exits_two(self, tmp_path, monkeypatch, capsys):
+        failed = VerificationReport(checks=[CheckResult("x", False, 1.0, "d")])
+        monkeypatch.setattr(cli, "run_verification", lambda seed: failed)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == "[FAIL] x: worst 1.000e+00 (d)\n"
+        assert json.loads(out.read_text())["all_hard_passed"] is False
 
     def test_seeded_determinism(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0

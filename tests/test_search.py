@@ -201,6 +201,11 @@ class TestApplyIterate:
         with pytest.raises(ValueError):
             iterate(t, rho, -1)
 
+    def test_iterate_rejects_wrong_dimension(self):
+        t = build_search_channel(SearchInstance(n=4, w=0, chi=0.0))
+        with pytest.raises(DimensionMismatch):
+            iterate(t, uniform_state(3), 2)
+
     def test_iterate_equals_repeated_apply_exactly(self, rng):
         # iterate validates once and runs apply's arithmetic; every step
         # must carry the same bits as one more channel application

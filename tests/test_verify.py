@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from noisy_grover.verify import DiscrepancyRecord, run_verification
+from noisy_grover.verify import DiscrepancyRecord, _aligned_distance, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +69,8 @@ def test_seeded_runs_are_reproducible():
     assert [d.magnitude for d in a.discrepancies] == [
         d.magnitude for d in b.discrepancies
     ]
+
+
+def test_aligned_distance_at_zero_overlap():
+    # tr(a^dag b) = 0, so every global phase gives the same distance
+    assert _aligned_distance(np.eye(2), [[0, 1], [-1, 0]]) == 2.0
