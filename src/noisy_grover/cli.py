@@ -162,6 +162,8 @@ def cmd_trajectories(args) -> int:
         raise _UsageError(f"{args.command}: --m must be >= 1")
     if args.per_cell and args.out is not None:
         raise _UsageError(f"{args.command}: --out cannot be combined with --per-cell")
+    if args.out_dir is not None and not args.per_cell:  # a config out_dir is a default
+        raise _UsageError(f"{args.command}: --out-dir needs --per-cell")
 
     # chi-major, then n: deterministic cell order independent of scheduling
     cells = [(chi, n) for chi in chis for n in sizes]

@@ -1,14 +1,13 @@
 """Deterministic CSV/JSON emission of trajectory reports.
 
-Floats are printed with 17 significant digits so output round-trips
-exactly and identical runs produce byte-identical files.
+CSV prints every float at 17 significant digits (`%.17g`); JSON prints
+the shortest round-trip `repr`, with nan and infinities as null.  Both
+round-trip exactly, and identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from itertools import repeat
+from itertools import chain, repeat
 
 from .analysis import TrajectoryReport
 
@@ -29,6 +28,9 @@ _ROW_TEMPLATE = ",".join(
     for c in _COLUMNS
 )
 _FLAG_TEXT = {True: "true", False: "false"}
+# One row object of json.dumps(indent=2), every value already JSON text.
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in _COLUMNS) + "\n    }"
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
 def report_rows(report: TrajectoryReport) -> list:
@@ -53,25 +55,49 @@ def report_rows(report: TrajectoryReport) -> list:
     )
 
 
+def _flag_words(column):
+    return map(_FLAG_TEXT.__getitem__, column)
+
+
+def _json_ints(column):
+    return map(int.__repr__, column)
+
+
+def _json_floats(column) -> list:
+    """float.__repr__ of each value, as json.dumps prints it; nan, inf, -inf as null."""
+    cells = list(map(float.__repr__, column))
+    if not _NON_FINITE.isdisjoint(cells):
+        cells = ["null" if cell in _NON_FINITE else cell for cell in cells]
+    return cells
+
+
+_JSON_TEXT = tuple(
+    _flag_words if c in _FLAG_COLUMNS else _json_ints if c in _INT_COLUMNS
+    else _json_floats
+    for c in _COLUMNS
+)
+
+
+def _cells(columns) -> tuple:
+    """The cells of equal-length columns, row by row."""
+    return tuple(chain.from_iterable(zip(*columns)))
+
+
 def rows_to_csv(rows: list) -> str:
-    lines = [CSV_HEADER]
-    for *numbers, prev, init in rows:
-        lines.append(_ROW_TEMPLATE % (*numbers, _FLAG_TEXT[prev], _FLAG_TEXT[init]))
-    return "\n".join(lines) + "\n"
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    """The header and one `_ROW_TEMPLATE` line per row, filled in one call."""
+    columns = list(zip(*rows))
+    columns[-2:] = map(_flag_words, columns[-2:])
+    return CSV_HEADER + "\n" + ((_ROW_TEMPLATE + "\n") * len(rows)) % _cells(columns)
 
 
 def rows_to_json(rows: list) -> str:
-    """Rows as JSON objects, nan as null; the ledger stays with `verify`."""
-    payload = {
-        "rows": [
-            {k: _json_safe(v) for k, v in zip(_COLUMNS, row)} for row in rows
-        ],
-        "discrepancies": [],
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """Rows as JSON objects, nan as null; the ledger stays with `verify`.
+
+    The text is json.dumps({"rows": ..., "discrepancies": []}, indent=2)
+    plus a newline, byte for byte, laid out here column by column.
+    """
+    if not rows:
+        return '{\n  "rows": [],\n  "discrepancies": []\n}\n'
+    columns = [text(column) for text, column in zip(_JSON_TEXT, zip(*rows))]
+    body = ",\n".join([_JSON_ROW] * len(rows)) % _cells(columns)
+    return '{\n  "rows": [\n' + body + '\n  ],\n  "discrepancies": []\n}\n'

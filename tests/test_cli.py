@@ -191,6 +191,10 @@ class TestStderrContract:
             pytest.param(["kraus", "--chi", "-1"],
                          "noise strength chi must be finite and >= 0, got -1.0",
                          id="kraus-chi-minus-1"),
+            # a flag is an explicit request; a config out_dir stays a default
+            pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
+                         "sweep: --out-dir needs --per-cell",
+                         id="sweep-out-dir-without-per-cell"),
         ],
     )
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -306,9 +310,11 @@ class TestSearch:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
-        # cos_gamma_sim is nan where the Bloch norm vanishes (10 rows at
-        # chi = 7.716): null in JSON, which must parse with no NaN or
-        # Infinity, and nan in CSV
+        # cos_gamma_sim is nan where the Bloch norm vanishes: null in JSON,
+        # which must parse with no NaN or Infinity, and nan in CSV.  At
+        # chi = 7.716, near the c = 0 strength 7.716019, |cos 2 psi| is
+        # 1.86e-5, so the Bloch norm is 3.4e-10 at m = 2 and below
+        # BLOCH_ZERO_ATOL (1e-10) from m = 3 on: 10 nan rows for m <= 12
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
