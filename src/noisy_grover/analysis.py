@@ -1,7 +1,7 @@
 """Measurable quantities along a search trajectory.
 
 Plane-restricted Bloch vectors, the angular fidelity, the closed-form
-fidelity hypotheses, von Neumann entropy, majorization checks, the
+fidelity hypotheses, von Neumann entropy, majorization flags, the
 columnar trajectory report, whose columns carry the success probability
 and its half-normalized overlap f_paper, and the gate on such a report
 that search, sweep and verify share (trajectory_violations).
@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    LengthMismatch,
     OffPlaneSupport,
     ZeroBlochVector,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "bloch_contraction_factor",
     "entropy",
     "entropy_from_spectrum",
-    "majorization_check",
     "trajectory_report",
     "trajectory_violations",
     "high_precision_bloch_norms",
@@ -237,30 +235,6 @@ def entropy(rho: np.ndarray) -> float:
     return entropy_from_spectrum(eigvals_hermitian(rho))
 
 
-def majorization_check(after, before):
-    """True iff `after` is majorized by `before` (more mixed than it).
-
-    Both spectra are sorted descending; every partial sum of `after`
-    must stay below the matching partial sum of `before` within
-    MAJORIZATION_ATOL, with equal totals.  Spectra run along the last axis
-    and the leading axes broadcast: (..., k) inputs give a (...) boolean
-    array, two single spectra give a bool.
-    """
-    a = np.sort(np.asarray(after, dtype=float), axis=-1)[..., ::-1]
-    b = np.sort(np.asarray(before, dtype=float), axis=-1)[..., ::-1]
-    if a.shape[-1] != b.shape[-1]:
-        raise LengthMismatch(
-            f"spectra lengths differ: {a.shape[-1]} != {b.shape[-1]}"
-        )
-    if np.any(np.abs(a.sum(axis=-1) - 1.0) > 1e-8) or np.any(
-        np.abs(b.sum(axis=-1) - 1.0) > 1e-8
-    ):
-        raise ValueError("spectra must each sum to 1 within 1e-8")
-    partial_gap = np.cumsum(a, axis=-1) - np.cumsum(b, axis=-1)
-    result = np.all(partial_gap <= MAJORIZATION_ATOL, axis=-1)
-    return bool(result) if result.ndim == 0 else result
-
-
 def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     """Run m_max iterations from the uniform state and measure every step.
 
@@ -271,6 +245,14 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     spectrum ((1 + r)/2, (1 - r)/2) for the Bloch norm r; the closed forms
     come from one closed_form_fidelities(inst.chi, m_max, inst.n) call over
     all m.  m_max < 1 raises ValueError.
+
+    Each spectrum has two entries, so majorization is one comparison of
+    the larger eigenvalues top = (1 + r)/2: step m is majorized by an
+    earlier step iff top rises by at most MAJORIZATION_ATOL.  This is the
+    general partial-sum test, bit for bit: r >= 0, so each row is already
+    sorted descending, and the first partial-sum gap is the same
+    subtraction; (1 + r)/2 + (1 - r)/2 is 1 within 2 ulp, so the second
+    gap, and the sum-to-1 precondition, always pass.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -291,9 +273,9 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     f_closed, cos_gamma_closed = closed_form_fidelities(inst.chi, m_max, inst.n)
     spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
 
-    def majorized_by(before):  # True at m = 0, which has no earlier step
-        return np.concatenate([[True], majorization_check(spectra[1:], before)])
-
+    top = spectra[:, 0]  # both flags are True at m = 0, which has no earlier step
+    majorized_by_prev = np.concatenate([[True], top[1:] - top[:-1] <= MAJORIZATION_ATOL])
+    majorized_by_init = np.concatenate([[True], top[1:] - top[0] <= MAJORIZATION_ATOL])
     return TrajectoryReport(
         instance=inst,
         p_success=p_success,
@@ -306,8 +288,8 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
         cos_gamma_closed=cos_gamma_closed,
         entropies=entropy_from_spectrum(spectra),
         spectra=spectra,
-        majorized_by_prev=majorized_by(spectra[:-1]),
-        majorized_by_init=majorized_by(spectra[0]),
+        majorized_by_prev=majorized_by_prev,
+        majorized_by_init=majorized_by_init,
     )
 
 

@@ -31,7 +31,7 @@ from .noise import (
     hamiltonian_kraus,
     scalar_profile,
 )
-from .reporting import report_rows, rows_to_csv, rows_to_json
+from .reporting import rows_to_csv, rows_to_json
 from .search import SearchInstance
 from .tolerances import CHI_MAX, TRACE_ATOL, UNITARITY_ATOL
 from .verify import run_verification
@@ -80,8 +80,8 @@ def _print_matrix(label: str, matrix) -> None:
 
 
 def cmd_kraus(args) -> int:
-    chi = args.chi
-    prof = scalar_profile(chi)
+    prof = scalar_profile(args.chi)
+    chi = prof.chi
     closed = closed_form_kraus(chi)
     derived = hamiltonian_kraus(chi)
     print(f"chi = {chi:.17g}")
@@ -134,8 +134,7 @@ def _emit(text: str, out_path) -> None:
 
 def _render(reports, fmt: str) -> str:
     """The rows of every report, in order, as one CSV or JSON text."""
-    rows = [row for report in reports for row in report_rows(report)]
-    return rows_to_json(rows) if fmt == "json" else rows_to_csv(rows)
+    return rows_to_json(reports) if fmt == "json" else rows_to_csv(reports)
 
 
 def cmd_trajectories(args) -> int:
@@ -165,24 +164,24 @@ def cmd_trajectories(args) -> int:
     if args.out_dir is not None and not args.per_cell:  # a config out_dir is a default
         raise _UsageError(f"{args.command}: --out-dir needs --per-cell")
 
-    # chi-major, then n: deterministic cell order independent of scheduling
-    cells = [(chi, n) for chi in chis for n in sizes]
-    # every instance is checked before the first trajectory runs
-    instances = [SearchInstance(n=n, w=target, chi=chi) for chi, n in cells]
+    # chi-major, then n: deterministic cell order independent of scheduling;
+    # every instance is checked before the first trajectory runs, and names
+    # its cell by the checked chi, so -0 and 0 are one cell
+    instances = [SearchInstance(n=n, w=target, chi=chi) for chi in chis for n in sizes]
     reports = [trajectory_report(inst, args.m) for inst in instances]
     if args.per_cell:
         default_dir = os.environ.get(OUT_DIR_ENV, ".")
         directory = _resolve(args.out_dir, cfg, "out_dir", default_dir)
         os.makedirs(directory, exist_ok=True)
-        for (chi, n), report in zip(cells, reports):
-            name = f"cell_chi{chi:.17g}_n{n}.{fmt}"
+        for inst, report in zip(instances, reports):
+            name = f"cell_chi{inst.chi:.17g}_n{inst.n}.{fmt}"
             _emit(_render([report], fmt), os.path.join(directory, name))
     else:
         _emit(_render(reports, fmt), args.out)
 
     problems = [
-        f"chi={chi:.17g} n={n} {problem}" if sweep else problem
-        for (chi, n), report in zip(cells, reports)
+        f"chi={inst.chi:.17g} n={inst.n} {problem}" if sweep else problem
+        for inst, report in zip(instances, reports)
         for problem in trajectory_violations(report)
     ]
     for problem in problems:

@@ -47,13 +47,16 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 def _require_nonnegative(chi: float) -> float:
-    """chi as a float, or ValueError unless it is finite and in [0, CHI_MAX]."""
+    """chi as a float, or ValueError unless it is finite and in [0, CHI_MAX].
+
+    -0.0 comes back as +0.0 (chi + 0.0), so no output prints chi as -0.
+    """
     chi = float(chi)
     if chi < 0.0 or not math.isfinite(chi):
         raise ValueError(f"noise strength chi must be finite and >= 0, got {chi}")
     if chi > CHI_MAX:
         raise ValueError(f"noise strength chi must be <= {CHI_MAX:.17g}, got {chi}")
-    return chi
+    return chi + 0.0
 
 
 def rotation_y(angle: float) -> np.ndarray:

@@ -3,64 +3,31 @@
 CSV prints every float at 17 significant digits (`%.17g`); JSON prints
 the shortest round-trip `repr`, with nan and infinities as null.  Both
 round-trip exactly, and identical runs produce byte-identical files.
+
+The emitters read each report's columns directly.  A report's cell
+constants chi, n and w are formatted once, as the literal start of that
+report's row template; the other ten columns fill it in one `%` call per
+report, and the reports' texts are joined.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
-from .analysis import TrajectoryReport
-
-__all__ = ["CSV_HEADER", "report_rows", "rows_to_csv", "rows_to_json"]
+__all__ = ["CSV_HEADER", "rows_to_csv", "rows_to_json"]
 
 CSV_HEADER = (
     "chi,n,w,m,p_success,f_paper,f_closed,cos_gamma_sim,cos_gamma_closed,"
     "bloch_norm,entropy_nats,majorized_by_prev,majorized_by_init"
 )
 
-_COLUMNS = CSV_HEADER.split(",")
-_INT_COLUMNS = ("n", "w", "m")
-_FLAG_COLUMNS = ("majorized_by_prev", "majorized_by_init")  # the last two
-# One printf template per row, so no cell is type-tested: ints in decimal,
-# flags as words, every other column a float at 17 significant digits.
-_ROW_TEMPLATE = ",".join(
-    "%s" if c in _FLAG_COLUMNS else "%d" if c in _INT_COLUMNS else "%.17g"
-    for c in _COLUMNS
+# The row after the cell constants chi, n, w: m, seven floats, two flags.
+_CSV_ROW_TAIL = "%d," + "%.17g," * 7 + "%s,%s\n"
+_JSON_ROW_TAIL = (
+    ",\n".join(f'      "{c}": %s' for c in CSV_HEADER.split(",")[3:]) + "\n    }"
 )
 _FLAG_TEXT = {True: "true", False: "false"}
-# One row object of json.dumps(indent=2), every value already JSON text.
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in _COLUMNS) + "\n    }"
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
-
-
-def report_rows(report: TrajectoryReport) -> list:
-    """One tuple per iteration, its values in CSV_HEADER order."""
-    inst = report.instance
-    return list(
-        zip(
-            repeat(float(inst.chi)),
-            repeat(inst.n),
-            repeat(inst.w),
-            range(len(report.p_success)),
-            report.p_success.tolist(),
-            report.f_paper.tolist(),
-            report.f_closed.tolist(),
-            report.cos_gamma.tolist(),
-            report.cos_gamma_closed.tolist(),
-            report.bloch_norm.tolist(),
-            report.entropies.tolist(),
-            report.majorized_by_prev.tolist(),
-            report.majorized_by_init.tolist(),
-        )
-    )
-
-
-def _flag_words(column):
-    return map(_FLAG_TEXT.__getitem__, column)
-
-
-def _json_ints(column):
-    return map(int.__repr__, column)
 
 
 def _json_floats(column) -> list:
@@ -71,33 +38,64 @@ def _json_floats(column) -> list:
     return cells
 
 
-_JSON_TEXT = tuple(
-    _flag_words if c in _FLAG_COLUMNS else _json_ints if c in _INT_COLUMNS
-    else _json_floats
-    for c in _COLUMNS
-)
+def _float_columns(report) -> tuple:
+    """The seven float columns after m, in CSV_HEADER order, as lists."""
+    return tuple(
+        column.tolist()
+        for column in (
+            report.p_success,
+            report.f_paper,
+            report.f_closed,
+            report.cos_gamma,
+            report.cos_gamma_closed,
+            report.bloch_norm,
+            report.entropies,
+        )
+    )
 
 
-def _cells(columns) -> tuple:
-    """The cells of equal-length columns, row by row."""
-    return tuple(chain.from_iterable(zip(*columns)))
+def _cells(report, floats) -> tuple:
+    """m, the float columns `floats` and the two flags, row by row, flat."""
+    flags = (report.majorized_by_prev.tolist(), report.majorized_by_init.tolist())
+    return tuple(
+        chain.from_iterable(
+            zip(
+                range(len(report.p_success)),
+                *floats,
+                *(map(_FLAG_TEXT.__getitem__, column) for column in flags),
+            )
+        )
+    )
 
 
-def rows_to_csv(rows: list) -> str:
-    """The header and one `_ROW_TEMPLATE` line per row, filled in one call."""
-    columns = list(zip(*rows))
-    columns[-2:] = map(_flag_words, columns[-2:])
-    return CSV_HEADER + "\n" + ((_ROW_TEMPLATE + "\n") * len(rows)) % _cells(columns)
+def _csv_block(report) -> str:
+    inst = report.instance
+    template = "%.17g,%d,%d," % (inst.chi, inst.n, inst.w) + _CSV_ROW_TAIL
+    return (template * len(report.p_success)) % _cells(report, _float_columns(report))
 
 
-def rows_to_json(rows: list) -> str:
-    """Rows as JSON objects, nan as null; the ledger stays with `verify`.
+def _json_block(report) -> str:
+    inst = report.instance
+    (chi,) = _json_floats([inst.chi])
+    head = f'    {{\n      "chi": {chi},\n      "n": {inst.n},\n      "w": {inst.w},\n'
+    cells = _cells(report, map(_json_floats, _float_columns(report)))
+    return ",\n".join([head + _JSON_ROW_TAIL] * len(report.p_success)) % cells
+
+
+def rows_to_csv(reports: list) -> str:
+    """The header and one line per iteration of each report, in order."""
+    return CSV_HEADER + "\n" + "".join(map(_csv_block, reports))
+
+
+def rows_to_json(reports: list) -> str:
+    """Every report's rows as JSON objects, nan as null; the ledger stays
+    with `verify`.
 
     The text is json.dumps({"rows": ..., "discrepancies": []}, indent=2)
-    plus a newline, byte for byte, laid out here column by column.
+    plus a newline, byte for byte, for reports of one row or more (a
+    trajectory_report has m_max + 1 >= 2).
     """
-    if not rows:
+    if not reports:
         return '{\n  "rows": [],\n  "discrepancies": []\n}\n'
-    columns = [text(column) for text, column in zip(_JSON_TEXT, zip(*rows))]
-    body = ",\n".join([_JSON_ROW] * len(rows)) % _cells(columns)
+    body = ",\n".join(map(_json_block, reports))
     return '{\n  "rows": [\n' + body + '\n  ],\n  "discrepancies": []\n}\n'

@@ -16,7 +16,6 @@ from noisy_grover.analysis import (
     entropy,
     entropy_from_spectrum,
     high_precision_bloch_norms,
-    majorization_check,
     trajectory_report,
 )
 from noisy_grover.errors import (
@@ -39,7 +38,7 @@ from noisy_grover.search import (
     uniform_plane_vector,
     uniform_state,
 )
-from noisy_grover.tolerances import BLOCH_ZERO_ATOL
+from noisy_grover.tolerances import BLOCH_ZERO_ATOL, MAJORIZATION_ATOL
 
 ENTROPY_09_01 = 0.3250829733914482  # -0.9 ln 0.9 - 0.1 ln 0.1
 CONTRACTION_AT_2 = 0.7332746302984231  # |cos(2 psi(2))|
@@ -48,6 +47,40 @@ CONTRACTION_AT_2 = 0.7332746302984231  # |cos(2 psi(2))|
 def plane_state(inst, block):
     p = plane_basis(inst)
     return p @ block.astype(complex) @ p.conj().T
+
+
+def majorization_check(after, before):
+    """True iff `after` is majorized by `before` (more mixed than it).
+
+    The general k-entry test, the oracle for the report's two-entry flags.
+    Both spectra are sorted descending; every partial sum of `after`
+    must stay below the matching partial sum of `before` within
+    MAJORIZATION_ATOL, with equal totals.  Spectra run along the last axis
+    and the leading axes broadcast: (..., k) inputs give a (...) boolean
+    array, two single spectra give a bool.
+    """
+    a = np.sort(np.asarray(after, dtype=float), axis=-1)[..., ::-1]
+    b = np.sort(np.asarray(before, dtype=float), axis=-1)[..., ::-1]
+    if a.shape[-1] != b.shape[-1]:
+        raise LengthMismatch(
+            f"spectra lengths differ: {a.shape[-1]} != {b.shape[-1]}"
+        )
+    if np.any(np.abs(a.sum(axis=-1) - 1.0) > 1e-8) or np.any(
+        np.abs(b.sum(axis=-1) - 1.0) > 1e-8
+    ):
+        raise ValueError("spectra must each sum to 1 within 1e-8")
+    partial_gap = np.cumsum(a, axis=-1) - np.cumsum(b, axis=-1)
+    result = np.all(partial_gap <= MAJORIZATION_ATOL, axis=-1)
+    return bool(result) if result.ndim == 0 else result
+
+
+def assert_flags_match_oracle(rep):
+    """Both two-entry chains equal the general test on the report's spectra."""
+    spectra = rep.spectra
+    by_prev = majorization_check(spectra[1:], spectra[:-1])
+    by_init = majorization_check(spectra[1:], spectra[0])
+    assert rep.majorized_by_prev.tolist() == [True, *by_prev.tolist()]
+    assert rep.majorized_by_init.tolist() == [True, *by_init.tolist()]
 
 
 class TestBloch:
@@ -299,6 +332,43 @@ class TestMajorization:
             majorization_check(after, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             majorization_check(np.array([0.5, 0.5]), after)
+
+
+class TestTwoEntryMajorization:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        chi=st.floats(0.0, 13.0),
+        n=st.integers(2, 2**40),
+        m_max=st.integers(1, 300),
+    )
+    def test_flags_equal_the_general_test(self, chi, n, m_max):
+        rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), m_max)
+        assert_flags_match_oracle(rep)
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 300, 2**40])
+    @pytest.mark.parametrize("chi", [0.0, chi_star(1)], ids=["chi=0", "chi_1"])
+    def test_flat_rows_with_ties(self, chi, n):
+        # the Bloch norm stays at 1, so top = (1 + r)/2 steps by 0 or a few
+        # ulp; the flags must still break these ties as the general test does
+        rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), 300)
+        steps = np.diff(rep.spectra[:, 0])
+        assert np.any(steps == 0.0)
+        assert np.max(np.abs(steps)) <= 4 * np.spacing(1.0)
+        assert_flags_match_oracle(rep)
+
+    def test_failing_flags_on_a_non_contracting_map(self, monkeypatch):
+        # bloch_map is cos(2 psi) times a rotation, so the norm never grows
+        # and every flag of a real trajectory is True; a non-normal map makes
+        # the norm swing up and down, and both chains must fail exactly
+        # where the oracle does
+        c, s = math.cos(0.7), math.sin(0.7)
+        stretch = np.diag([1.0, 4.0])
+        swing = 0.97 * stretch @ np.array([[c, s], [-s, c]]) @ np.linalg.inv(stretch)
+        monkeypatch.setattr("noisy_grover.analysis.bloch_map", lambda inst: swing)
+        rep = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 30)
+        for flags in (rep.majorized_by_prev, rep.majorized_by_init):
+            assert 0 < np.count_nonzero(flags) < len(flags)
+        assert_flags_match_oracle(rep)
 
 
 class TestTrajectoryReport:

@@ -245,6 +245,14 @@ class TestKraus:
         assert float(weights.split(",")[1]) == pytest.approx(0.0, abs=1e-12)
 
 
+    def test_negative_zero_prints_as_zero(self, capsys):
+        assert main(["kraus", "--chi", "-0"]) == 0
+        negative_zero = capsys.readouterr().out
+        assert negative_zero.startswith("chi = 0\n")
+        assert main(["kraus", "--chi", "0"]) == 0
+        assert capsys.readouterr().out == negative_zero
+
+
 class TestChiStar:
     def test_table(self, capsys):
         assert main(["chi-star", "--n-max", "2"]) == 0
@@ -374,6 +382,13 @@ class TestSearch:
         )
         assert "Traceback" not in captured.err
 
+    def test_negative_zero_prints_as_zero(self, capsys):
+        assert main(["search", "--chi", "-0", "--n", "4", "--m", "1"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "0"]
+        assert main(["search", "--chi", "0", "--n", "4", "--m", "1"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_stdout_when_no_out_given(self, capsys):
         assert main(["search", "--chi", "0", "--n", "4", "--m", "1"]) == 0
         out = capsys.readouterr().out
@@ -406,6 +421,14 @@ class TestSweep:
             "cell_chi0_n4.csv", "cell_chi0_n8.csv",
             "cell_chi1_n4.csv", "cell_chi1_n8.csv",
         ]
+
+    def test_negative_zero_is_the_zero_cell(self, tmp_path):
+        assert main(
+            ["sweep", "--chi", "0", "-0", "--n", "4", "--m", "1",
+             "--per-cell", "--out-dir", str(tmp_path / "cells")]
+        ) == 0
+        files = sorted(p.name for p in (tmp_path / "cells").iterdir())
+        assert files == ["cell_chi0_n4.csv"]
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOISY_GROVER_OUT_DIR", str(tmp_path / "envdir"))

@@ -78,6 +78,9 @@ class TestScalarProfile:
         with pytest.raises(ValueError):
             scalar_profile(-1.0)
 
+    def test_negative_zero_is_zero(self):
+        assert math.copysign(1.0, scalar_profile(-0.0).chi) == 1.0
+
     def test_psi_denominator_stays_above_half_at_extremes(self):
         # = 1 - (pi^2/16)(sin mu/mu)^2 >= 1/2, so the two atan2 arguments of
         # psi never vanish together: check at chi = 0, where the bound is
