@@ -1,13 +1,15 @@
 """Measurable quantities along a search trajectory.
 
-Plane-restricted Bloch vectors, the angular fidelity, the closed-form
-fidelity hypotheses, von Neumann entropy, majorization flags, the
-columnar trajectory report, whose columns carry the success probability
-and its half-normalized overlap f_paper, and the gate on such a report
-that search, sweep and verify share (trajectory_violations).
-Closed-form values are carried side by side with simulated ones for
-comparison and are never used as the reference: the simulator is the
-oracle, the formulas are hypotheses.
+The columnar trajectory report, iterated on the plane Bloch vector
+(x, z): the success probability and its half-normalized overlap
+f_paper, the Bloch norm and angle, the entropy of each step's two-entry
+spectrum, majorization flags, and the closed-form fidelity hypotheses
+beside them; and the gate on such a report that search, sweep and
+verify share (trajectory_violations).  Dense-state extraction (Bloch
+vector, angular fidelity, entropy of an n x n state) lives with the
+tests, as their oracles.  Closed-form values are carried side by side
+with simulated ones for comparison and are never used as the reference:
+the simulator is the oracle, the formulas are hypotheses.
 """
 
 from __future__ import annotations
@@ -18,54 +20,26 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    OffPlaneSupport,
-    ZeroBlochVector,
-)
-from .linalg import as_complex_matrix, eigvals_hermitian
 from .noise import scalar_profile
-from .search import SearchInstance, bloch_map, plane_basis, uniform_plane_vector
+from .search import SearchInstance, bloch_map, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
     ENTROPY_DROP_ATOL,
     MAJORIZATION_ATOL,
-    PLANE_RESIDUAL_ATOL,
-    PLANE_TRACE_ATOL,
     POSITIVITY_ATOL,
     TRACE_ATOL,
 )
 
 __all__ = [
-    "BlochVector",
     "FidelityPoint",
     "TrajectoryReport",
-    "bloch_from_density",
-    "angular_fidelity",
     "closed_form_fidelities",
     "bloch_contraction_factor",
-    "entropy",
     "entropy_from_spectrum",
     "trajectory_report",
     "trajectory_violations",
-    "high_precision_bloch_norms",
 ]
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Plane coordinates (x, z) of a state; the target sits at (0, 1).
-
-    The dynamics is real, so the y component is identically zero and
-    omitted.
-    """
-
-    x: float
-    z: float
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.x, self.z)
 
 
 @dataclass(frozen=True)
@@ -84,7 +58,8 @@ class TrajectoryReport:
     """Everything measured along one trajectory, one column per quantity.
 
     Row m of every array is iteration m, m = 0..m_max.  bloch_x, bloch_z
-    and bloch_norm are the plane Bloch vector (BlochVector); p_success is
+    and bloch_norm are the plane Bloch vector, with the target at (0, 1)
+    and no y component, as the dynamics is real; p_success is
     tr(rho |w><w|) = (1 + bloch_z)/2 and f_paper half of it; cos_gamma is
     bloch_z / bloch_norm, nan where the norm is at most BLOCH_ZERO_ATOL.
     f_closed and cos_gamma_closed are the closed-form hypotheses.  Row m of
@@ -125,49 +100,6 @@ class TrajectoryReport:
                 self.bloch_norm.tolist(),
             )
         ]
-
-
-def _plane_block(rho: np.ndarray, inst: SearchInstance) -> np.ndarray:
-    """2x2 restriction of rho to the search plane, with support checks."""
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != inst.n:
-        raise DimensionMismatch(f"state dim {rho.shape[0]} != instance n {inst.n}")
-    p = plane_basis(inst)
-    block = p.conj().T @ rho @ p
-    plane_trace = float(np.trace(block).real)
-    residual = float(np.linalg.norm(rho - p @ block @ p.conj().T))
-    if plane_trace < 1.0 - PLANE_TRACE_ATOL or residual > PLANE_RESIDUAL_ATOL:
-        raise OffPlaneSupport(
-            f"plane trace {plane_trace:.9f}, off-plane residual {residual:.3e}"
-        )
-    return block
-
-
-def _bloch_of_block(block: np.ndarray) -> BlochVector:
-    """Bloch vector of a 2x2 plane block, renormalized to unit trace."""
-    b = block / (block[0, 0].real + block[1, 1].real)
-    return BlochVector(x=float(2.0 * b[0, 1].real), z=float((b[0, 0] - b[1, 1]).real))
-
-
-def bloch_from_density(rho: np.ndarray, inst: SearchInstance) -> BlochVector:
-    """Bloch vector of the trace-renormalized plane block of rho.
-
-    Raises OffPlaneSupport when the state is not (numerically) confined
-    to the search plane.
-    """
-    return _bloch_of_block(_plane_block(rho, inst))
-
-
-def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
-    """Cosine of the plane angle between rho and the target at (0, 1).
-
-    Equals z/||(x, z)||.  Undefined at the Bloch center, where
-    ZeroBlochVector is raised.
-    """
-    bloch = bloch_from_density(rho, inst)
-    if bloch.norm <= BLOCH_ZERO_ATOL:
-        raise ZeroBlochVector(f"Bloch norm {bloch.norm:.3e} has no direction")
-    return bloch.z / bloch.norm
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -228,11 +160,6 @@ def entropy_from_spectrum(values: np.ndarray):
     # 0.0 - x, not -x: a pure state's entropy is +0.0, not -0.0
     result = 0.0 - np.sum(terms, axis=-1)
     return float(result) if result.ndim == 0 else result
-
-
-def entropy(rho: np.ndarray) -> float:
-    """von Neumann entropy -tr(rho ln rho) in nats of a Hermitian matrix."""
-    return entropy_from_spectrum(eigvals_hermitian(rho))
 
 
 def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
@@ -320,43 +247,3 @@ def trajectory_violations(report: TrajectoryReport) -> list:
     return [
         f"m={k}: {say(k)}" for k in failed.tolist() for flags, say in checks if flags[k]
     ]
-
-
-def high_precision_bloch_norms(
-    inst: SearchInstance, m_max: int, dps: int = 40
-) -> np.ndarray:
-    """Bloch norms along the trajectory, built and run in mpmath.
-
-    The float64 density iteration (iterate on plane_channel) leaves ~1e-16
-    defects that pin the Bloch norm to a plateau near 1e-15; the report's
-    Bloch iteration does not.  Iterating the mpmath 2x2 block at dps digits
-    resolves the decay to any depth, at a cost independent of n.  Returns
-    float64 norms (their relative accuracy survives the conversion).
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        chi = mp.mpf(repr(float(inst.chi)))
-        n = inst.n
-        mu = mp.sqrt(chi**2 / 4 + mp.pi**2 / 16)
-        delta = mp.sin(mu) / mu
-        psi = mp.atan2(abs(chi / 2 * delta), abs(mp.cos(mu)))
-
-        def rot(a):
-            return mp.matrix([[mp.cos(a), mp.sin(a)], [-mp.sin(a), mp.cos(a)]])
-
-        s = mp.matrix([[1 / mp.sqrt(n)], [mp.sqrt(mp.mpf(n - 1) / n)]])
-        refl_s = mp.eye(2) - 2 * (s * s.T)
-        refl_w = mp.diag([-1, 1])
-        ops = [v * refl_s * v.T * refl_w for v in (rot(psi - chi / 2), rot(-chi / 2))]
-        ops_t = [k.T for k in ops]
-        rho = s * s.T
-        half = mp.mpf(1) / 2
-        norms = []
-        for step in range(m_max + 1):
-            x = 2 * rho[0, 1]
-            z = rho[0, 0] - rho[1, 1]
-            norms.append(float(mp.sqrt(x * x + z * z)))
-            if step < m_max:
-                rho = half * (ops[0] * rho * ops_t[0]) + half * (ops[1] * rho * ops_t[1])
-    return np.array(norms)

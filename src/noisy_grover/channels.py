@@ -15,18 +15,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotTracePreserving
 from .linalg import as_complex_matrix, unitarity_defect
-from .tolerances import CHOI_RANK_ATOL, TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "KrausChannel",
-    "identity_channel",
     "unitary_channel",
     "apply_channel",
     "compose_channels",
     "choi_matrix",
     "choi_of_map",
     "channel_choi_distance",
-    "choi_rank",
 ]
 
 
@@ -34,8 +32,9 @@ __all__ = [
 class KrausChannel:
     """Trace-preserving operator-sum map with explicit mixing weights.
 
-    Completeness sum_i w_i K_i^dag K_i = I is enforced at construction
-    within TRACE_ATOL (Frobenius norm).
+    Weights must be finite and positive.  Completeness
+    sum_i w_i K_i^dag K_i = I is enforced at construction within
+    TRACE_ATOL (Frobenius norm); a nan defect fails it.
     """
 
     operators: tuple
@@ -52,12 +51,12 @@ class KrausChannel:
             w = np.ones(len(ops))
         else:
             w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(ops),) or np.any(w <= 0):
-            raise DimensionMismatch("need one positive weight per operator")
+        if w.shape != (len(ops),) or not np.all(np.isfinite(w) & (w > 0)):
+            raise DimensionMismatch("need one finite positive weight per operator")
         self.operators = ops
         self.weights = w
         defect = self.completeness_defect()
-        if defect > TRACE_ATOL:
+        if not defect <= TRACE_ATOL:
             raise NotTracePreserving(
                 f"completeness defect {defect:.3e} exceeds {TRACE_ATOL:.1e}"
             )
@@ -85,10 +84,6 @@ class KrausChannel:
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply_channel(self, rho)
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
 
 
 def unitary_channel(u) -> KrausChannel:
@@ -165,9 +160,3 @@ def channel_choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch(f"channel dims differ: {a.dim} != {b.dim}")
     return float(np.linalg.norm(choi_matrix(a) - choi_matrix(b)))
-
-
-def choi_rank(channel: KrausChannel) -> int:
-    """Number of Choi eigenvalues above CHOI_RANK_ATOL (minimal Kraus count)."""
-    vals = np.linalg.eigvalsh(choi_matrix(channel))
-    return int(np.sum(vals > CHOI_RANK_ATOL))

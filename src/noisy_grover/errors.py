@@ -27,19 +27,3 @@ class NotNormalized(NoisyGroverError):
 
 class DegeneratePlane(NoisyGroverError):
     """Search plane is not two dimensional."""
-
-
-class OffPlaneSupport(NoisyGroverError):
-    """State has weight outside the search plane."""
-
-
-class ZeroBlochVector(NoisyGroverError):
-    """Bloch vector too short to define an angle."""
-
-
-class LengthMismatch(NoisyGroverError):
-    """Spectra have different lengths."""
-
-
-class InvalidDensityMatrix(NoisyGroverError):
-    """Matrix violates hermiticity, unit trace, or positivity."""

@@ -22,7 +22,6 @@ __all__ = [
     "matexp_i_hermitian",
     "polar_unitary_factor",
     "partial_trace_env",
-    "eigvals_hermitian",
     "unitarity_defect",
 ]
 
@@ -96,16 +95,6 @@ def partial_trace_env(
             f"environment indices ({env_row}, {env_col}) out of range for dim {env_dim}"
         )
     return m[env_row::env_dim, env_col::env_dim].copy()
-
-
-def eigvals_hermitian(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    NotHermitian is raised when m fails the hermiticity check.
-    """
-    m = as_complex_matrix(m)
-    require_hermitian(m)
-    return np.linalg.eigvalsh(m)[::-1].copy()
 
 
 def unitarity_defect(m: np.ndarray) -> float:

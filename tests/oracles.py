@@ -1,0 +1,200 @@
+"""Dense and high-precision oracles that only the tests use.
+
+None of the CLI's commands reaches these; they check the package from
+outside it.  They extract the Bloch vector, angular fidelity and von
+Neumann entropy from dense n x n states, validate density matrices,
+count Choi ranks, and rerun the plane channel in mpmath (a test
+dependency, not a runtime one).  Tests import them as `from oracles
+import ...`, the way they import `from conftest import ...`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from noisy_grover.analysis import entropy_from_spectrum
+from noisy_grover.channels import KrausChannel, choi_matrix
+from noisy_grover.errors import DimensionMismatch, NoisyGroverError
+from noisy_grover.linalg import (
+    as_complex_matrix,
+    hermiticity_defect,
+    require_hermitian,
+)
+from noisy_grover.search import SearchInstance, plane_basis
+from noisy_grover.tolerances import (
+    BLOCH_ZERO_ATOL,
+    CHOI_RANK_ATOL,
+    HERMITICITY_ATOL,
+    PLANE_RESIDUAL_ATOL,
+    PLANE_TRACE_ATOL,
+    POSITIVITY_ATOL,
+    TRACE_ATOL,
+)
+
+
+class OffPlaneSupport(NoisyGroverError):
+    """State has weight outside the search plane."""
+
+
+class ZeroBlochVector(NoisyGroverError):
+    """Bloch vector too short to define an angle."""
+
+
+class LengthMismatch(NoisyGroverError):
+    """Spectra have different lengths."""
+
+
+class InvalidDensityMatrix(NoisyGroverError):
+    """Matrix violates hermiticity, unit trace, or positivity."""
+
+
+def eigvals_hermitian(m) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, sorted descending.
+
+    NotHermitian is raised when m fails the hermiticity check.
+    """
+    m = as_complex_matrix(m)
+    require_hermitian(m)
+    return np.linalg.eigvalsh(m)[::-1].copy()
+
+
+def identity_channel(dim: int) -> KrausChannel:
+    return KrausChannel((np.eye(dim, dtype=complex),))
+
+
+def choi_rank(channel: KrausChannel) -> int:
+    """Number of Choi eigenvalues above CHOI_RANK_ATOL (minimal Kraus count)."""
+    vals = np.linalg.eigvalsh(choi_matrix(channel))
+    return int(np.sum(vals > CHOI_RANK_ATOL))
+
+
+def target_state(n: int, w: int) -> np.ndarray:
+    """The projector |w><w|."""
+    rho = np.zeros((n, n), dtype=complex)
+    rho[w, w] = 1.0
+    return rho
+
+
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise InvalidDensityMatrix unless rho is a valid state.
+
+    Hermitian within HERMITICITY_ATOL, unit trace within TRACE_ATOL,
+    eigenvalues >= -POSITIVITY_ATOL.
+    """
+    rho = as_complex_matrix(rho)
+    defect = hermiticity_defect(rho)
+    if defect > HERMITICITY_ATOL:
+        raise InvalidDensityMatrix(f"state: hermiticity defect {defect:.3e}")
+    trace_err = abs(np.trace(rho).real - 1.0)
+    if trace_err > TRACE_ATOL:
+        raise InvalidDensityMatrix(f"state: trace deviates by {trace_err:.3e}")
+    smallest = float(np.linalg.eigvalsh(rho)[0])
+    if smallest < -POSITIVITY_ATOL:
+        raise InvalidDensityMatrix(f"state: eigenvalue {smallest:.3e} below zero")
+
+
+@dataclass(frozen=True)
+class BlochVector:
+    """Plane coordinates (x, z) of a state; the target sits at (0, 1).
+
+    The dynamics is real, so the y component is identically zero and
+    omitted.
+    """
+
+    x: float
+    z: float
+
+    @property
+    def norm(self) -> float:
+        return math.hypot(self.x, self.z)
+
+
+def _plane_block(rho: np.ndarray, inst: SearchInstance) -> np.ndarray:
+    """2x2 restriction of rho to the search plane, with support checks."""
+    rho = as_complex_matrix(rho)
+    if rho.shape[0] != inst.n:
+        raise DimensionMismatch(f"state dim {rho.shape[0]} != instance n {inst.n}")
+    p = plane_basis(inst)
+    block = p.conj().T @ rho @ p
+    plane_trace = float(np.trace(block).real)
+    residual = float(np.linalg.norm(rho - p @ block @ p.conj().T))
+    if plane_trace < 1.0 - PLANE_TRACE_ATOL or residual > PLANE_RESIDUAL_ATOL:
+        raise OffPlaneSupport(
+            f"plane trace {plane_trace:.9f}, off-plane residual {residual:.3e}"
+        )
+    return block
+
+
+def _bloch_of_block(block: np.ndarray) -> BlochVector:
+    """Bloch vector of a 2x2 plane block, renormalized to unit trace."""
+    b = block / (block[0, 0].real + block[1, 1].real)
+    return BlochVector(x=float(2.0 * b[0, 1].real), z=float((b[0, 0] - b[1, 1]).real))
+
+
+def bloch_from_density(rho: np.ndarray, inst: SearchInstance) -> BlochVector:
+    """Bloch vector of the trace-renormalized plane block of rho.
+
+    Raises OffPlaneSupport when the state is not (numerically) confined
+    to the search plane.
+    """
+    return _bloch_of_block(_plane_block(rho, inst))
+
+
+def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
+    """Cosine of the plane angle between rho and the target at (0, 1).
+
+    Equals z/||(x, z)||.  Undefined at the Bloch center, where
+    ZeroBlochVector is raised.
+    """
+    bloch = bloch_from_density(rho, inst)
+    if bloch.norm <= BLOCH_ZERO_ATOL:
+        raise ZeroBlochVector(f"Bloch norm {bloch.norm:.3e} has no direction")
+    return bloch.z / bloch.norm
+
+
+def entropy(rho: np.ndarray) -> float:
+    """von Neumann entropy -tr(rho ln rho) in nats of a Hermitian matrix."""
+    return entropy_from_spectrum(eigvals_hermitian(rho))
+
+
+def high_precision_bloch_norms(
+    inst: SearchInstance, m_max: int, dps: int = 40
+) -> np.ndarray:
+    """Bloch norms along the trajectory, built and run in mpmath.
+
+    The float64 density iteration (iterate on plane_channel) leaves ~1e-16
+    defects that pin the Bloch norm to a plateau near 1e-15; the report's
+    Bloch iteration does not.  Iterating the mpmath 2x2 block at dps digits
+    resolves the decay to any depth, at a cost independent of n.  Returns
+    float64 norms (their relative accuracy survives the conversion).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        chi = mp.mpf(repr(float(inst.chi)))
+        n = inst.n
+        mu = mp.sqrt(chi**2 / 4 + mp.pi**2 / 16)
+        delta = mp.sin(mu) / mu
+        psi = mp.atan2(abs(chi / 2 * delta), abs(mp.cos(mu)))
+
+        def rot(a):
+            return mp.matrix([[mp.cos(a), mp.sin(a)], [-mp.sin(a), mp.cos(a)]])
+
+        s = mp.matrix([[1 / mp.sqrt(n)], [mp.sqrt(mp.mpf(n - 1) / n)]])
+        refl_s = mp.eye(2) - 2 * (s * s.T)
+        refl_w = mp.diag([-1, 1])
+        ops = [v * refl_s * v.T * refl_w for v in (rot(psi - chi / 2), rot(-chi / 2))]
+        ops_t = [k.T for k in ops]
+        rho = s * s.T
+        half = mp.mpf(1) / 2
+        norms = []
+        for step in range(m_max + 1):
+            x = 2 * rho[0, 1]
+            z = rho[0, 0] - rho[1, 1]
+            norms.append(float(mp.sqrt(x * x + z * z)))
+            if step < m_max:
+                rho = half * (ops[0] * rho * ops_t[0]) + half * (ops[1] * rho * ops_t[1])
+    return np.array(norms)

@@ -15,12 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from noisy_grover.analysis import (
-    angular_fidelity,
-    bloch_contraction_factor,
-    high_precision_bloch_norms,
-    trajectory_report,
-)
+from noisy_grover.analysis import bloch_contraction_factor, trajectory_report
 from noisy_grover.channels import choi_matrix, choi_of_map, compose_channels
 from noisy_grover.cli import main
 from noisy_grover.noise import (
@@ -38,6 +33,8 @@ from noisy_grover.search import (
     success_probability,
     uniform_state,
 )
+
+from oracles import angular_fidelity, high_precision_bloch_norms
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:

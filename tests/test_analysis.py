@@ -8,23 +8,12 @@ from numpy.testing import assert_allclose
 
 from noisy_grover.analysis import (
     FidelityPoint,
-    _bloch_of_block,
-    angular_fidelity,
     bloch_contraction_factor,
-    bloch_from_density,
     closed_form_fidelities,
-    entropy,
     entropy_from_spectrum,
-    high_precision_bloch_norms,
     trajectory_report,
 )
-from noisy_grover.errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    OffPlaneSupport,
-    ZeroBlochVector,
-)
-from noisy_grover.linalg import eigvals_hermitian
+from noisy_grover.errors import DimensionMismatch
 from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import (
     SearchInstance,
@@ -34,11 +23,23 @@ from noisy_grover.search import (
     iterate,
     plane_basis,
     plane_channel,
-    target_state,
     uniform_plane_vector,
     uniform_state,
 )
 from noisy_grover.tolerances import BLOCH_ZERO_ATOL, MAJORIZATION_ATOL
+
+from oracles import (
+    LengthMismatch,
+    OffPlaneSupport,
+    ZeroBlochVector,
+    _bloch_of_block,
+    angular_fidelity,
+    bloch_from_density,
+    eigvals_hermitian,
+    entropy,
+    high_precision_bloch_norms,
+    target_state,
+)
 
 ENTROPY_09_01 = 0.3250829733914482  # -0.9 ln 0.9 - 0.1 ln 0.1
 CONTRACTION_AT_2 = 0.7332746302984231  # |cos(2 psi(2))|

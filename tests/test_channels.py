@@ -8,14 +8,13 @@ from noisy_grover.channels import (
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
-    choi_rank,
     compose_channels,
-    identity_channel,
     unitary_channel,
 )
 from noisy_grover.errors import DimensionMismatch, NotTracePreserving
 
 from conftest import random_channel, random_density, random_unitary
+from oracles import choi_rank, identity_channel
 
 
 class TestKrausChannel:
@@ -32,6 +31,21 @@ class TestKrausChannel:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DimensionMismatch):
             KrausChannel((np.eye(2, dtype=complex),), np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "weights", [[np.nan], [np.inf], [0.5, np.nan]], ids=["nan", "inf", "half-nan"]
+    )
+    def test_rejects_non_finite_weight(self, weights):
+        ops = (np.eye(2, dtype=complex),) * len(weights)
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(ops, np.array(weights))
+
+    def test_nan_completeness_defect_fails_closed(self):
+        # finite entries whose products overflow to inf - inf = nan
+        big = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotTracePreserving):
+                KrausChannel((big,))
 
     def test_weights_scale_operators(self):
         # two identities at weight 1/2 still sum to a complete family

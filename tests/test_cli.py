@@ -518,3 +518,29 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,chi_n,psi")
+
+
+def test_no_command_needs_mpmath():
+    # sys.modules[name] = None makes every later `import mpmath` fail
+    script = """
+import contextlib, io, sys
+sys.modules["mpmath"] = None
+from noisy_grover.cli import main
+commands = [
+    ["kraus", "--chi", "0.8"],
+    ["chi-star", "--n-max", "3"],
+    ["search", "--chi", "1", "--n", "16", "--m", "40"],
+    ["sweep", "--chi", "0", "1", "--n", "4", "--m", "25"],
+    ["verify", "--seed", "0"],
+]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(codes)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "[0, 0, 0, 0, 0]\n"

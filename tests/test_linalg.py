@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from noisy_grover.errors import DegeneratePolar, DimensionMismatch, NotHermitian
 from noisy_grover.linalg import (
-    eigvals_hermitian,
     matexp_i_hermitian,
     partial_trace_env,
     polar_unitary_factor,
@@ -13,6 +12,7 @@ from noisy_grover.linalg import (
 from noisy_grover.noise import PAULI_Y
 
 from conftest import random_hermitian, random_unitary
+from oracles import eigvals_hermitian
 
 I2 = np.eye(2, dtype=complex)
 

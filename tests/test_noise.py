@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.channels import channel_choi_distance, choi_rank, unitary_channel
+from noisy_grover.channels import channel_choi_distance, unitary_channel
 from noisy_grover.errors import DegeneratePolar
 from noisy_grover.noise import (
     chi_star,
@@ -19,6 +19,8 @@ from noisy_grover.noise import (
     scalar_profile,
 )
 from noisy_grover.tolerances import CHI_MAX
+
+from oracles import choi_rank
 
 # frozen from a 30-digit evaluation of the defining formulas
 MU_AT_2 = 1.2715542753135176

@@ -9,21 +9,13 @@ from noisy_grover.channels import (
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
-    choi_rank,
     compose_channels,
-    identity_channel,
 )
-from noisy_grover.errors import (
-    DegeneratePlane,
-    DimensionMismatch,
-    InvalidDensityMatrix,
-    NotNormalized,
-)
+from noisy_grover.errors import DegeneratePlane, DimensionMismatch, NotNormalized
 from noisy_grover.noise import chi_star, rotation_y
 from noisy_grover.search import (
     SearchInstance,
     build_search_channel,
-    check_density_matrix,
     embed_plane_rotation,
     ideal_grover_probability,
     iterate,
@@ -31,13 +23,19 @@ from noisy_grover.search import (
     plane_channel,
     reflection,
     success_probability,
-    target_state,
     uniform_plane_vector,
     uniform_state,
 )
 from noisy_grover.tolerances import CHI_MAX
 
 from conftest import random_channel, random_density
+from oracles import (
+    InvalidDensityMatrix,
+    check_density_matrix,
+    choi_rank,
+    identity_channel,
+    target_state,
+)
 
 IDEAL_100_7 = 0.9953444003575990  # sin^2(15 asin(0.1)), 30-digit evaluation
 
@@ -109,6 +107,11 @@ class TestStatesAndReflections:
     def test_reflection_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             reflection([1.0, 1.0])
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.nan, np.nan]])
+    def test_reflection_rejects_nan(self, v):
+        with pytest.raises(NotNormalized):
+            reflection(v)
 
 
 class TestEmbedding:
