@@ -111,7 +111,7 @@ def _libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *args), float)
 
 
-def closed_form_fidelities(chi: float, m_max: int, n: int) -> tuple:
+def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis for m = 0..m_max:
 
     f = (1/4)[1 + cos^m(2 psi) cos(phi)], cos_gamma = cos^2(phi/2), with
@@ -127,6 +127,7 @@ def closed_form_fidelities(chi: float, m_max: int, n: int) -> tuple:
     """
     if m_max < 0:
         raise ValueError(f"iteration count must be >= 0, got {m_max}")
+    n, chi = inst.n, inst.chi
     psi = scalar_profile(chi).psi
     alpha = math.acos(1.0 / math.sqrt(n))
     theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
@@ -170,8 +171,9 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     (m_max+1, 2) array is allocated first, so an m_max too large for memory
     raises MemoryError at once.  Every column is read off x and z, with the
     spectrum ((1 + r)/2, (1 - r)/2) for the Bloch norm r; the closed forms
-    come from one closed_form_fidelities(inst.chi, m_max, inst.n) call over
-    all m.  m_max < 1 raises ValueError.
+    come from one closed_form_fidelities(inst, m_max) call over all m.
+    m_max < 1 raises ValueError naming m; it is the one check of the
+    iteration count that search and sweep run.
 
     Each spectrum has two entries, so majorization is one comparison of
     the larger eigenvalues top = (1 + r)/2: step m is majorized by an
@@ -182,9 +184,9 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     gap, and the sum-to-1 precondition, always pass.
     """
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise ValueError(f"iteration count m must be >= 1, got {m_max}")
     (a, b), (c, d) = bloch_map(inst).tolist()
-    s0, s1 = uniform_plane_vector(inst.n).tolist()
+    s0, s1 = uniform_plane_vector(inst).tolist()
     x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
     bloch = np.empty((m_max + 1, 2))
     cells = memoryview(bloch)
@@ -197,7 +199,7 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
     cos_gamma = np.full(m_max + 1, math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
-    f_closed, cos_gamma_closed = closed_form_fidelities(inst.chi, m_max, inst.n)
+    f_closed, cos_gamma_closed = closed_form_fidelities(inst, m_max)
     spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
 
     top = spectra[:, 0]  # both flags are True at m = 0, which has no earlier step

@@ -33,7 +33,7 @@ from .noise import (
 )
 from .reporting import rows_to_csv, rows_to_json
 from .search import SearchInstance
-from .tolerances import CHI_MAX, TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import CHI_MAX, UNITARITY_ATOL
 from .verify import run_verification
 
 __all__ = ["main", "entrypoint"]
@@ -80,6 +80,7 @@ def _print_matrix(label: str, matrix) -> None:
 
 
 def cmd_kraus(args) -> int:
+    """Both Kraus constructions at chi; building each checks its completeness."""
     prof = scalar_profile(args.chi)
     chi = prof.chi
     closed = closed_form_kraus(chi)
@@ -98,8 +99,7 @@ def cmd_kraus(args) -> int:
     print(f"choi distance closed-form vs hamiltonian = {gap:.17g}")
     print("(recorded by `verify` as prop1_choi_gap; the hamiltonian channel "
           "is the ground truth)")
-    worst = max(closed.completeness_defect(), derived.completeness_defect())
-    return 0 if worst <= TRACE_ATOL else 2
+    return 0
 
 
 def cmd_chi_star(args) -> int:
@@ -157,16 +157,15 @@ def cmd_trajectories(args) -> int:
             f"{args.command}: config target must be an integer, got {target!r}"
         ) from None
     chis, sizes = (args.chi, args.n) if sweep else ([args.chi], [args.n])
-    if args.m < 1:
-        raise _UsageError(f"{args.command}: --m must be >= 1")
     if args.per_cell and args.out is not None:
         raise _UsageError(f"{args.command}: --out cannot be combined with --per-cell")
     if args.out_dir is not None and not args.per_cell:  # a config out_dir is a default
         raise _UsageError(f"{args.command}: --out-dir needs --per-cell")
 
     # chi-major, then n: deterministic cell order independent of scheduling;
-    # every instance is checked before the first trajectory runs, and names
-    # its cell by the checked chi, so -0 and 0 are one cell
+    # every instance is checked, and trajectory_report checks m, before the
+    # first trajectory runs; cells are named by the checked chi, so -0 and 0
+    # are one cell
     instances = [SearchInstance(n=n, w=target, chi=chi) for chi in chis for n in sizes]
     reports = [trajectory_report(inst, args.m) for inst in instances]
     if args.per_cell:

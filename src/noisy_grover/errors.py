@@ -23,7 +23,3 @@ class NotTracePreserving(NoisyGroverError):
 
 class NotNormalized(NoisyGroverError):
     """Vector expected to have unit norm does not."""
-
-
-class DegeneratePlane(NoisyGroverError):
-    """Search plane is not two dimensional."""

@@ -2,10 +2,7 @@
 
 Everything here is a pure function of ndarray inputs.  Matrix exponentials
 go through Hermitian eigendecomposition (exact at these dimensions, no
-scaling-and-squaring), polar factors through SVD at every size.  Tensor
-ordering convention: the system is always the left Kronecker factor and
-the environment the right one; all environment indexing below follows
-that layout.
+scaling-and-squaring), polar factors through SVD at every size.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ __all__ = [
     "require_hermitian",
     "matexp_i_hermitian",
     "polar_unitary_factor",
-    "partial_trace_env",
     "unitarity_defect",
 ]
 
@@ -75,26 +71,6 @@ def polar_unitary_factor(m) -> np.ndarray:
             f"smallest singular value {s[-1]:.3e} at or below {SINGULARITY_FLOOR:.1e}"
         )
     return u @ vh
-
-
-def partial_trace_env(
-    m, sys_dim: int, env_dim: int, env_row: int, env_col: int
-) -> np.ndarray:
-    """Environment matrix element <env_row| m |env_col> as a system operator.
-
-    m acts on system (x) environment with the environment as the right
-    Kronecker factor; the returned block has shape (sys_dim, sys_dim).
-    """
-    m = as_complex_matrix(m)
-    if m.shape[0] != sys_dim * env_dim:
-        raise DimensionMismatch(
-            f"matrix dim {m.shape[0]} != sys_dim*env_dim = {sys_dim * env_dim}"
-        )
-    if not (0 <= env_row < env_dim and 0 <= env_col < env_dim):
-        raise DimensionMismatch(
-            f"environment indices ({env_row}, {env_col}) out of range for dim {env_dim}"
-        )
-    return m[env_row::env_dim, env_col::env_dim].copy()
 
 
 def unitarity_defect(m: np.ndarray) -> float:

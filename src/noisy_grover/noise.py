@@ -19,12 +19,13 @@ verification layer records it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel
-from .linalg import matexp_i_hermitian, partial_trace_env, polar_unitary_factor
+from .linalg import matexp_i_hermitian, polar_unitary_factor
 from .tolerances import CHI_MAX
 
 __all__ = [
@@ -44,6 +45,13 @@ __all__ = [
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
+
+
+def _require_integer(name: str, value) -> int:
+    """value as an int, or ValueError naming it unless it is a non-bool Integral."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_nonnegative(chi: float) -> float:
@@ -120,16 +128,16 @@ def hamiltonian_kraus(chi: float) -> KrausChannel:
     Builds the 4x4 generator on system (x) environment, exponentiates,
     and reads off R_i = <i_env| U |0_env>.  Unitarity of U guarantees
     completeness, so this construction is the ground-truth channel for
-    every chi.
+    every chi.  The system is the left Kronecker factor and the
+    environment the right one, so U[2a + i, 2b + j] = <a i| U |b j> and
+    R_i is the slice u[i::2, 0::2].
     """
     chi = _require_nonnegative(chi)
     h = math.pi / 4.0 * np.kron(PAULI_Y, _ID2) + chi / 2.0 * np.kron(
         _ID2 - PAULI_Z, PAULI_Y
     )
     u = matexp_i_hermitian(h)
-    r0 = partial_trace_env(u, 2, 2, 0, 0)
-    r1 = partial_trace_env(u, 2, 2, 1, 0)
-    return KrausChannel((r0, r1))
+    return KrausChannel((u[0::2, 0::2], u[1::2, 0::2]))
 
 
 def nearest_unitary_pair(chi: float) -> KrausChannel:
@@ -166,7 +174,7 @@ def chi_star(n: int) -> float:
     At these values mu = n*pi exactly, delta = 0, and psi = 0, so the
     preconditioned search channel collapses to a single unitary.
     """
-    n = int(n)
+    n = _require_integer("index", n)
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     return math.pi * math.sqrt(4.0 * n * n - 0.25)

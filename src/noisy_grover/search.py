@@ -27,15 +27,14 @@ algorithm in the query model.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import DegeneratePlane, DimensionMismatch, NotNormalized
+from .errors import DimensionMismatch, NotNormalized
 from .linalg import as_complex_matrix, unitarity_defect
-from .noise import _require_nonnegative, nearest_unitary_pair
+from .noise import _require_integer, _require_nonnegative, nearest_unitary_pair
 from .tolerances import UNITARITY_ATOL
 
 __all__ = [
@@ -70,10 +69,7 @@ class SearchInstance:
 
     def __post_init__(self):
         for name in ("n", "w"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         try:
             float(self.n)
         except OverflowError:
@@ -87,11 +83,9 @@ class SearchInstance:
         object.__setattr__(self, "chi", _require_nonnegative(self.chi))
 
 
-def uniform_state(n: int) -> np.ndarray:
+def uniform_state(inst: SearchInstance) -> np.ndarray:
     """|s><s| for the uniform superposition; every entry is 1/n."""
-    if n < 2:
-        raise ValueError(f"database size must be >= 2, got {n}")
-    return np.full((n, n), 1.0 / n, dtype=complex)
+    return np.full((inst.n, inst.n), 1.0 / inst.n, dtype=complex)
 
 
 def reflection(v) -> np.ndarray:
@@ -134,22 +128,20 @@ def embed_plane_rotation(v2, inst: SearchInstance) -> np.ndarray:
     return np.eye(inst.n, dtype=complex) + p @ (v2 - np.eye(2)) @ p.conj().T
 
 
-def uniform_plane_vector(n: int) -> np.ndarray:
+def uniform_plane_vector(inst: SearchInstance) -> np.ndarray:
     """|s> on the plane basis {|w>, |r>}: (1/sqrt n, sqrt((n-1)/n))."""
-    if n < 2:
-        raise DegeneratePlane("search plane needs n >= 2")
-    return np.array([1.0 / math.sqrt(n), math.sqrt((n - 1) / n)])
+    return np.array([1.0 / math.sqrt(inst.n), math.sqrt((inst.n - 1) / inst.n)])
 
 
 def plane_channel(inst: SearchInstance) -> KrausChannel:
     """t restricted to the search plane: 2x2 operators V_i I_s V_i^dag I_w.
 
     On the basis {|w>, |r>} the rotations V_i act unembedded, I_s reflects
-    about uniform_plane_vector(n) and I_w = diag(-1, 1); weights are 1/2.
+    about uniform_plane_vector(inst) and I_w = diag(-1, 1); weights are 1/2.
     Iterated from |s><s| it gives the plane block of t^m(|s><s|), whose
     entries outside the plane are exact zeros, at any n.
     """
-    refl_s = reflection(uniform_plane_vector(inst.n))
+    refl_s = reflection(uniform_plane_vector(inst))
     refl_w = np.diag([-1.0, 1.0])
     ops = tuple(
         v @ refl_s @ v.conj().T @ refl_w
@@ -220,10 +212,11 @@ def ideal_grover_probability(n: int, m: int) -> float:
     """Noiseless reference: sin^2((2m+1) arcsin(1/sqrt(n))).
 
     Closed-form success probability of m two-reflection iterations from
-    the uniform state; the chi = 0 channel must match this.
+    the uniform state; the chi = 0 channel must match this.  The checks
+    are written to fail on nan.
     """
-    if n < 2:
+    if not n >= 2:
         raise ValueError(f"database size must be >= 2, got {n}")
-    if m < 0:
+    if not m >= 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
     return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2)

@@ -1,9 +1,10 @@
-"""Central numerical tolerances.
+"""Shared numerical tolerances.
 
-Every module draws its thresholds from here so CI stability is a single
-knob.  The three tiers: structural checks on inputs (hermiticity), checks
-on constructed objects (unitarity, trace), and agreement between
-independent computations of the same quantity (oracle).
+A bound that belongs to one check stays beside it: verify.py's 1e-12,
+1e-8, 2e-3, 1e-5 and 1e-3, psi_zero_scan's 1e-2 and cli's strict 1e-8.
+The shared ones live here, in three tiers: structural checks on inputs
+(hermiticity), checks on constructed objects (unitarity, trace), and
+agreement between independent computations of the same quantity (oracle).
 """
 
 # Max |m - m^dagger| entry allowed before a matrix is rejected as input.

@@ -154,7 +154,7 @@ def _check_ideal_limit(report) -> None:
     worst = 0.0
     for n in (4, 16, 64):
         inst = SearchInstance(n=n, w=0, chi=0.0)
-        states = iterate(build_search_channel(inst), uniform_state(n), 30)
+        states = iterate(build_search_channel(inst), uniform_state(inst), 30)
         plane = trajectory_report(inst, 30).p_success.tolist()
         for m in range(31):
             ideal = ideal_grover_probability(n, m)

@@ -98,7 +98,7 @@ def test_a3_robust_search_at_first_magic_strength(n):
     start = time.perf_counter()
     horizon = math.ceil(4 * math.sqrt(n))
     inst = SearchInstance(n=n, w=0, chi=chi_star(1))
-    states = iterate(build_search_channel(inst), uniform_state(n), horizon)
+    states = iterate(build_search_channel(inst), uniform_state(inst), horizon)
     probs = np.array([success_probability(s, 0) for s in states])
     best = int(np.argmax(probs))
     cos_gamma = angular_fidelity(states[best], inst)
@@ -121,13 +121,13 @@ def test_a4_noiseless_limit_matches_reference():
     worst = 0.0
     for n in (4, 16, 64):
         inst = SearchInstance(n=n, w=0, chi=0.0)
-        states = iterate(build_search_channel(inst), uniform_state(n), 30)
+        states = iterate(build_search_channel(inst), uniform_state(inst), 30)
         for m in range(31):
             sim = success_probability(states[m], 0)
             worst = max(worst, abs(sim - ideal_grover_probability(n, m)))
     inst4 = SearchInstance(n=4, w=0, chi=0.0)
     single = success_probability(
-        iterate(build_search_channel(inst4), uniform_state(4), 1)[1], 0
+        iterate(build_search_channel(inst4), uniform_state(inst4), 1)[1], 0
     )
     ok = worst <= 1e-9 and abs(single - 1.0) <= 1e-10
     verdict(

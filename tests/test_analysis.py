@@ -98,7 +98,7 @@ class TestBloch:
 
     def test_uniform_state_coordinates(self):
         inst = SearchInstance(n=4, w=0, chi=0.0)
-        b = bloch_from_density(uniform_state(4), inst)
+        b = bloch_from_density(uniform_state(inst), inst)
         assert b.z == pytest.approx(-0.5, abs=1e-14)
         assert b.x == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-14)
         assert b.norm == pytest.approx(1.0, abs=1e-14)
@@ -112,7 +112,7 @@ class TestBloch:
     def test_wrong_dimension_rejected(self):
         inst = SearchInstance(n=4, w=0, chi=0.0)
         with pytest.raises(DimensionMismatch):
-            bloch_from_density(uniform_state(3), inst)
+            bloch_from_density(uniform_state(SearchInstance(n=3, w=0, chi=0.0)), inst)
 
 
 class TestFidelities:
@@ -129,7 +129,7 @@ class TestFidelities:
 
     def test_angular_at_uniform(self):
         inst = SearchInstance(n=4, w=0, chi=0.0)
-        assert angular_fidelity(uniform_state(4), inst) == pytest.approx(-0.5)
+        assert angular_fidelity(uniform_state(inst), inst) == pytest.approx(-0.5)
 
     def test_angular_undefined_at_center(self):
         inst = SearchInstance(n=4, w=0, chi=0.0)
@@ -141,14 +141,15 @@ class TestClosedForms:
     def test_phase_bookkeeping_at_zero(self):
         # n = 4: alpha = pi/3 and theta = 4 pi/3, so phi/2 = pi/3 at m = 0
         # and -pi at m = 1
-        f, cos_gamma = closed_form_fidelities(0.0, 1, 4)
+        f, cos_gamma = closed_form_fidelities(SearchInstance(n=4, w=0, chi=0.0), 1)
         assert f.tolist() == pytest.approx([0.125, 0.5], abs=1e-14)
         assert cos_gamma.tolist() == pytest.approx([0.25, 1.0], abs=1e-14)
 
     def test_half_normalization_ceiling(self):
         # the half-normalized radial fidelity cannot exceed 1/2 anywhere
         for chi in (0.0, 1.0, chi_star(1)):
-            worst = np.max(closed_form_fidelities(chi, 39, 16)[0])
+            inst = SearchInstance(n=16, w=0, chi=chi)
+            worst = np.max(closed_form_fidelities(inst, 39)[0])
             assert worst <= 0.5 + 1e-12
 
     def test_noiseless_closed_form_tracks_simulator(self):
@@ -156,8 +157,8 @@ class TestClosedForms:
         # form must reproduce the simulated overlap exactly
         n = 16
         inst = SearchInstance(n=n, w=0, chi=0.0)
-        states = iterate(build_search_channel(inst), uniform_state(n), 20)
-        f, cg = closed_form_fidelities(0.0, 20, n)
+        states = iterate(build_search_channel(inst), uniform_state(inst), 20)
+        f, cg = closed_form_fidelities(inst, 20)
         for m in range(21):
             p_sim = states[m][0, 0].real
             assert f[m] == pytest.approx(0.5 * p_sim, abs=1e-9)
@@ -175,9 +176,10 @@ class TestClosedForms:
         monkeypatch.setattr(analysis_mod, "scalar_profile", counting)
         for m_max in (1, 40):
             calls.clear()
-            rep = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), m_max)
+            inst = SearchInstance(n=16, w=0, chi=1.0)
+            rep = trajectory_report(inst, m_max)
             assert calls == [1.0]
-            f, cos_gamma = closed_form_fidelities(1.0, m_max, 16)
+            f, cos_gamma = closed_form_fidelities(inst, m_max)
             assert rep.f_closed.tobytes() == f.tobytes()
             assert rep.cos_gamma_closed.tobytes() == cos_gamma.tobytes()
 
@@ -205,7 +207,7 @@ class TestClosedForms:
     def test_columns_equal_scalar_calls(self, n, chi, m_max):
         # every entry of the columns must carry the bits of the formulas
         # evaluated one m at a time in Python floats (libm)
-        f, cos_gamma = closed_form_fidelities(chi, m_max, n)
+        f, cos_gamma = closed_form_fidelities(SearchInstance(n=n, w=0, chi=chi), m_max)
         alpha = math.acos(1.0 / math.sqrt(n))
         theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
         psi = scalar_profile(chi).psi
@@ -220,7 +222,7 @@ class TestClosedForms:
 
     def test_negative_m_is_rejected(self):
         with pytest.raises(ValueError):
-            closed_form_fidelities(1.0, -1, 16)
+            closed_form_fidelities(SearchInstance(n=16, w=0, chi=1.0), -1)
         with pytest.raises(ValueError):  # a trajectory needs at least one step
             trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 0)
 
@@ -398,7 +400,7 @@ class TestTrajectoryReport:
         # how close the rotation orbit gets to the target axis within the
         # window depends on n; these cases come within cos(angle) >= 0.999
         inst = SearchInstance(n=n, w=0, chi=chi)
-        states = iterate(build_search_channel(inst), uniform_state(n), horizon)
+        states = iterate(build_search_channel(inst), uniform_state(inst), horizon)
         probs = [s[0, 0].real for s in states]
         best = int(np.argmax(probs))
         assert angular_fidelity(states[best], inst) >= 1.0 - 1e-3
@@ -460,7 +462,7 @@ class TestTrajectoryReport:
         # det, not its square root, which is ill-conditioned as cos(2 psi) -> 0
         assert abs(a * d - b * c - bloch_contraction_factor(chi) ** 2) <= 2e-15
         rep = trajectory_report(inst, m_max)
-        s = uniform_plane_vector(n)
+        s = uniform_plane_vector(inst)
         blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)
         spectra = [eigvals_hermitian(block) for block in blocks]
         blochs = [_bloch_of_block(block) for block in blocks]
@@ -519,7 +521,7 @@ class TestTrajectoryReport:
         n, w = case
         inst = SearchInstance(n=n, w=w, chi=chi)
         rep = trajectory_report(inst, m_max)
-        states = iterate(build_search_channel(inst), uniform_state(n), m_max)
+        states = iterate(build_search_channel(inst), uniform_state(inst), m_max)
         for p_success, norm, ent, rho in zip(
             rep.p_success, rep.bloch_norm, rep.entropies, states
         ):

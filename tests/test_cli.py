@@ -161,10 +161,10 @@ class TestStderrContract:
             pytest.param(["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"],
                          "noise strength chi must be finite and >= 0, got -1.0",
                          id="sweep-chi-minus-1"),
-            (["search", "--chi", "1", "--n", "4", "--m", "0"],
-             "search: --m must be >= 1"),
-            (["sweep", "--chi", "1", "--n", "4", "--m", "0"],
-             "sweep: --m must be >= 1"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "0"],
+                         "iteration count m must be >= 1, got 0", id="search-m-0"),
+            pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "0"],
+                         "iteration count m must be >= 1, got 0", id="sweep-m-0"),
             (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
              "search: unknown format 'xml'"),
             (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],

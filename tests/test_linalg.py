@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from noisy_grover.errors import DegeneratePolar, DimensionMismatch, NotHermitian
 from noisy_grover.linalg import (
     matexp_i_hermitian,
-    partial_trace_env,
     polar_unitary_factor,
     unitarity_defect,
 )
@@ -119,42 +118,6 @@ class TestPolar:
             polar_unitary_factor(np.zeros((2, 2)))
         with pytest.raises(DegeneratePolar):
             polar_unitary_factor(np.diag([1.0, 0.0, 2.0]))
-
-
-class TestPartialTraceEnv:
-    def test_rank_one_environment(self, rng):
-        a = random_hermitian(rng, 3)
-        e00 = np.zeros((2, 2), dtype=complex)
-        e00[0, 0] = 1.0
-        m = np.kron(a, e00)
-        assert_allclose(partial_trace_env(m, 3, 2, 0, 0), a)
-        assert_allclose(partial_trace_env(m, 3, 2, 1, 0), np.zeros((3, 3)))
-
-    def test_product_blocks(self, rng):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 2)
-        m = np.kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                assert_allclose(partial_trace_env(m, 3, 2, i, j), b[i, j] * a)
-
-    def test_reconstruction(self, rng):
-        sys_dim, env_dim = 3, 2
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        acc = np.zeros((6, 6), dtype=complex)
-        for i in range(env_dim):
-            for j in range(env_dim):
-                block = partial_trace_env(m, sys_dim, env_dim, i, j)
-                e_ij = np.zeros((env_dim, env_dim), dtype=complex)
-                e_ij[i, j] = 1.0
-                acc += np.kron(block, e_ij)
-        assert_allclose(acc, m, atol=1e-14)
-
-    def test_dimension_checks(self):
-        with pytest.raises(DimensionMismatch):
-            partial_trace_env(np.eye(6), 4, 2, 0, 0)
-        with pytest.raises(DimensionMismatch):
-            partial_trace_env(np.eye(6), 3, 2, 2, 0)
 
 
 class TestEigvalsHermitian:

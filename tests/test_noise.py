@@ -8,7 +8,10 @@ from numpy.testing import assert_allclose
 
 from noisy_grover.channels import channel_choi_distance, unitary_channel
 from noisy_grover.errors import DegeneratePolar
+from noisy_grover.linalg import matexp_i_hermitian
 from noisy_grover.noise import (
+    PAULI_Y,
+    PAULI_Z,
     chi_star,
     closed_form_kraus,
     hamiltonian_kraus,
@@ -146,6 +149,19 @@ class TestHamiltonianKraus:
         assert overlap < 0.99 * norms  # not proportional
         assert choi_rank(ch) == 2
 
+    @pytest.mark.parametrize("chi", [0.0, 0.8, CHI_STAR_1, 7.716])
+    def test_environment_is_the_right_kron_factor(self, chi):
+        # R_i = (1 (x) <i|) U (1 (x) |0>), with the projectors built by np.kron
+        eye = np.eye(2)
+        h = math.pi / 4.0 * np.kron(PAULI_Y, eye) + chi / 2.0 * np.kron(
+            eye - PAULI_Z, PAULI_Y
+        )
+        u = matexp_i_hermitian(h)
+        ket0 = np.kron(eye, eye[:, [0]])
+        for i, op in enumerate(hamiltonian_kraus(chi).operators):
+            bra_i = np.kron(eye, eye[[i], :])
+            assert_allclose(op, bra_i @ u @ ket0, atol=1e-15)
+
 
 class TestChoiGap:
     def test_same_channel_distance_zero(self):
@@ -210,6 +226,7 @@ class TestChiStar:
     def test_frozen_values(self):
         assert chi_star(1) == pytest.approx(CHI_STAR_1, abs=1e-12)
         assert chi_star(2) == pytest.approx(CHI_STAR_2, abs=1e-12)
+        assert chi_star(np.int64(2)) == chi_star(2)
 
     def test_preconditioning_angle_vanishes(self):
         for n in range(1, 6):
@@ -218,6 +235,11 @@ class TestChiStar:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             chi_star(0)
+
+    @pytest.mark.parametrize("index", [2.5, math.nan, True, "3"])
+    def test_rejects_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="^index must be an integer, got "):
+            chi_star(index)
 
     def test_scan_oracle_confirms_closed_form(self):
         # root scan of psi finds exactly the closed-form zeros

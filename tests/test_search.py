@@ -11,7 +11,7 @@ from noisy_grover.channels import (
     choi_of_map,
     compose_channels,
 )
-from noisy_grover.errors import DegeneratePlane, DimensionMismatch, NotNormalized
+from noisy_grover.errors import DimensionMismatch, NotNormalized
 from noisy_grover.noise import chi_star, rotation_y
 from noisy_grover.search import (
     SearchInstance,
@@ -75,15 +75,12 @@ class TestInstance:
 
 class TestStatesAndReflections:
     def test_uniform_state_entries(self):
-        assert_allclose(uniform_state(2), np.full((2, 2), 0.5))
-        assert_allclose(uniform_state(4), np.full((4, 4), 0.25))
-        with pytest.raises(ValueError):
-            uniform_state(1)
-        with pytest.raises(DegeneratePlane):
-            uniform_plane_vector(1)
+        for n in (2, 4):
+            inst = SearchInstance(n=n, w=0, chi=0.0)
+            assert_allclose(uniform_state(inst), np.full((n, n), 1.0 / n))
 
     def test_uniform_state_is_rank_one(self):
-        rho = uniform_state(1024)
+        rho = uniform_state(SearchInstance(n=1024, w=0, chi=0.0))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         vals = np.linalg.eigvalsh(rho)
         assert vals[-1] == pytest.approx(1.0, abs=1e-10)
@@ -195,7 +192,7 @@ class TestApplyIterate:
     def test_iterate_base_cases(self):
         inst = SearchInstance(n=4, w=0, chi=0.7)
         t = build_search_channel(inst)
-        rho = uniform_state(4)
+        rho = uniform_state(inst)
         traj = iterate(t, rho, 0)
         assert traj.shape == (1, 4, 4)
         assert_allclose(traj[0], rho)
@@ -207,7 +204,7 @@ class TestApplyIterate:
     def test_iterate_rejects_wrong_dimension(self):
         t = build_search_channel(SearchInstance(n=4, w=0, chi=0.0))
         with pytest.raises(DimensionMismatch):
-            iterate(t, uniform_state(3), 2)
+            iterate(t, uniform_state(SearchInstance(n=3, w=0, chi=0.0)), 2)
 
     def test_iterate_equals_repeated_apply_exactly(self, rng):
         # iterate validates once and runs apply's arithmetic; every step
@@ -236,14 +233,14 @@ class TestApplyIterate:
         t = build_search_channel(inst)
         p = plane_basis(inst)
         complement = np.eye(8) - p @ p.conj().T
-        for state in iterate(t, uniform_state(8), 25):
+        for state in iterate(t, uniform_state(inst), 25):
             assert np.max(np.abs(complement @ state @ p)) <= 1e-10
 
     def test_trajectory_states_are_valid(self):
         for n, chi in ((16, 0.0), (16, 2.0), (64, 1.0), (64, chi_star(1))):
             inst = SearchInstance(n=n, w=0, chi=chi)
             t = build_search_channel(inst)
-            for state in iterate(t, uniform_state(n), 50):
+            for state in iterate(t, uniform_state(inst), 50):
                 check_density_matrix(state)
 
 
@@ -267,11 +264,11 @@ class TestProbabilities:
     def test_success_probability_basics(self):
         assert success_probability(target_state(4, 2), 2) == pytest.approx(1.0)
         assert success_probability(np.eye(5, dtype=complex) / 5, 0) == pytest.approx(0.2)
-        assert success_probability(uniform_state(4), 3) == pytest.approx(0.25)
+        assert success_probability(uniform_state(SearchInstance(n=4, w=0, chi=0.0)), 3) == pytest.approx(0.25)
 
     def test_success_probability_index_check(self):
         with pytest.raises(DimensionMismatch):
-            success_probability(uniform_state(4), 4)
+            success_probability(uniform_state(SearchInstance(n=4, w=0, chi=0.0)), 4)
 
     def test_ideal_reference_values(self):
         assert ideal_grover_probability(4, 1) == pytest.approx(1.0, abs=1e-12)
@@ -280,6 +277,11 @@ class TestProbabilities:
         for n, m in ((1, 0), (4, -1)):
             with pytest.raises(ValueError):
                 ideal_grover_probability(n, m)
+
+    @pytest.mark.parametrize("n, m", [(math.nan, 3), (4, math.nan)])
+    def test_ideal_reference_rejects_nan(self, n, m):
+        with pytest.raises(ValueError, match="got nan"):
+            ideal_grover_probability(n, m)
 
     def test_noiseless_simulator_matches_reference(self):
         # the plane report `search` emits; a4 checks the dense channel
