@@ -19,8 +19,6 @@ from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "KrausChannel",
-    "unitary_channel",
-    "apply_channel",
     "compose_channels",
     "choi_matrix",
     "choi_of_map",
@@ -83,24 +81,14 @@ class KrausChannel:
         return self.weights * norms / self.dim
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
-
-
-def unitary_channel(u) -> KrausChannel:
-    """The conjugation map rho -> u rho u^dagger."""
-    return KrausChannel((as_complex_matrix(u),))
-
-
-def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != channel.dim:
-        raise DimensionMismatch(
-            f"state dim {rho.shape[0]} != channel dim {channel.dim}"
-        )
-    out = np.zeros_like(rho)
-    for w, k in zip(channel.weights, channel.operators):
-        out += w * (k @ rho @ k.conj().T)
-    return out
+        """Apply the channel: sum_i w_i K_i rho K_i^dagger."""
+        rho = as_complex_matrix(rho)
+        if rho.shape[0] != self.dim:
+            raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {self.dim}")
+        out = np.zeros_like(rho)
+        for w, k in zip(self.weights, self.operators):
+            out += w * (k @ rho @ k.conj().T)
+        return out
 
 
 def compose_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:

@@ -74,12 +74,14 @@ class SearchInstance:
             float(self.n)
         except OverflowError:
             raise ValueError(
-                f"database size of {self.n.bit_length()} bits does not fit a float"
+                f"database size n of {self.n.bit_length()} bits does not fit a float"
             ) from None
         if self.n < 2:
-            raise ValueError(f"database size must be >= 2, got {self.n}")
+            raise ValueError(f"database size n must be >= 2, got {self.n}")
         if not 0 <= self.w < self.n:
-            raise ValueError(f"target index {self.w} out of range [0, {self.n})")
+            raise ValueError(
+                f"target index w must be in [0, n) = [0, {self.n}), got {self.w}"
+            )
         object.__setattr__(self, "chi", _require_nonnegative(self.chi))
 
 

@@ -4,12 +4,10 @@ from numpy.testing import assert_allclose
 
 from noisy_grover.channels import (
     KrausChannel,
-    apply_channel,
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
     compose_channels,
-    unitary_channel,
 )
 from noisy_grover.errors import DimensionMismatch, NotTracePreserving
 
@@ -61,13 +59,13 @@ class TestKrausChannel:
         ch = random_channel(rng, 4, 3)
         for _ in range(100):
             rho = random_density(rng, 4)
-            out = apply_channel(ch, rho)
+            out = ch(rho)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
     def test_apply_dimension_check(self, rng):
         with pytest.raises(DimensionMismatch):
-            apply_channel(random_channel(rng, 3, 2), np.eye(4) / 4)
+            random_channel(rng, 3, 2)(np.eye(4) / 4)
 
 
 class TestChoi:
@@ -79,8 +77,8 @@ class TestChoi:
 
     def test_global_phase_invariance(self, rng):
         u = random_unitary(rng, 3)
-        a = unitary_channel(u)
-        b = unitary_channel(np.exp(0.37j) * u)
+        a = KrausChannel((u,))
+        b = KrausChannel((np.exp(0.37j) * u,))
         assert channel_choi_distance(a, b) <= 1e-12
 
     def test_trace_equals_dimension(self, rng):
@@ -93,7 +91,7 @@ class TestChoi:
         for dim, n_ops in ((2, 2), (3, 3)):
             ch = random_channel(rng, dim, n_ops)
             direct = choi_matrix(ch)
-            functional = choi_of_map(lambda r: apply_channel(ch, r), dim)
+            functional = choi_of_map(ch, dim)
             assert np.linalg.norm(direct - functional) <= 1e-10
 
     def test_distinguishes_distinct_unitaries(self, rng):
@@ -104,7 +102,7 @@ class TestChoi:
             aligned_distance = np.sqrt(max(2 * 3 - 2 * overlap, 0.0))
             if aligned_distance <= 1e-3:
                 continue
-            gap = channel_choi_distance(unitary_channel(u), unitary_channel(v))
+            gap = channel_choi_distance(KrausChannel((u,)), KrausChannel((v,)))
             assert gap > 1e-4
 
     def test_choi_rank_counts_kraus_operators(self, rng):
@@ -138,7 +136,7 @@ class TestCompose:
         a = random_channel(rng, 3, 2)
         b = random_channel(rng, 3, 3)
         composed = choi_matrix(compose_channels(a, b))
-        sequential = choi_of_map(lambda r: apply_channel(a, apply_channel(b, r)), 3)
+        sequential = choi_of_map(lambda r: a(b(r)), 3)
         assert np.linalg.norm(composed - sequential) <= 1e-10
 
     def test_mixed_unitary_composition_is_unital(self, rng):
@@ -147,9 +145,7 @@ class TestCompose:
         a = KrausChannel(ops_a, np.array([0.3, 0.7]))
         b = KrausChannel(ops_b, np.array([0.5, 0.5]))
         mixed = compose_channels(a, b)
-        assert np.linalg.norm(
-            apply_channel(mixed, np.eye(4) / 4) - np.eye(4) / 4
-        ) <= 1e-12
+        assert np.linalg.norm(mixed(np.eye(4) / 4) - np.eye(4) / 4) <= 1e-12
 
     def test_dimension_check(self, rng):
         with pytest.raises(DimensionMismatch):

@@ -191,6 +191,16 @@ class TestStderrContract:
             pytest.param(["kraus", "--chi", "-1"],
                          "noise strength chi must be finite and >= 0, got -1.0",
                          id="kraus-chi-minus-1"),
+            pytest.param(["search", "--chi", "1", "--n", "1", "--m", "3"],
+                         "database size n must be >= 2, got 1", id="search-n-1"),
+            pytest.param(["sweep", "--chi", "1", "--n", "4", "1", "--m", "3"],
+                         "database size n must be >= 2, got 1", id="sweep-n-4-1"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "4"],
+                         "target index w must be in [0, n) = [0, 4), got 4",
+                         id="search-target-4"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "-1"],
+                         "target index w must be in [0, n) = [0, 4), got -1",
+                         id="search-target-minus-1"),
             # a flag is an explicit request; a config out_dir stays a default
             pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
                          "sweep: --out-dir needs --per-cell",
@@ -495,7 +505,9 @@ class TestVerify:
         capsys.readouterr()
 
     def test_failed_hard_check_exits_two(self, tmp_path, monkeypatch, capsys):
-        failed = VerificationReport(checks=[CheckResult("x", False, 1.0, "d")])
+        failed = VerificationReport(
+            checks=[CheckResult("x", False, 1.0, "d")], discrepancies=[]
+        )
         monkeypatch.setattr(cli, "run_verification", lambda seed: failed)
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 2

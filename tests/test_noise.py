@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.channels import channel_choi_distance, unitary_channel
+from noisy_grover.channels import KrausChannel, channel_choi_distance
 from noisy_grover.errors import DegeneratePolar
 from noisy_grover.linalg import matexp_i_hermitian
 from noisy_grover.noise import (
@@ -130,7 +130,7 @@ class TestHamiltonianKraus:
         ch = hamiltonian_kraus(0.0)
         assert_allclose(ch.operators[0], rotation_y(math.pi / 4), atol=1e-14)
         assert np.linalg.norm(ch.operators[1]) <= 1e-14
-        gap = channel_choi_distance(ch, unitary_channel(rotation_y(math.pi / 4)))
+        gap = channel_choi_distance(ch, KrausChannel((rotation_y(math.pi / 4),)))
         assert gap <= 1e-10
 
     def test_completeness_on_grid(self):
@@ -187,7 +187,7 @@ class TestNearestUnitaryPair:
         for op in ch.operators:
             assert_allclose(op, np.eye(2), atol=1e-15)
 
-    def test_magic_point_is_unitary_channel(self):
+    def test_magic_point_is_one_unitary(self):
         ch = nearest_unitary_pair(CHI_STAR_1)
         assert_allclose(ch.operators[0], ch.operators[1], atol=1e-10)
         assert choi_rank(ch) == 1

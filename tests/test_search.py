@@ -143,7 +143,7 @@ class TestBuildChannel:
         for op in t.operators:
             assert_allclose(op, expected, atol=1e-12)
 
-    def test_magic_strength_gives_unitary_channel(self):
+    def test_magic_strength_gives_one_unitary(self):
         for order in (1, 2):
             inst = SearchInstance(n=8, w=0, chi=chi_star(order))
             t = build_search_channel(inst)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from noisy_grover.noise import chi_star
 from noisy_grover.verify import DiscrepancyRecord, _aligned_distance, run_verification
 
 
@@ -54,12 +57,40 @@ def test_report_serialization_roundtrip(report):
     assert isinstance(payload["checks"], list)
     assert isinstance(payload["discrepancies"], list)
     record = DiscrepancyRecord(kind="prop1_choi_gap", chi=0.0, magnitude=2.0, detail="x")
-    assert record.to_dict() == {
+    assert dataclasses.asdict(record) == {
         "kind": "prop1_choi_gap",
         "chi": 0.0,
         "magnitude": 2.0,
         "detail": "x",
     }
+
+
+def test_output_order(report):
+    # the order of checks and records is the order of the printed and
+    # written report
+    assert [c.name for c in report.checks] == [
+        "completeness_grid",
+        "magic_psi_zero",
+        "psi_zero_scan",
+        "noiseless_reference",
+        "noiseless_channel_is_rotation",
+        "composition_stays_mixed_unitary",
+        "unitality",
+        "entropy_majorization_chain",
+        "bloch_contraction_constant",
+    ]
+    assert [(d.kind, d.chi) for d in report.discrepancies] == [
+        *(("prop1_choi_gap", chi) for chi in (0.0, 0.5, 1.0, 2.0, 5.0, chi_star(1))),
+        *(("prop2_phase_gap", chi) for chi in (0.5, 2.0, 5.0, 8.0, 11.0)),
+        ("prop3_normalization", chi_star(1)),
+        ("prop3_exponent", 2.0),
+    ]
+    payload = report.to_dict()
+    assert list(payload) == ["checks", "discrepancies", "all_hard_passed"]
+    assert all(list(c) == ["name", "passed", "worst", "detail"] for c in payload["checks"])
+    assert all(
+        list(d) == ["kind", "chi", "magnitude", "detail"] for d in payload["discrepancies"]
+    )
 
 
 def test_seeded_runs_are_reproducible():
