@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .noise import scalar_profile
+from .noise import _require_count, scalar_profile
 from .search import SearchInstance, bloch_map, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
@@ -36,7 +36,6 @@ __all__ = [
     "TrajectoryReport",
     "closed_form_fidelities",
     "bloch_contraction_factor",
-    "entropy_from_spectrum",
     "trajectory_report",
     "trajectory_violations",
 ]
@@ -125,8 +124,7 @@ def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
     normalization.  Two arrays of m_max + 1 entries, each entry carrying
     the bits of the formulas evaluated in Python floats.
     """
-    if m_max < 0:
-        raise ValueError(f"iteration count must be >= 0, got {m_max}")
+    m_max = _require_count("iteration count m", m_max, 0)
     n, chi = inst.n, inst.chi
     psi = scalar_profile(chi).psi
     alpha = math.acos(1.0 / math.sqrt(n))
@@ -149,18 +147,10 @@ def bloch_contraction_factor(chi: float) -> float:
     return abs(math.cos(2.0 * scalar_profile(chi).psi))
 
 
-def entropy_from_spectrum(values: np.ndarray):
-    """-sum l ln(l) in nats, treating values below the floor as zero.
-
-    A (..., k) array of spectra gives a (...) array of entropies; a single
-    spectrum gives a float.
-    """
-    vals = np.asarray(values, dtype=float)
-    kept = vals > EIGENVALUE_FLOOR
-    terms = np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0)
-    # 0.0 - x, not -x: a pure state's entropy is +0.0, not -0.0
-    result = 0.0 - np.sum(terms, axis=-1)
-    return float(result) if result.ndim == 0 else result
+def _xlogx(values: np.ndarray) -> np.ndarray:
+    """l ln(l) for each eigenvalue l, and 0 where l is at most EIGENVALUE_FLOOR."""
+    kept = values > EIGENVALUE_FLOOR
+    return np.where(kept, values * np.log(np.where(kept, values, 1.0)), 0.0)
 
 
 def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
@@ -170,10 +160,11 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     the 2x2 matrix bloch_map(inst), at a cost independent of n.  The
     (m_max+1, 2) array is allocated first, so an m_max too large for memory
     raises MemoryError at once.  Every column is read off x and z, with the
-    spectrum ((1 + r)/2, (1 - r)/2) for the Bloch norm r; the closed forms
-    come from one closed_form_fidelities(inst, m_max) call over all m.
-    m_max < 1 raises ValueError naming m; it is the one check of the
-    iteration count that search and sweep run.
+    spectrum (top, bottom) = ((1 + r)/2, (1 - r)/2) for the Bloch norm r
+    and its entropy -(top ln top + bottom ln bottom); the closed forms come
+    from one closed_form_fidelities(inst, m_max) call over all m.  An m_max
+    that is not an integer >= 1 raises ValueError naming m; search and sweep
+    check --m here and nowhere else.
 
     Each spectrum has two entries, so majorization is one comparison of
     the larger eigenvalues top = (1 + r)/2: step m is majorized by an
@@ -183,8 +174,7 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     subtraction; (1 + r)/2 + (1 - r)/2 is 1 within 2 ulp, so the second
     gap, and the sum-to-1 precondition, always pass.
     """
-    if m_max < 1:
-        raise ValueError(f"iteration count m must be >= 1, got {m_max}")
+    m_max = _require_count("iteration count m", m_max, 1)
     (a, b), (c, d) = bloch_map(inst).tolist()
     s0, s1 = uniform_plane_vector(inst).tolist()
     x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
@@ -202,7 +192,9 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     f_closed, cos_gamma_closed = closed_form_fidelities(inst, m_max)
     spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
 
-    top = spectra[:, 0]  # both flags are True at m = 0, which has no earlier step
+    top, bottom = spectra[:, 0], spectra[:, 1]
+    entropies = 0.0 - (_xlogx(top) + _xlogx(bottom))  # +0.0, not -0.0, when pure
+    # both flags are True at m = 0, which has no earlier step
     majorized_by_prev = np.concatenate([[True], top[1:] - top[:-1] <= MAJORIZATION_ATOL])
     majorized_by_init = np.concatenate([[True], top[1:] - top[0] <= MAJORIZATION_ATOL])
     return TrajectoryReport(
@@ -215,7 +207,7 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
         cos_gamma=cos_gamma,
         f_closed=f_closed,
         cos_gamma_closed=cos_gamma_closed,
-        entropies=entropy_from_spectrum(spectra),
+        entropies=entropies,
         spectra=spectra,
         majorized_by_prev=majorized_by_prev,
         majorized_by_init=majorized_by_init,

@@ -54,6 +54,14 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
+def _require_count(name: str, value, minimum: int) -> int:
+    """value as an int, or ValueError naming it unless it is an integer >= minimum."""
+    value = _require_integer(name, value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _require_nonnegative(chi: float) -> float:
     """chi as a float, or ValueError unless it is finite and in [0, CHI_MAX].
 
@@ -174,9 +182,7 @@ def chi_star(n: int) -> float:
     At these values mu = n*pi exactly, delta = 0, and psi = 0, so the
     preconditioned search channel collapses to a single unitary.
     """
-    n = _require_integer("index", n)
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
+    n = _require_count("index", n, 1)
     return math.pi * math.sqrt(4.0 * n * n - 0.25)
 
 

@@ -18,10 +18,9 @@ is kept, with iterate, as the independent oracle for tests and verification.
 Modelling assumption: embed_plane_rotation acts on span{|w>, |r>}, so it
 needs w, and every step carries target information beyond its one I_w
 query.  At chi_1 and m = 8, p_success is 0.9982 at n = 2^20 and 0.9994 at
-n = 2^40, while no 8-query algorithm exceeds
-ideal_grover_probability(2^40, 8) = 2.6e-10 (Bennett, Bernstein, Brassard
-& Vazirani 1997; Zalka 1999).  The model is the paper's; it is not an
-algorithm in the query model.
+n = 2^40, where ideal_grover_probability, the best any 8-query algorithm
+reaches, is 2.6e-10 (Bennett, Bernstein, Brassard & Vazirani 1997; Zalka
+1999).  The model is the paper's; it is not an algorithm in the query model.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ import numpy as np
 from .channels import KrausChannel
 from .errors import DimensionMismatch, NotNormalized
 from .linalg import as_complex_matrix, unitarity_defect
-from .noise import _require_integer, _require_nonnegative, nearest_unitary_pair
+from .noise import _require_count, _require_integer, _require_nonnegative
+from .noise import nearest_unitary_pair
 from .tolerances import UNITARITY_ATOL
 
 __all__ = [
@@ -139,17 +139,16 @@ def plane_channel(inst: SearchInstance) -> KrausChannel:
     """t restricted to the search plane: 2x2 operators V_i I_s V_i^dag I_w.
 
     On the basis {|w>, |r>} the rotations V_i act unembedded, I_s reflects
-    about uniform_plane_vector(inst) and I_w = diag(-1, 1); weights are 1/2.
-    Iterated from |s><s| it gives the plane block of t^m(|s><s|), whose
-    entries outside the plane are exact zeros, at any n.
+    about uniform_plane_vector(inst) and I_w = diag(-1, 1); the weights are
+    nearest_unitary_pair's 1/2.  Iterated from |s><s| it gives the plane
+    block of t^m(|s><s|), whose entries outside the plane are exact zeros,
+    at any n.
     """
+    pair = nearest_unitary_pair(inst.chi)
     refl_s = reflection(uniform_plane_vector(inst))
     refl_w = np.diag([-1.0, 1.0])
-    ops = tuple(
-        v @ refl_s @ v.conj().T @ refl_w
-        for v in nearest_unitary_pair(inst.chi).operators
-    )
-    return KrausChannel(ops, np.array([0.5, 0.5]))
+    ops = tuple(v @ refl_s @ v.conj().T @ refl_w for v in pair.operators)
+    return KrausChannel(ops, pair.weights)
 
 
 def bloch_map(inst: SearchInstance) -> np.ndarray:
@@ -165,7 +164,7 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
 
 
 def build_search_channel(inst: SearchInstance) -> KrausChannel:
-    """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, weights 1/2.
+    """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, the pair's weights.
 
     Each operator is unitary (a product of unitaries), so t is
     mixed-unitary and hence unital.
@@ -180,7 +179,7 @@ def build_search_channel(inst: SearchInstance) -> KrausChannel:
     for v in pair.operators:
         lifted = embed_plane_rotation(v, inst)
         ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
-    return KrausChannel(tuple(ops), np.array([0.5, 0.5]))
+    return KrausChannel(tuple(ops), pair.weights)
 
 
 def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
@@ -190,8 +189,7 @@ def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
     up front: an m too large for memory raises MemoryError before any step
     runs.
     """
-    if m < 0:
-        raise ValueError(f"iteration count must be >= 0, got {m}")
+    m = _require_count("iteration count m", m, 0)
     rho = as_complex_matrix(rho)
     if rho.shape[0] != kraus.dim:
         raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {kraus.dim}")
@@ -210,15 +208,11 @@ def success_probability(rho: np.ndarray, w: int) -> float:
     return float(rho[w, w].real)
 
 
-def ideal_grover_probability(n: int, m: int) -> float:
+def ideal_grover_probability(inst: SearchInstance, m: int) -> float:
     """Noiseless reference: sin^2((2m+1) arcsin(1/sqrt(n))).
 
     Closed-form success probability of m two-reflection iterations from
-    the uniform state; the chi = 0 channel must match this.  The checks
-    are written to fail on nan.
+    the uniform state; the chi = 0 channel must match this.
     """
-    if not n >= 2:
-        raise ValueError(f"database size must be >= 2, got {n}")
-    if not m >= 0:
-        raise ValueError(f"iteration count must be >= 0, got {m}")
-    return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2)
+    m = _require_count("iteration count m", m, 0)
+    return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(inst.n))) ** 2)

@@ -140,7 +140,7 @@ def _noiseless_reference() -> CheckResult:
         states = iterate(build_search_channel(inst), uniform_state(inst), 30)
         plane = trajectory_report(inst, 30).p_success.tolist()
         for m in range(31):
-            ideal = ideal_grover_probability(n, m)
+            ideal = ideal_grover_probability(inst, m)
             dense = success_probability(states[m], 0)
             worst = max(worst, abs(dense - ideal), abs(plane[m] - ideal))
     return CheckResult(

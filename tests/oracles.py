@@ -2,10 +2,11 @@
 
 None of the CLI's commands reaches these; they check the package from
 outside it.  They extract the Bloch vector, angular fidelity and von
-Neumann entropy from dense n x n states, validate density matrices,
-count Choi ranks, and rerun the plane channel in mpmath (a test
-dependency, not a runtime one).  Tests import them as `from oracles
-import ...`, the way they import `from conftest import ...`.
+Neumann entropy from dense n x n states, take the entropy of any stack
+of spectra, validate density matrices, count Choi ranks, and rerun the
+plane channel in mpmath (a test dependency, not a runtime one).  Tests
+import them as `from oracles import ...`, the way they import
+`from conftest import ...`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisy_grover.analysis import entropy_from_spectrum
 from noisy_grover.channels import KrausChannel, choi_matrix
 from noisy_grover.errors import DimensionMismatch, NoisyGroverError
 from noisy_grover.linalg import (
@@ -27,6 +27,7 @@ from noisy_grover.search import SearchInstance, plane_basis
 from noisy_grover.tolerances import (
     BLOCH_ZERO_ATOL,
     CHOI_RANK_ATOL,
+    EIGENVALUE_FLOOR,
     HERMITICITY_ATOL,
     PLANE_RESIDUAL_ATOL,
     PLANE_TRACE_ATOL,
@@ -153,6 +154,20 @@ def angular_fidelity(rho: np.ndarray, inst: SearchInstance) -> float:
     if bloch.norm <= BLOCH_ZERO_ATOL:
         raise ZeroBlochVector(f"Bloch norm {bloch.norm:.3e} has no direction")
     return bloch.z / bloch.norm
+
+
+def entropy_from_spectrum(values: np.ndarray):
+    """-sum l ln(l) in nats, treating values below the floor as zero.
+
+    A (..., k) array of spectra gives a (...) array of entropies; a single
+    spectrum gives a float.
+    """
+    vals = np.asarray(values, dtype=float)
+    kept = vals > EIGENVALUE_FLOOR
+    terms = np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0)
+    # 0.0 - x, not -x: a pure state's entropy is +0.0, not -0.0
+    result = 0.0 - np.sum(terms, axis=-1)
+    return float(result) if result.ndim == 0 else result
 
 
 def entropy(rho: np.ndarray) -> float:

@@ -124,7 +124,7 @@ def test_a4_noiseless_limit_matches_reference():
         states = iterate(build_search_channel(inst), uniform_state(inst), 30)
         for m in range(31):
             sim = success_probability(states[m], 0)
-            worst = max(worst, abs(sim - ideal_grover_probability(n, m)))
+            worst = max(worst, abs(sim - ideal_grover_probability(inst, m)))
     inst4 = SearchInstance(n=4, w=0, chi=0.0)
     single = success_probability(
         iterate(build_search_channel(inst4), uniform_state(inst4), 1)[1], 0

@@ -10,7 +10,6 @@ from noisy_grover.analysis import (
     FidelityPoint,
     bloch_contraction_factor,
     closed_form_fidelities,
-    entropy_from_spectrum,
     trajectory_report,
 )
 from noisy_grover.errors import DimensionMismatch
@@ -37,6 +36,7 @@ from oracles import (
     bloch_from_density,
     eigvals_hermitian,
     entropy,
+    entropy_from_spectrum,
     high_precision_bloch_norms,
     target_state,
 )
@@ -289,6 +289,17 @@ class TestEntropy:
             assert isinstance(single, float)
             assert np.float64(single).tobytes() == value.tobytes()
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        chi=st.one_of(st.floats(0.0, 13.0), st.just(chi_star(1))),
+        n=st.integers(2, 2**40),
+        m_max=st.integers(1, 2000),
+    )
+    def test_report_entropy_is_the_general_form(self, chi, n, m_max):
+        # the report's two-entry entropy carries the general formula's bits
+        rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), m_max)
+        assert rep.entropies.tobytes() == entropy_from_spectrum(rep.spectra).tobytes()
+
 
 class TestMajorization:
     def test_two_level_orderings(self):
@@ -434,10 +445,11 @@ class TestTrajectoryReport:
         # the plane path costs the same at any n; the noiseless run must
         # still match the closed-form reference exactly
         for n in (300, 2**40):
-            rep = trajectory_report(SearchInstance(n=n, w=n - 1, chi=0.0), 10)
+            inst = SearchInstance(n=n, w=n - 1, chi=0.0)
+            rep = trajectory_report(inst, 10)
             for m, p_success in enumerate(rep.p_success):
                 assert p_success == pytest.approx(
-                    ideal_grover_probability(n, m), abs=1e-9
+                    ideal_grover_probability(inst, m), abs=1e-9
                 )
             for spectrum in rep.spectra:
                 assert len(spectrum) == 2

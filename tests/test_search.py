@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from noisy_grover.analysis import trajectory_report
+from noisy_grover.analysis import closed_form_fidelities, trajectory_report
 from noisy_grover.channels import (
     channel_choi_distance,
     choi_matrix,
@@ -57,6 +58,7 @@ class TestInstance:
             (4, 1.0, 0.0),
             (4, False, 0.0),
             (10**400, 0, 0.0),  # does not fit a float
+            (math.nan, 0, 0.0),
         ]
         for n, w, chi in bad:
             with pytest.raises(ValueError):
@@ -271,26 +273,59 @@ class TestProbabilities:
             success_probability(uniform_state(SearchInstance(n=4, w=0, chi=0.0)), 4)
 
     def test_ideal_reference_values(self):
-        assert ideal_grover_probability(4, 1) == pytest.approx(1.0, abs=1e-12)
-        assert ideal_grover_probability(4, 0) == pytest.approx(0.25, abs=1e-14)
-        assert ideal_grover_probability(100, 7) == pytest.approx(IDEAL_100_7, abs=1e-14)
-        for n, m in ((1, 0), (4, -1)):
-            with pytest.raises(ValueError):
-                ideal_grover_probability(n, m)
+        inst4, inst100 = (SearchInstance(n=n, w=0, chi=0.0) for n in (4, 100))
+        assert ideal_grover_probability(inst4, 1) == pytest.approx(1.0, abs=1e-12)
+        assert ideal_grover_probability(inst4, 0) == pytest.approx(0.25, abs=1e-14)
+        assert ideal_grover_probability(inst100, 7) == pytest.approx(IDEAL_100_7, abs=1e-14)
+        with pytest.raises(ValueError):
+            ideal_grover_probability(inst4, -1)
 
-    @pytest.mark.parametrize("n, m", [(math.nan, 3), (4, math.nan)])
+    # a nan n is refused by SearchInstance, a nan m by the step-count check
+    @pytest.mark.parametrize("n, m", [(4, math.nan), (math.nan, 3)])
     def test_ideal_reference_rejects_nan(self, n, m):
         with pytest.raises(ValueError, match="got nan"):
-            ideal_grover_probability(n, m)
+            ideal_grover_probability(SearchInstance(n=n, w=0, chi=0.0), m)
 
     def test_noiseless_simulator_matches_reference(self):
         # the plane report `search` emits; a4 checks the dense channel
         for n in (4, 16, 64):
-            report = trajectory_report(SearchInstance(n=n, w=0, chi=0.0), 30)
+            inst = SearchInstance(n=n, w=0, chi=0.0)
+            report = trajectory_report(inst, 30)
             for m in range(31):
                 assert report.p_success[m] == pytest.approx(
-                    ideal_grover_probability(n, m), abs=1e-9
+                    ideal_grover_probability(inst, m), abs=1e-9
                 )
+
+
+_COUNT_INST = SearchInstance(n=4, w=0, chi=1.0)
+BELOW_FLOOR = object()
+
+
+class TestCountRule:
+    # every step count and chi_star's index pass noise._require_count
+    @pytest.mark.parametrize(
+        "call, name, floor",
+        [
+            (lambda m: trajectory_report(_COUNT_INST, m), "iteration count m", 1),
+            (lambda m: closed_form_fidelities(_COUNT_INST, m), "iteration count m", 0),
+            (lambda m: iterate(plane_channel(_COUNT_INST), np.eye(2) / 2, m),
+             "iteration count m", 0),
+            (lambda m: ideal_grover_probability(_COUNT_INST, m), "iteration count m", 0),
+            (chi_star, "index", 1),
+        ],
+        ids=["trajectory_report", "closed_form_fidelities", "iterate",
+             "ideal_grover_probability", "chi_star"],
+    )
+    @pytest.mark.parametrize(
+        "value", [2.5, True, math.nan, BELOW_FLOOR],
+        ids=["2.5", "True", "nan", "below-floor"],
+    )
+    def test_bad_count_is_rejected(self, call, name, floor, value):
+        if value is BELOW_FLOOR:
+            value = floor - 1
+        message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
 
 
 class TestDensityValidation:
