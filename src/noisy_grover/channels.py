@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotTracePreserving
 from .linalg import as_complex_matrix, unitarity_defect
-from .tolerances import TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import TRACE_ATOL
 
 __all__ = [
     "KrausChannel",
@@ -69,9 +69,6 @@ class KrausChannel:
 
     def unitarity_defects(self) -> np.ndarray:
         return np.array([unitarity_defect(k) for k in self.operators])
-
-    def is_mixed_unitary(self) -> bool:
-        return bool(np.max(self.unitarity_defects()) <= UNITARITY_ATOL)
 
     def fractional_weights(self) -> np.ndarray:
         """Probability each operator carries: w_i tr(K_i^dag K_i) / dim."""

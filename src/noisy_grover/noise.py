@@ -38,6 +38,7 @@ __all__ = [
     "hamiltonian_kraus",
     "nearest_unitary_pair",
     "nearest_unitary_oracle",
+    "CHI_STAR_MAX_INDEX",
     "chi_star",
     "psi_zero_scan",
 ]
@@ -54,11 +55,16 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
-def _require_count(name: str, value, minimum: int) -> int:
-    """value as an int, or ValueError naming it unless it is an integer >= minimum."""
+def _require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """value as an int, or ValueError naming it unless it is an integer >= minimum.
+
+    A maximum other than None is a ceiling, checked the same way.
+    """
     value = _require_integer(name, value)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -176,13 +182,18 @@ def nearest_unitary_oracle(chi: float) -> KrausChannel:
     return KrausChannel(factors, np.array([0.5, 0.5]))
 
 
+# The last index whose chi_star is at most CHI_MAX (4503599627370493.5 there).
+CHI_STAR_MAX_INDEX = 716770142402832
+
+
 def chi_star(n: int) -> float:
     """The n-th magic noise strength pi * sqrt(4 n^2 - 1/4), n >= 1.
 
     At these values mu = n*pi exactly, delta = 0, and psi = 0, so the
-    preconditioned search channel collapses to a single unitary.
+    preconditioned search channel collapses to a single unitary.  An index
+    past CHI_STAR_MAX_INDEX, whose strength exceeds CHI_MAX, is refused.
     """
-    n = _require_count("index", n, 1)
+    n = _require_count("index", n, 1, CHI_STAR_MAX_INDEX)
     return math.pi * math.sqrt(4.0 * n * n - 0.25)
 
 

@@ -1,4 +1,4 @@
-"""The N-item search: reflections, plane embedding, the mixed channel.
+"""The N-item search: reflections, the plane channel, the dense oracle.
 
 One iteration of the noisy search is the channel
 t(rho) = 1/2 sum_i (V~_i I_s V~_i^dag I_w) rho (...)^dag, where I_s and
@@ -15,12 +15,13 @@ matrix it applies to the Bloch vector (x, z); neither cost depends on n.
 build_search_channel assembles the same map densely in n dimensions and
 is kept, with iterate, as the independent oracle for tests and verification.
 
-Modelling assumption: embed_plane_rotation acts on span{|w>, |r>}, so it
-needs w, and every step carries target information beyond its one I_w
-query.  At chi_1 and m = 8, p_success is 0.9982 at n = 2^20 and 0.9994 at
-n = 2^40, where ideal_grover_probability, the best any 8-query algorithm
-reaches, is 2.6e-10 (Bennett, Bernstein, Brassard & Vazirani 1997; Zalka
-1999).  The model is the paper's; it is not an algorithm in the query model.
+Modelling assumption: the rotations act on span{|w>, |r>}, so
+build_search_channel's lift and plane_channel both need w, and every step
+carries target information beyond its one I_w query.  At chi_1 and m = 8,
+p_success is 0.9982 at n = 2^20 and 0.9994 at n = 2^40, where
+ideal_grover_probability, the best any 8-query algorithm reaches, is
+2.6e-10 (Bennett, Bernstein, Brassard & Vazirani 1997; Zalka 1999).  The
+model is the paper's; it is not an algorithm in the query model.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import DimensionMismatch, NotNormalized
-from .linalg import as_complex_matrix, unitarity_defect
+from .linalg import as_complex_matrix
 from .noise import _require_count, _require_integer, _require_nonnegative
 from .noise import nearest_unitary_pair
 from .tolerances import UNITARITY_ATOL
@@ -41,8 +42,6 @@ __all__ = [
     "SearchInstance",
     "uniform_state",
     "reflection",
-    "plane_basis",
-    "embed_plane_rotation",
     "uniform_plane_vector",
     "plane_channel",
     "bloch_map",
@@ -102,34 +101,6 @@ def reflection(v) -> np.ndarray:
     return np.eye(v.size, dtype=complex) - 2.0 * np.outer(v, v.conj())
 
 
-def plane_basis(inst: SearchInstance) -> np.ndarray:
-    """Columns {|w>, |r>}: the target and the normalized rest of |s>.
-
-    Returns an (n, 2) matrix with orthonormal real columns spanning the
-    invariant search plane.
-    """
-    basis = np.zeros((inst.n, 2), dtype=complex)
-    basis[inst.w, 0] = 1.0
-    rest = np.full(inst.n, 1.0 / np.sqrt(inst.n - 1.0))
-    rest[inst.w] = 0.0
-    basis[:, 1] = rest
-    return basis
-
-
-def embed_plane_rotation(v2, inst: SearchInstance) -> np.ndarray:
-    """Lift a 2x2 unitary to n dimensions on the ordered basis {|w>, |r>}.
-
-    Identity on the orthogonal complement of the search plane.
-    """
-    v2 = as_complex_matrix(v2)
-    if v2.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 matrix, got {v2.shape}")
-    if unitarity_defect(v2) > UNITARITY_ATOL:
-        raise DimensionMismatch("plane rotation must be unitary")
-    p = plane_basis(inst)
-    return np.eye(inst.n, dtype=complex) + p @ (v2 - np.eye(2)) @ p.conj().T
-
-
 def uniform_plane_vector(inst: SearchInstance) -> np.ndarray:
     """|s> on the plane basis {|w>, |r>}: (1/sqrt n, sqrt((n-1)/n))."""
     return np.array([1.0 / math.sqrt(inst.n), math.sqrt((inst.n - 1) / inst.n)])
@@ -166,10 +137,17 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
 def build_search_channel(inst: SearchInstance) -> KrausChannel:
     """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, the pair's weights.
 
-    Each operator is unitary (a product of unitaries), so t is
-    mixed-unitary and hence unital.
+    V~_i = 1 + P (V_i - 1) P^dag lifts each rotation of the pair, where
+    P is the (n, 2) matrix of orthonormal columns {|w>, |r>}, the target
+    and the normalized rest of |s>: V_i on the plane, the identity on its
+    complement.  Each operator is unitary (a product of unitaries), so t
+    is mixed-unitary and hence unital.
     """
     pair = nearest_unitary_pair(inst.chi)
+    p = np.zeros((inst.n, 2), dtype=complex)
+    p[inst.w, 0] = 1.0
+    p[:, 1] = 1.0 / np.sqrt(inst.n - 1.0)
+    p[inst.w, 1] = 0.0
     s = np.full(inst.n, 1.0 / np.sqrt(inst.n))
     refl_s = reflection(s)
     e_w = np.zeros(inst.n)
@@ -177,7 +155,7 @@ def build_search_channel(inst: SearchInstance) -> KrausChannel:
     refl_w = reflection(e_w)
     ops = []
     for v in pair.operators:
-        lifted = embed_plane_rotation(v, inst)
+        lifted = np.eye(inst.n, dtype=complex) + p @ (v - np.eye(2)) @ p.conj().T
         ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
     return KrausChannel(tuple(ops), pair.weights)
 

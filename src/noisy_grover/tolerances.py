@@ -17,9 +17,6 @@ TRACE_ATOL = 1e-10
 # Agreement between a computation and its independent oracle.
 ORACLE_ATOL = 1e-9
 
-# Choi eigenvalues at or below this do not count towards a channel's rank.
-CHOI_RANK_ATOL = 1e-8
-
 # Smallest singular value below which a polar factor is considered
 # undefined (the nearest unitary is non-unique at singularity).
 SINGULARITY_FLOOR = 1e-10
@@ -36,11 +33,6 @@ MAJORIZATION_ATOL = 1e-10
 
 # Largest entropy drop between consecutive steps a trajectory may show.
 ENTROPY_DROP_ATOL = 1e-12
-
-# Search-plane support: residual outside the plane, and minimum plane
-# trace, before Bloch extraction refuses the state.
-PLANE_RESIDUAL_ATOL = 1e-8
-PLANE_TRACE_ATOL = 1e-6
 
 # Bloch vectors shorter than this have no direction.
 BLOCH_ZERO_ATOL = 1e-10

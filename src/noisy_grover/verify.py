@@ -27,6 +27,7 @@ from .channels import (
     compose_channels,
 )
 from .noise import (
+    _require_count,
     chi_star,
     closed_form_kraus,
     hamiltonian_kraus,
@@ -290,8 +291,9 @@ def run_verification(seed: int = 0) -> VerificationReport:
 
     seed draws the 100 completeness strengths and the ten composition
     channels; every other check runs on fixed inputs.  The two lists
-    below are the output order.
+    below are the output order.  seed must be an integer >= 0.
     """
+    seed = _require_count("seed", seed, 0)
     ratios = _contraction_ratios()
     return VerificationReport(
         checks=[

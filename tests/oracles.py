@@ -1,9 +1,10 @@
 """Dense and high-precision oracles that only the tests use.
 
 None of the CLI's commands reaches these; they check the package from
-outside it.  They extract the Bloch vector, angular fidelity and von
-Neumann entropy from dense n x n states, take the entropy of any stack
-of spectra, validate density matrices, count Choi ranks, and rerun the
+outside it.  They build the search plane's basis, extract the Bloch
+vector, angular fidelity and von Neumann entropy from dense n x n states,
+take the entropy of any stack of spectra, validate density matrices,
+count Choi ranks, give the Bloch trajectory in closed form, and rerun the
 plane channel in mpmath (a test dependency, not a runtime one).  Tests
 import them as `from oracles import ...`, the way they import
 `from conftest import ...`.
@@ -23,17 +24,23 @@ from noisy_grover.linalg import (
     hermiticity_defect,
     require_hermitian,
 )
-from noisy_grover.search import SearchInstance, plane_basis
+from noisy_grover.noise import scalar_profile
+from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import (
     BLOCH_ZERO_ATOL,
-    CHOI_RANK_ATOL,
     EIGENVALUE_FLOOR,
     HERMITICITY_ATOL,
-    PLANE_RESIDUAL_ATOL,
-    PLANE_TRACE_ATOL,
     POSITIVITY_ATOL,
     TRACE_ATOL,
 )
+
+# Choi eigenvalues at or below this do not count towards a channel's rank.
+CHOI_RANK_ATOL = 1e-8
+
+# Search-plane support: residual outside the plane, and minimum plane
+# trace, before Bloch extraction refuses the state.
+PLANE_RESIDUAL_ATOL = 1e-8
+PLANE_TRACE_ATOL = 1e-6
 
 
 class OffPlaneSupport(NoisyGroverError):
@@ -113,6 +120,19 @@ class BlochVector:
         return math.hypot(self.x, self.z)
 
 
+def plane_basis(inst: SearchInstance) -> np.ndarray:
+    """Columns {|w>, |r>}: the target and the normalized rest of |s>.
+
+    An (n, 2) real matrix with orthonormal columns spanning the invariant
+    search plane.
+    """
+    basis = np.zeros((inst.n, 2))
+    basis[inst.w, 0] = 1.0
+    basis[:, 1] = math.sqrt(1.0 / (inst.n - 1))
+    basis[inst.w, 1] = 0.0
+    return basis
+
+
 def _plane_block(rho: np.ndarray, inst: SearchInstance) -> np.ndarray:
     """2x2 restriction of rho to the search plane, with support checks."""
     rho = as_complex_matrix(rho)
@@ -173,6 +193,28 @@ def entropy_from_spectrum(values: np.ndarray):
 def entropy(rho: np.ndarray) -> float:
     """von Neumann entropy -tr(rho ln rho) in nats of a Hermitian matrix."""
     return entropy_from_spectrum(eigvals_hermitian(rho))
+
+
+def closed_form_bloch(inst: SearchInstance, m_max: int) -> tuple:
+    """Bloch trajectory (x_m, z_m) = c^m R(m phi) (x_0, z_0), m = 0..m_max.
+
+    Each plane step is a half-half mixture of two rotations of the Bloch
+    disc, so it is c R(phi) with c = cos 2 psi, phi = 4 theta + 2 psi - 2 chi,
+    theta = asin(1/sqrt n) and R(phi) = [[cos, -sin], [sin, cos]]; |s>
+    starts at (x_0, z_0) = (sin 2 theta, -cos 2 theta).  Built from
+    scalar_profile and math only.  Returns the lists (x_m) and (z_m).
+    """
+    prof = scalar_profile(inst.chi)
+    theta = math.asin(1.0 / math.sqrt(inst.n))
+    c = math.cos(2.0 * prof.psi)
+    phi = 4.0 * theta + 2.0 * prof.psi - 2.0 * prof.chi
+    x0, z0 = math.sin(2.0 * theta), -math.cos(2.0 * theta)
+    xs, zs = [], []
+    for m in range(m_max + 1):
+        scale, cos_a, sin_a = c**m, math.cos(m * phi), math.sin(m * phi)
+        xs.append(scale * (cos_a * x0 - sin_a * z0))
+        zs.append(scale * (sin_a * x0 + cos_a * z0))
+    return xs, zs
 
 
 def high_precision_bloch_norms(

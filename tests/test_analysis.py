@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,7 +20,6 @@ from noisy_grover.search import (
     build_search_channel,
     ideal_grover_probability,
     iterate,
-    plane_basis,
     plane_channel,
     uniform_plane_vector,
     uniform_state,
@@ -34,10 +33,12 @@ from oracles import (
     _bloch_of_block,
     angular_fidelity,
     bloch_from_density,
+    closed_form_bloch,
     eigvals_hermitian,
     entropy,
     entropy_from_spectrum,
     high_precision_bloch_norms,
+    plane_basis,
     target_state,
 )
 
@@ -219,6 +220,34 @@ class TestClosedForms:
         ):
             assert column.shape == (m_max + 1,)
             assert column.tobytes() == np.array(values).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        chi=st.one_of(st.floats(0.0, 13.0), st.just(chi_star(1))),
+        n=st.integers(2, 2**40),
+        m_max=st.integers(1, 2000),
+    )
+    # deep runs at chi_1, the first odd-j unitary strength, and no noise
+    @example(chi=chi_star(1), n=2**40, m_max=10**5)
+    @example(chi=2.7207, n=2**20, m_max=10**5)
+    @example(chi=0.0, n=2**40, m_max=10**5)
+    def test_report_follows_closed_form_bloch(self, chi, n, m_max):
+        # the iterated Bloch vector drifts from c^m R(m phi) (x_0, z_0)
+        # about linearly in m: at most 3.5e-15 per step over 300 random
+        # instances, and 1.2e-10 at m = 10^5 (chi_1, n = 2^40); the bound
+        # allows 2e-14 per step
+        inst = SearchInstance(n=n, w=0, chi=chi)
+        rep = trajectory_report(inst, m_max)
+        x, z = closed_form_bloch(inst, m_max)
+        c = abs(math.cos(2.0 * scalar_profile(chi).psi))
+        atol = 2e-14 * np.arange(1, m_max + 2)
+        for column, expected in (
+            (rep.bloch_x, x),
+            (rep.bloch_z, z),
+            (rep.p_success, [0.5 * (1.0 + zm) for zm in z]),
+            (rep.bloch_norm, [c**m for m in range(m_max + 1)]),
+        ):
+            assert np.all(np.abs(column - np.array(expected)) <= atol)
 
     def test_negative_m_is_rejected(self):
         with pytest.raises(ValueError):

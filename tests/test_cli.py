@@ -179,7 +179,8 @@ class TestStderrContract:
              "search: config target must be an integer, got 'abc'"),
             (["verify", "--random-chi", "5"],
              "noisy-grover: unrecognized arguments: --random-chi 5"),
-            (["verify", "--seed", "-1"], "verify: --seed must be >= 0"),
+            pytest.param(["verify", "--seed", "-1"], "seed must be >= 0, got -1",
+                         id="verify-seed-minus-1"),
             (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "noeq.cfg"],
              "config line without '=': 'format json'"),
             pytest.param(["search", "--chi", "nan", "--n", "4", "--m", "3"],
@@ -205,6 +206,9 @@ class TestStderrContract:
             pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
                          "sweep: --out-dir needs --per-cell",
                          id="sweep-out-dir-without-per-cell"),
+            # chi-star's flag passes chi_star's own index rule
+            pytest.param(["chi-star", "--n-max", "0"], "--n-max must be >= 1, got 0",
+                         id="chi-star-n-max-0"),
         ],
     )
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -287,7 +291,7 @@ class TestChiStar:
     @pytest.mark.parametrize(
         "n_max",
         [
-            # chi_n first exceeds CHI_MAX at this n
+            # chi_n first exceeds CHI_MAX at this n, CHI_STAR_MAX_INDEX + 1
             pytest.param("716770142402833", id="first-row-past-chi-max"),
             pytest.param(str(10**15), id="n-max-1e15"),
             pytest.param("1" + "0" * 400, id="n-max-1e400"),
@@ -298,7 +302,9 @@ class TestChiStar:
         assert main(["chi-star", "--n-max", n_max]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: chi-star: --n-max ")
+        assert captured.err == (
+            f"error: --n-max must be <= 716770142402832, got {n_max}\n"
+        )
 
     def test_perturb_is_not_an_option(self, capsys):
         assert main(["chi-star", "--n-max", "5", "--perturb", "0.1"]) == 1

@@ -10,6 +10,7 @@ from noisy_grover.channels import KrausChannel, channel_choi_distance
 from noisy_grover.errors import DegeneratePolar
 from noisy_grover.linalg import matexp_i_hermitian
 from noisy_grover.noise import (
+    CHI_STAR_MAX_INDEX,
     PAULI_Y,
     PAULI_Z,
     chi_star,
@@ -235,6 +236,22 @@ class TestChiStar:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             chi_star(0)
+
+    def test_max_index_is_the_last_within_chi_max(self):
+        # chi_n rises with n: the formula crosses CHI_MAX between these two
+        assert CHI_STAR_MAX_INDEX == 716770142402832
+        assert chi_star(CHI_STAR_MAX_INDEX) == 4503599627370493.5 <= CHI_MAX
+        past = CHI_STAR_MAX_INDEX + 1
+        assert math.pi * math.sqrt(4.0 * past * past - 0.25) == 4503599627370500.0
+
+    @pytest.mark.parametrize(
+        "index", [CHI_STAR_MAX_INDEX + 1, 10**154, 10**400], ids=["max+1", "1e154", "1e400"]
+    )
+    def test_rejects_index_past_chi_max(self, index):
+        # the formula overflows to inf by 1e154 and raises OverflowError at 1e400
+        message = rf"^index must be <= 716770142402832, got {index}$"
+        with pytest.raises(ValueError, match=message):
+            chi_star(index)
 
     @pytest.mark.parametrize("index", [2.5, math.nan, True, "3"])
     def test_rejects_non_integer_index(self, index):

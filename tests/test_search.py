@@ -13,21 +13,20 @@ from noisy_grover.channels import (
     compose_channels,
 )
 from noisy_grover.errors import DimensionMismatch, NotNormalized
-from noisy_grover.noise import chi_star, rotation_y
+from noisy_grover.noise import chi_star
 from noisy_grover.search import (
     SearchInstance,
     build_search_channel,
-    embed_plane_rotation,
     ideal_grover_probability,
     iterate,
-    plane_basis,
     plane_channel,
     reflection,
     success_probability,
     uniform_plane_vector,
     uniform_state,
 )
-from noisy_grover.tolerances import CHI_MAX
+from noisy_grover.tolerances import CHI_MAX, UNITARITY_ATOL
+from noisy_grover.verify import run_verification
 
 from conftest import random_channel, random_density
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     check_density_matrix,
     choi_rank,
     identity_channel,
+    plane_basis,
     target_state,
 )
 
@@ -114,26 +114,19 @@ class TestStatesAndReflections:
 
 
 class TestEmbedding:
-    def test_identity_lifts_to_identity(self):
-        inst = SearchInstance(n=5, w=2, chi=0.0)
-        assert_allclose(embed_plane_rotation(np.eye(2), inst), np.eye(5), atol=1e-14)
-        assert_allclose(embed_plane_rotation(rotation_y(0.0), inst), np.eye(5), atol=1e-14)
-
     def test_lift_preserves_plane_and_complement(self):
-        inst = SearchInstance(n=7, w=3, chi=0.0)
-        lifted = embed_plane_rotation(rotation_y(0.8), inst)
-        p = plane_basis(inst)
-        complement = np.eye(7) - p @ p.conj().T
-        off_block = complement @ lifted @ p
-        assert np.max(np.abs(off_block)) <= 1e-12
-        assert np.max(np.abs(complement @ lifted @ complement - complement)) <= 1e-12
-
-    def test_rejects_non_unitary(self):
-        inst = SearchInstance(n=4, w=0, chi=0.0)
-        with pytest.raises(DimensionMismatch):
-            embed_plane_rotation(np.diag([2.0, 1.0]), inst)
-        with pytest.raises(DimensionMismatch):
-            embed_plane_rotation(np.eye(3), inst)
+        # build_search_channel lifts each rotation onto the plane, so every
+        # dense operator maps the plane into itself and is the identity on
+        # its complement
+        for n, w, chi in (
+            (2, 1, 0.4), (5, 2, 0.0), (7, 3, 0.8), (16, 0, chi_star(1)), (9, 8, 11.0)
+        ):
+            inst = SearchInstance(n=n, w=w, chi=chi)
+            p = plane_basis(inst)
+            complement = np.eye(n) - p @ p.T
+            for op in build_search_channel(inst).operators:
+                assert np.max(np.abs(complement @ op @ p)) <= 1e-12
+                assert np.max(np.abs(op @ complement - complement)) <= 1e-12
 
 
 class TestBuildChannel:
@@ -156,7 +149,7 @@ class TestBuildChannel:
         inst = SearchInstance(n=4, w=0, chi=1.0)
         t = build_search_channel(inst)
         assert choi_rank(t) == 2
-        assert t.is_mixed_unitary()
+        assert np.max(t.unitarity_defects()) <= UNITARITY_ATOL
         assert t.completeness_defect() <= 1e-10
 
     def test_plane_channel_is_dense_channel_on_plane(self):
@@ -166,7 +159,7 @@ class TestBuildChannel:
             dense = build_search_channel(inst)
             plane = plane_channel(inst)
             assert plane.dim == 2
-            assert plane.is_mixed_unitary()
+            assert np.max(plane.unitarity_defects()) <= UNITARITY_ATOL
             assert_allclose(plane.weights, dense.weights)
             for k2, kn in zip(plane.operators, dense.operators):
                 assert_allclose(k2, p.conj().T @ kn @ p, atol=1e-13)
@@ -302,7 +295,8 @@ BELOW_FLOOR = object()
 
 
 class TestCountRule:
-    # every step count and chi_star's index pass noise._require_count
+    # every step count, chi_star's index and verify's seed pass
+    # noise._require_count
     @pytest.mark.parametrize(
         "call, name, floor",
         [
@@ -312,9 +306,10 @@ class TestCountRule:
              "iteration count m", 0),
             (lambda m: ideal_grover_probability(_COUNT_INST, m), "iteration count m", 0),
             (chi_star, "index", 1),
+            (run_verification, "seed", 0),
         ],
         ids=["trajectory_report", "closed_form_fidelities", "iterate",
-             "ideal_grover_probability", "chi_star"],
+             "ideal_grover_probability", "chi_star", "run_verification"],
     )
     @pytest.mark.parametrize(
         "value", [2.5, True, math.nan, BELOW_FLOOR],
