@@ -25,7 +25,6 @@ from .search import SearchInstance, bloch_map, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
-    ENTROPY_DROP_ATOL,
     MAJORIZATION_ATOL,
     POSITIVITY_ATOL,
     TRACE_ATOL,
@@ -35,10 +34,12 @@ __all__ = [
     "FidelityPoint",
     "TrajectoryReport",
     "closed_form_fidelities",
-    "bloch_contraction_factor",
     "trajectory_report",
     "trajectory_violations",
 ]
+
+# Largest entropy drop between consecutive steps a trajectory may show.
+ENTROPY_DROP_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,16 +136,6 @@ def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
     f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
     cos_gamma = _libm(pow, map(math.cos, phi_half.tolist()), repeat(2))
     return f, cos_gamma
-
-
-def bloch_contraction_factor(chi: float) -> float:
-    """|cos(2 psi)|: predicted per-iteration shrink of the Bloch norm.
-
-    A half-half mixture of two plane rotations whose Bloch angles differ
-    by 4 psi contracts every Bloch vector by cos(2 psi) per step.  The
-    trajectory ratio test is the authoritative check of this value.
-    """
-    return abs(math.cos(2.0 * scalar_profile(chi).psi))
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegeneratePolar, DimensionMismatch, NotHermitian
-from .tolerances import HERMITICITY_ATOL, SINGULARITY_FLOOR
+from .tolerances import HERMITICITY_ATOL
 
 __all__ = [
     "as_complex_matrix",
@@ -20,6 +20,10 @@ __all__ = [
     "polar_unitary_factor",
     "unitarity_defect",
 ]
+
+# Smallest singular value below which a polar factor is considered
+# undefined (the nearest unitary is non-unique at singularity).
+SINGULARITY_FLOOR = 1e-10
 
 
 def as_complex_matrix(m) -> np.ndarray:

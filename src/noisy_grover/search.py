@@ -13,7 +13,7 @@ Starting from |s>, the state never leaves that plane, so plane_channel
 builds t as a 2x2 channel on {|w>, |r>}, and bloch_map as the real 2x2
 matrix it applies to the Bloch vector (x, z); neither cost depends on n.
 build_search_channel assembles the same map densely in n dimensions and
-is kept, with iterate, as the independent oracle for tests and verification.
+is kept as the independent oracle for tests and verification.
 
 Modelling assumption: the rotations act on span{|w>, |r>}, so
 build_search_channel's lift and plane_channel both need w, and every step
@@ -32,22 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import DimensionMismatch, NotNormalized
-from .linalg import as_complex_matrix
+from .errors import NotNormalized
 from .noise import _require_count, _require_integer, _require_nonnegative
 from .noise import nearest_unitary_pair
 from .tolerances import UNITARITY_ATOL
 
 __all__ = [
     "SearchInstance",
-    "uniform_state",
     "reflection",
     "uniform_plane_vector",
     "plane_channel",
     "bloch_map",
     "build_search_channel",
-    "iterate",
-    "success_probability",
     "ideal_grover_probability",
 ]
 
@@ -82,11 +78,6 @@ class SearchInstance:
                 f"target index w must be in [0, n) = [0, {self.n}), got {self.w}"
             )
         object.__setattr__(self, "chi", _require_nonnegative(self.chi))
-
-
-def uniform_state(inst: SearchInstance) -> np.ndarray:
-    """|s><s| for the uniform superposition; every entry is 1/n."""
-    return np.full((inst.n, inst.n), 1.0 / inst.n, dtype=complex)
 
 
 def reflection(v) -> np.ndarray:
@@ -158,32 +149,6 @@ def build_search_channel(inst: SearchInstance) -> KrausChannel:
         lifted = np.eye(inst.n, dtype=complex) + p @ (v - np.eye(2)) @ p.conj().T
         ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
     return KrausChannel(tuple(ops), pair.weights)
-
-
-def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
-    """Trajectory [rho, t(rho), ..., t^m(rho)] as an (m+1, n, n) array.
-
-    Each step writes kraus(states[k]) into the array, which is allocated
-    up front: an m too large for memory raises MemoryError before any step
-    runs.
-    """
-    m = _require_count("iteration count m", m, 0)
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != kraus.dim:
-        raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {kraus.dim}")
-    states = np.empty((m + 1, *rho.shape), dtype=complex)
-    states[0] = rho
-    for step in range(m):
-        states[step + 1] = kraus(states[step])
-    return states
-
-
-def success_probability(rho: np.ndarray, w: int) -> float:
-    """<w| rho |w>: probability that a measurement yields the target."""
-    rho = as_complex_matrix(rho)
-    if not 0 <= w < rho.shape[0]:
-        raise DimensionMismatch(f"target index {w} out of range for dim {rho.shape[0]}")
-    return float(rho[w, w].real)
 
 
 def ideal_grover_probability(inst: SearchInstance, m: int) -> float:

@@ -1,10 +1,11 @@
 """Shared numerical tolerances.
 
-A bound that belongs to one check stays beside it: verify.py's 1e-12,
-1e-8, 2e-3, 1e-5 and 1e-3, psi_zero_scan's 1e-2 and cli's strict 1e-8.
-The shared ones live here, in three tiers: structural checks on inputs
-(hermiticity), checks on constructed objects (unitarity, trace), and
-agreement between independent computations of the same quantity (oracle).
+A bound that belongs to one check stays beside it: verify.py's
+ORACLE_ATOL, 1e-12, 1e-8, 2e-3, 1e-5 and 1e-3, linalg's SINGULARITY_FLOOR,
+analysis's ENTROPY_DROP_ATOL, psi_zero_scan's 1e-2 and cli's strict 1e-8.
+The shared ones live here: structural checks on inputs (hermiticity),
+checks on constructed objects (unitarity, trace), and bounds on spectra,
+Bloch vectors and noise strengths.
 """
 
 # Max |m - m^dagger| entry allowed before a matrix is rejected as input.
@@ -13,13 +14,6 @@ HERMITICITY_ATOL = 1e-12
 # Unitarity, trace preservation, channel completeness (Frobenius norm).
 UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-
-# Agreement between a computation and its independent oracle.
-ORACLE_ATOL = 1e-9
-
-# Smallest singular value below which a polar factor is considered
-# undefined (the nearest unitary is non-unique at singularity).
-SINGULARITY_FLOOR = 1e-10
 
 # Density-matrix spectra: values below this are treated as exact zeros
 # (guards entropy against -0 eigenvalues from floating point).
@@ -30,9 +24,6 @@ POSITIVITY_ATOL = 1e-10
 
 # Majorization partial-sum slack.
 MAJORIZATION_ATOL = 1e-10
-
-# Largest entropy drop between consecutive steps a trajectory may show.
-ENTROPY_DROP_ATOL = 1e-12
 
 # Bloch vectors shorter than this have no direction.
 BLOCH_ZERO_ATOL = 1e-10

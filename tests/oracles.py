@@ -1,7 +1,8 @@
 """Dense and high-precision oracles that only the tests use.
 
 None of the CLI's commands reaches these; they check the package from
-outside it.  They build the search plane's basis, extract the Bloch
+outside it.  They run a dense channel from the uniform state and read
+its success probability, build the search plane's basis, extract the Bloch
 vector, angular fidelity and von Neumann entropy from dense n x n states,
 take the entropy of any stack of spectra, validate density matrices,
 count Choi ranks, give the Bloch trajectory in closed form, and rerun the
@@ -77,6 +78,25 @@ def choi_rank(channel: KrausChannel) -> int:
     """Number of Choi eigenvalues above CHOI_RANK_ATOL (minimal Kraus count)."""
     vals = np.linalg.eigvalsh(choi_matrix(channel))
     return int(np.sum(vals > CHOI_RANK_ATOL))
+
+
+def uniform_state(inst: SearchInstance) -> np.ndarray:
+    """|s><s| for the uniform superposition; every entry is 1/n."""
+    return np.full((inst.n, inst.n), 1.0 / inst.n, dtype=complex)
+
+
+def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
+    """Trajectory [rho, t(rho), ..., t^m(rho)] as an (m+1, n, n) array."""
+    states = np.empty((m + 1, *np.shape(rho)), dtype=complex)
+    states[0] = rho
+    for step in range(m):
+        states[step + 1] = kraus(states[step])
+    return states
+
+
+def success_probability(rho: np.ndarray, w: int) -> float:
+    """<w| rho |w>: probability that a measurement yields the target."""
+    return float(rho[w, w].real)
 
 
 def target_state(n: int, w: int) -> np.ndarray:

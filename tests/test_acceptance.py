@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from noisy_grover.analysis import bloch_contraction_factor, trajectory_report
+from noisy_grover.analysis import trajectory_report
 from noisy_grover.channels import choi_matrix, choi_of_map, compose_channels
 from noisy_grover.cli import main
 from noisy_grover.noise import (
@@ -25,16 +25,15 @@ from noisy_grover.noise import (
     psi_zero_scan,
     scalar_profile,
 )
-from noisy_grover.search import (
-    SearchInstance,
-    build_search_channel,
-    ideal_grover_probability,
+from noisy_grover.search import SearchInstance, build_search_channel, ideal_grover_probability
+
+from oracles import (
+    angular_fidelity,
+    high_precision_bloch_norms,
     iterate,
     success_probability,
     uniform_state,
 )
-
-from oracles import angular_fidelity, high_precision_bloch_norms
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -146,7 +145,7 @@ def test_a5_exponential_bloch_damping():
         ratios = norms[1:] / norms[:-1]
         spread = float(ratios.max() - ratios.min())
         constant = float(ratios.mean())
-        factor = bloch_contraction_factor(chi)
+        factor = abs(math.cos(2.0 * scalar_profile(chi).psi))
         residual_single = abs(constant - factor)
         residual_squared = abs(constant - factor**2)
         winner = "m" if residual_single <= residual_squared else "2m"

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from noisy_grover.analysis import (
     FidelityPoint,
-    bloch_contraction_factor,
     closed_form_fidelities,
     trajectory_report,
 )
@@ -19,10 +18,8 @@ from noisy_grover.search import (
     bloch_map,
     build_search_channel,
     ideal_grover_probability,
-    iterate,
     plane_channel,
     uniform_plane_vector,
-    uniform_state,
 )
 from noisy_grover.tolerances import BLOCH_ZERO_ATOL, MAJORIZATION_ATOL
 
@@ -38,8 +35,10 @@ from oracles import (
     entropy,
     entropy_from_spectrum,
     high_precision_bloch_norms,
+    iterate,
     plane_basis,
     target_state,
+    uniform_state,
 )
 
 ENTROPY_09_01 = 0.3250829733914482  # -0.9 ln 0.9 - 0.1 ln 0.1
@@ -258,11 +257,13 @@ class TestClosedForms:
 
 class TestContraction:
     def test_factor_anchors(self):
-        assert bloch_contraction_factor(0.0) == pytest.approx(1.0)
-        assert bloch_contraction_factor(chi_star(1)) == pytest.approx(1.0, abs=1e-12)
-        assert bloch_contraction_factor(2.0) == pytest.approx(
-            CONTRACTION_AT_2, abs=1e-14
-        )
+        # |cos(2 psi)|, the predicted per-iteration shrink of the Bloch norm
+        def factor(chi):
+            return abs(math.cos(2.0 * scalar_profile(chi).psi))
+
+        assert factor(0.0) == pytest.approx(1.0)
+        assert factor(chi_star(1)) == pytest.approx(1.0, abs=1e-12)
+        assert factor(2.0) == pytest.approx(CONTRACTION_AT_2, abs=1e-14)
 
     def test_simulated_ratio_is_the_authority(self):
         # trajectory ratios confirm the closed-form factor step by step
@@ -501,7 +502,8 @@ class TestTrajectoryReport:
         (a, b), (c, d) = bloch_map(inst)
         assert abs(a - d) <= 1e-15 and abs(b + c) <= 1e-15
         # det, not its square root, which is ill-conditioned as cos(2 psi) -> 0
-        assert abs(a * d - b * c - bloch_contraction_factor(chi) ** 2) <= 2e-15
+        contraction = math.cos(2.0 * scalar_profile(chi).psi)
+        assert abs(a * d - b * c - contraction**2) <= 2e-15
         rep = trajectory_report(inst, m_max)
         s = uniform_plane_vector(inst)
         blocks = iterate(plane_channel(inst), np.outer(s, s), m_max)

@@ -11,7 +11,7 @@ from noisy_grover import cli
 from noisy_grover.analysis import trajectory_report, trajectory_violations
 from noisy_grover.cli import main
 from noisy_grover.errors import NoisyGroverError
-from noisy_grover.noise import scalar_profile
+from noisy_grover.noise import CHI_STAR_MAX_INDEX, chi_star, scalar_profile
 from noisy_grover.reporting import CSV_HEADER
 from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import POSITIVITY_ATOL, TRACE_ATOL
@@ -287,6 +287,22 @@ class TestChiStar:
         assert main(["chi-star", "--n-max", "2"]) == 2
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [float(row.split(",")[2]) for row in rows] == [0.1, 0.1]
+
+    @pytest.mark.parametrize(
+        "shifted",
+        [
+            # psi(chi_n) first passes 1e-10 at n = 131271, by rounding alone
+            pytest.param(lambda n: chi_star(n + 131270), id="from-131271"),
+            pytest.param(lambda n: chi_star(CHI_STAR_MAX_INDEX), id="last-index"),
+        ],
+    )
+    def test_rounded_magic_strengths_pass_gate(self, shifted, monkeypatch, capsys):
+        # each row's bound grows with ulp(chi_n), so the exact zeros that
+        # rounding moves off zero never fail the table
+        monkeypatch.setattr(cli, "chi_star", shifted)
+        assert main(["chi-star", "--n-max", "2"]) == 0
+        first_row = capsys.readouterr().out.splitlines()[1]
+        assert float(first_row.split(",")[2]) > 1e-10  # past the old fixed bound
 
     @pytest.mark.parametrize(
         "n_max",
