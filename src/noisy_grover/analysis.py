@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
     MAJORIZATION_ATOL,
+    M_MAX,
     POSITIVITY_ATOL,
     TRACE_ATOL,
 )
@@ -102,15 +102,6 @@ class TrajectoryReport:
         ]
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """fn mapped over Python floats, as a float array.
-
-    np.power, an array's ** 2 and np.hypot can differ from libm's pow and
-    hypot in the last bit; the columns must carry the scalar formulas' bits.
-    """
-    return np.fromiter(map(fn, *args), float)
-
-
 def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
     """The closed-form (f, cos_gamma) hypothesis for m = 0..m_max:
 
@@ -122,40 +113,55 @@ def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
 
     Returned for side-by-side comparison with simulated values, never
     asserted against them; note f is bounded by 1/2 under this
-    normalization.  Two arrays of m_max + 1 entries, each entry carrying
-    the bits of the formulas evaluated in Python floats.
+    normalization.  Two arrays of m_max + 1 entries, allocated first, each
+    entry the formulas evaluated in Python floats with libm's cos and pow:
+    np.cos, np.power and an array's ** 2 can differ from them in the last
+    bit.
     """
-    m_max = _require_count("iteration count m", m_max, 0)
+    m_max = _require_count("iteration count m", m_max, 0, M_MAX)
     n, chi = inst.n, inst.chi
     psi = scalar_profile(chi).psi
     alpha = math.acos(1.0 / math.sqrt(n))
     theta = math.pi + chi + math.asin(2.0 * math.sqrt(n - 1.0) / n)
-    m = np.arange(m_max + 1)
-    phi_half = m * psi - m * theta + alpha
-    damping = _libm(pow, repeat(math.cos(2.0 * psi)), range(m_max + 1))
-    f = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
-    cos_gamma = _libm(pow, map(math.cos, phi_half.tolist()), repeat(2))
-    return f, cos_gamma
+    damping = math.cos(2.0 * psi)
+    out = np.empty((2, m_max + 1))
+    f, cos_gamma = map(memoryview, out)
+    cos = math.cos
+    for m in range(m_max + 1):
+        phi_half = m * psi - m * theta + alpha
+        f[m] = 0.25 * (1.0 + damping**m * cos(2.0 * phi_half))
+        cos_gamma[m] = cos(phi_half) ** 2
+    return out[0], out[1]
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:
-    """l ln(l) for each eigenvalue l, and 0 where l is at most EIGENVALUE_FLOOR."""
+    """l ln(l) for each eigenvalue l, and +0.0 where l is at most EIGENVALUE_FLOOR.
+
+    Computed in one output array, with no float temporaries the size of values.
+    """
     kept = values > EIGENVALUE_FLOOR
-    return np.where(kept, values * np.log(np.where(kept, values, 1.0)), 0.0)
+    terms = np.zeros_like(values)
+    np.log(values, out=terms, where=kept)
+    np.multiply(terms, values, out=terms, where=kept)
+    return terms
 
 
 def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     """Run m_max iterations from the uniform state and measure every step.
 
     The state is its Bloch vector (x, z), two Python floats, and a step is
-    the 2x2 matrix bloch_map(inst), at a cost independent of n.  The
-    (m_max+1, 2) array is allocated first, so an m_max too large for memory
-    raises MemoryError at once.  Every column is read off x and z, with the
-    spectrum (top, bottom) = ((1 + r)/2, (1 - r)/2) for the Bloch norm r
-    and its entropy -(top ln top + bottom ln bottom); the closed forms come
-    from one closed_form_fidelities(inst, m_max) call over all m.  An m_max
-    that is not an integer >= 1 raises ValueError naming m; search and sweep
-    check --m here and nowhere else.
+    the 2x2 matrix bloch_map(inst), at a cost independent of n; each step
+    also takes the Bloch norm r = math.hypot(x, z), whose bits np.hypot
+    need not match.  One (6, m_max+1) array holds x, z, r, p_success, top
+    and bottom; it is allocated first, so an m_max too large for memory
+    raises MemoryError at once.
+    The other columns take a few array passes over it: p_success, and the
+    spectrum (top, bottom) = ((1 + r)/2, (1 - r)/2), are 0.5 (1 + (z, r, -r))
+    in one pass (1 - r and 1 + (-r) are the same IEEE sum); the entropy is
+    -(top ln top + bottom ln bottom); the closed forms come from one
+    closed_form_fidelities(inst, m_max) call over all m.  An m_max that is
+    not an integer in [1, M_MAX] raises ValueError naming m; search and
+    sweep check --m here and nowhere else.
 
     Each spectrum has two entries, so majorization is one comparison of
     the larger eigenvalues top = (1 + r)/2: step m is majorized by an
@@ -165,29 +171,35 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     subtraction; (1 + r)/2 + (1 - r)/2 is 1 within 2 ulp, so the second
     gap, and the sum-to-1 precondition, always pass.
     """
-    m_max = _require_count("iteration count m", m_max, 1)
+    m_max = _require_count("iteration count m", m_max, 1, M_MAX)
+    count = m_max + 1
+    # rows x, z, r, then p_success, top, bottom = 0.5 (1 + (z, r, -r))
+    rows = np.empty((6, count))
     (a, b), (c, d) = bloch_map(inst).tolist()
     s0, s1 = uniform_plane_vector(inst).tolist()
     x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
-    bloch = np.empty((m_max + 1, 2))
-    cells = memoryview(bloch)
-    for m in range(m_max + 1):
-        cells[m, 0], cells[m, 1] = x, z
+    xs, zs, rs = map(memoryview, rows[:3])
+    hypot = math.hypot
+    for m in range(count):
+        xs[m], zs[m], rs[m] = x, z, hypot(x, z)
         x, z = a * x + b * z, c * x + d * z
-
-    bloch_x, bloch_z = bloch[:, 0].copy(), bloch[:, 1].copy()
-    p_success = 0.5 * (1.0 + bloch_z)
-    bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
-    cos_gamma = np.full(m_max + 1, math.nan)
+    bloch_x, bloch_z, bloch_norm = rows[:3]
+    rows[3:5] = rows[1:3]
+    np.negative(bloch_norm, out=rows[5])
+    halves = rows[3:]
+    halves += 1.0
+    halves *= 0.5
+    p_success, top, _ = halves
+    cos_gamma = np.full(count, math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
     f_closed, cos_gamma_closed = closed_form_fidelities(inst, m_max)
-    spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
-
-    top, bottom = spectra[:, 0], spectra[:, 1]
-    entropies = 0.0 - (_xlogx(top) + _xlogx(bottom))  # +0.0, not -0.0, when pure
+    terms = _xlogx(halves[1:])
+    entropies = 0.0 - (terms[0] + terms[1])  # +0.0, not -0.0, when pure
     # both flags are True at m = 0, which has no earlier step
-    majorized_by_prev = np.concatenate([[True], top[1:] - top[:-1] <= MAJORIZATION_ATOL])
-    majorized_by_init = np.concatenate([[True], top[1:] - top[0] <= MAJORIZATION_ATOL])
+    flags = np.empty((2, count), dtype=bool)
+    flags[:, 0] = True
+    np.less_equal(top[1:] - top[:-1], MAJORIZATION_ATOL, out=flags[0, 1:])
+    np.less_equal(top[1:] - top[0], MAJORIZATION_ATOL, out=flags[1, 1:])
     return TrajectoryReport(
         instance=inst,
         p_success=p_success,
@@ -199,9 +211,9 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
         f_closed=f_closed,
         cos_gamma_closed=cos_gamma_closed,
         entropies=entropies,
-        spectra=spectra,
-        majorized_by_prev=majorized_by_prev,
-        majorized_by_init=majorized_by_init,
+        spectra=halves[1:].T,
+        majorized_by_prev=flags[0],
+        majorized_by_init=flags[1],
     )
 
 
@@ -213,22 +225,27 @@ def trajectory_violations(report: TrajectoryReport) -> list:
     ENTROPY_DROP_ATOL; and it must be majorized by the previous and the
     initial spectrum.  An empty list means the trajectory passes.
     """
-    traces = report.spectra.sum(axis=-1)
-    smallest = report.spectra[:, -1]
-    ent = report.entropies
-    bad_trace = np.abs(traces - 1.0) > TRACE_ATOL
-    negative = smallest < -POSITIVITY_ATOL
-    drops = np.zeros(len(ent), dtype=bool)
-    drops[1:] = ent[1:] < ent[:-1] - ENTROPY_DROP_ATOL
-    not_prev, not_init = ~report.majorized_by_prev, ~report.majorized_by_init
-    failed = np.flatnonzero(bad_trace | negative | drops | not_prev | not_init)
-    checks = (  # (failed at step k, message at step k), in message order
-        (bad_trace, lambda k: f"trace {traces[k]:.12f}"),
-        (negative, lambda k: f"eigenvalue {smallest[k]:.3e}"),
-        (drops, lambda k: f"entropy drops by {ent[k - 1] - ent[k]:.3e}"),
-        (not_prev, lambda k: "not majorized by previous step"),
-        (not_init, lambda k: "not majorized by initial state"),
+    spectra, ent = report.spectra, report.entropies
+    traces, smallest = spectra[:, 0] + spectra[:, 1], spectra[:, -1]
+    failed = np.empty((5, len(ent)), dtype=bool)  # one row per check, in message order
+    np.greater(np.abs(traces - 1.0), TRACE_ATOL, out=failed[0])
+    np.less(smallest, -POSITIVITY_ATOL, out=failed[1])
+    failed[2, 0] = False
+    np.less(ent[1:], ent[:-1] - ENTROPY_DROP_ATOL, out=failed[2, 1:])
+    np.logical_not(report.majorized_by_prev, out=failed[3])
+    np.logical_not(report.majorized_by_init, out=failed[4])
+    if not failed.any():
+        return []
+    messages = (
+        lambda k: f"trace {traces[k]:.12f}",
+        lambda k: f"eigenvalue {smallest[k]:.3e}",
+        lambda k: f"entropy drops by {ent[k - 1] - ent[k]:.3e}",
+        lambda k: "not majorized by previous step",
+        lambda k: "not majorized by initial state",
     )
     return [
-        f"m={k}: {say(k)}" for k in failed.tolist() for flags, say in checks if flags[k]
+        f"m={k}: {say(k)}"
+        for k in np.flatnonzero(failed.any(axis=0)).tolist()
+        for flags, say in zip(failed, messages)
+        if flags[k]
     ]

@@ -36,6 +36,7 @@ __all__ = [
     "scalar_profile",
     "closed_form_kraus",
     "hamiltonian_kraus",
+    "pair_rotations",
     "nearest_unitary_pair",
     "nearest_unitary_oracle",
     "CHI_STAR_MAX_INDEX",
@@ -55,16 +56,25 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
+def _describe_integer(value: int) -> str:
+    """value in decimal, or its size in bits once it is wider than 64 bits."""
+    if value.bit_length() <= 64:
+        return str(value)
+    sign = "a negative" if value < 0 else "an"
+    return f"{sign} integer of {value.bit_length()} bits"
+
+
 def _require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """value as an int, or ValueError naming it unless it is an integer >= minimum.
 
-    A maximum other than None is a ceiling, checked the same way.
+    A maximum other than None is a ceiling, checked the same way.  A value
+    wider than 64 bits is named by its size, not printed in full.
     """
     value = _require_integer(name, value)
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_describe_integer(value)}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {value}")
+        raise ValueError(f"{name} must be <= {maximum}, got {_describe_integer(value)}")
     return value
 
 
@@ -154,16 +164,27 @@ def hamiltonian_kraus(chi: float) -> KrausChannel:
     return KrausChannel((u[0::2, 0::2], u[1::2, 0::2]))
 
 
-def nearest_unitary_pair(chi: float) -> KrausChannel:
-    """The preconditioned channel: equal mixture of two y rotations.
+def pair_rotations(chi: float) -> np.ndarray:
+    """The two preconditioning rotations as one (2, 2, 2) complex array.
 
-    V0 = exp(i (psi - chi/2) sigma_y), V1 = exp(-i chi/2 sigma_y),
-    each weighted 1/2.  At chi = 0 and at the magic strengths psi = 0,
-    the two rotations coincide and the channel is unitary.
+    V0 = exp(i (psi - chi/2) sigma_y) and V1 = exp(-i chi/2 sigma_y), each
+    entry for entry rotation_y of its angle; the one home of both angles.
     """
     prof = scalar_profile(chi)
-    v0 = rotation_y(prof.psi - prof.chi / 2.0)
-    v1 = rotation_y(-prof.chi / 2.0)
+    (c0, s0), (c1, s1) = [
+        (math.cos(angle), math.sin(angle))
+        for angle in (prof.psi - prof.chi / 2.0, -prof.chi / 2.0)
+    ]
+    return np.array([[[c0, s0], [-s0, c0]], [[c1, s1], [-s1, c1]]], dtype=complex)
+
+
+def nearest_unitary_pair(chi: float) -> KrausChannel:
+    """The preconditioned channel: pair_rotations(chi), each weighted 1/2.
+
+    At chi = 0 and at the magic strengths psi = 0, the two rotations
+    coincide and the channel is unitary.
+    """
+    v0, v1 = pair_rotations(chi)
     return KrausChannel((v0, v1), np.array([0.5, 0.5]))
 
 

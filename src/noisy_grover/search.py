@@ -9,14 +9,15 @@ as the 2x2 rotation on the ordered basis {|w>, |r>} and as the identity
 on the orthogonal complement; with it, the chi = 0 limit reproduces the
 textbook two-reflection iteration exactly.
 
-Starting from |s>, the state never leaves that plane, so plane_channel
-builds t as a 2x2 channel on {|w>, |r>}, and bloch_map as the real 2x2
-matrix it applies to the Bloch vector (x, z); neither cost depends on n.
-build_search_channel assembles the same map densely in n dimensions and
-is kept as the independent oracle for tests and verification.
+Starting from |s>, the state never leaves that plane, so bloch_map
+builds t's two 2x2 operators on {|w>, |r>} and returns the real 2x2
+matrix t applies to the Bloch vector (x, z), in a few stacked numpy
+products whose cost does not depend on n.  build_search_channel
+assembles the same map densely in n dimensions and is kept as the
+independent oracle for tests and verification.
 
 Modelling assumption: the rotations act on span{|w>, |r>}, so
-build_search_channel's lift and plane_channel both need w, and every step
+build_search_channel's lift and bloch_map both need w, and every step
 carries target information beyond its one I_w query.  At chi_1 and m = 8,
 p_success is 0.9982 at n = 2^20 and 0.9994 at n = 2^40, where
 ideal_grover_probability, the best any 8-query algorithm reaches, is
@@ -32,16 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import NotNormalized
+from .errors import NotNormalized, NotTracePreserving
 from .noise import _require_count, _require_integer, _require_nonnegative
-from .noise import nearest_unitary_pair
-from .tolerances import UNITARITY_ATOL
+from .noise import nearest_unitary_pair, pair_rotations
+from .tolerances import M_MAX, TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "SearchInstance",
     "reflection",
     "uniform_plane_vector",
-    "plane_channel",
     "bloch_map",
     "build_search_channel",
     "ideal_grover_probability",
@@ -97,31 +97,58 @@ def uniform_plane_vector(inst: SearchInstance) -> np.ndarray:
     return np.array([1.0 / math.sqrt(inst.n), math.sqrt((inst.n - 1) / inst.n)])
 
 
-def plane_channel(inst: SearchInstance) -> KrausChannel:
-    """t restricted to the search plane: 2x2 operators V_i I_s V_i^dag I_w.
-
-    On the basis {|w>, |r>} the rotations V_i act unembedded, I_s reflects
-    about uniform_plane_vector(inst) and I_w = diag(-1, 1); the weights are
-    nearest_unitary_pair's 1/2.  Iterated from |s><s| it gives the plane
-    block of t^m(|s><s|), whose entries outside the plane are exact zeros,
-    at any n.
-    """
-    pair = nearest_unitary_pair(inst.chi)
-    refl_s = reflection(uniform_plane_vector(inst))
-    refl_w = np.diag([-1.0, 1.0])
-    ops = tuple(v @ refl_s @ v.conj().T @ refl_w for v in pair.operators)
-    return KrausChannel(ops, pair.weights)
+# I_w on {|w>, |r>}, and the probe states (1 + sigma_x)/2 and (1 + sigma_z)/2
+_REFL_W = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+_PROBES = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
 
 
 def bloch_map(inst: SearchInstance) -> np.ndarray:
-    """The real 2x2 matrix of plane_channel(inst) on Bloch vectors (x, z).
+    """The real 2x2 matrix t applies to plane Bloch vectors (x, z).
 
-    Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
+    On {|w>, |r>}, t(rho) = 1/2 sum_i K_i rho K_i^dag with
+    K_i = V_i I_s V_i^dag I_w: the pair_rotations V_i act unembedded, I_s
+    reflects about uniform_plane_vector(inst) and I_w = diag(-1, 1).  The
+    columns are the Bloch vectors of t((1 + sigma_x)/2) and
     t((1 + sigma_z)/2), with no offset as t is unital; being a half-half
-    mixture of two rotations of the Bloch disc, it is cos(2 psi) R(phi).
+    mixture of two rotations of the Bloch disc, the matrix is
+    cos(2 psi) R(phi).
+
+    Both K_i, and t of both probes, come from stacked matmuls: each slice
+    is the BLAS product of the same 2x2 operands that one operator at a
+    time would multiply, so it carries the same bits, and the weighted
+    images are summed onto zeros as KrausChannel does, which keeps signed
+    zeros.  |s| must be 1 within UNITARITY_ATOL (NotNormalized), and the
+    pair and the K_i must each be complete within TRACE_ATOL
+    (NotTracePreserving); a nan fails every check.
     """
-    t = plane_channel(inst)
-    out = np.array([t(np.full((2, 2), 0.5)), t(np.diag([1.0, 0.0]))]).real
+    v = pair_rotations(inst.chi)
+    s0, s1 = uniform_plane_vector(inst).tolist()
+    norm = math.hypot(s0, s1)
+    if not abs(norm - 1.0) <= UNITARITY_ATOL:
+        raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")
+    # 1 - 2|s><s|, entry for entry reflection(s)
+    refl_s = np.array(
+        [
+            [1.0 - 2.0 * (s0 * s0), -2.0 * (s0 * s1)],
+            [-2.0 * (s1 * s0), 1.0 - 2.0 * (s1 * s1)],
+        ],
+        dtype=complex,
+    )
+    k = v @ refl_s @ v.conj().transpose(0, 2, 1) @ _REFL_W
+    ops = np.concatenate((v, k))
+    ops_dag = ops.conj().transpose(0, 2, 1)
+    gram = ops_dag @ ops
+    # sum_i 1/2 X_i^dag X_i - 1 for the pair X = V and for X = K
+    defects = np.linalg.norm(0.5 * (gram[0::2] + gram[1::2]) - np.eye(2), axis=(1, 2))
+    for defect in defects.tolist():
+        if not defect <= TRACE_ATOL:
+            raise NotTracePreserving(
+                f"completeness defect {defect:.3e} exceeds {TRACE_ATOL:.1e}"
+            )
+    images = np.zeros((2, 2, 2), dtype=complex)
+    for term in 0.5 * (k[:, None] @ _PROBES @ ops_dag[2:, None]):
+        images += term
+    out = images.real
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
 
 
@@ -157,5 +184,5 @@ def ideal_grover_probability(inst: SearchInstance, m: int) -> float:
     Closed-form success probability of m two-reflection iterations from
     the uniform state; the chi = 0 channel must match this.
     """
-    m = _require_count("iteration count m", m, 0)
+    m = _require_count("iteration count m", m, 0, M_MAX)
     return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(inst.n))) ** 2)

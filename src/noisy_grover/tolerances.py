@@ -31,3 +31,8 @@ BLOCH_ZERO_ATOL = 1e-10
 # Largest noise strength accepted: above 2**52 consecutive doubles are at
 # least 1 apart, so chi/2 no longer resolves an angle.
 CHI_MAX = 2.0**52
+
+# Largest iteration count m accepted: up to 2**53 the float m in m * psi is
+# m exactly, and every array of m + 1 rows has a size numpy can allocate or
+# refuse as out of memory.
+M_MAX = 2**53

@@ -6,7 +6,10 @@ its success probability, build the search plane's basis, extract the Bloch
 vector, angular fidelity and von Neumann entropy from dense n x n states,
 take the entropy of any stack of spectra, validate density matrices,
 count Choi ranks, give the Bloch trajectory in closed form, and rerun the
-plane channel in mpmath (a test dependency, not a runtime one).  Tests
+plane channel in mpmath (a test dependency, not a runtime one).  The
+plane channel as a KrausChannel, bloch_map built from it one operator at
+a time, and the report's columns derived one array operation at a time
+are the bit-level oracles of the stacked bloch_map and the report.  Tests
 import them as `from oracles import ...`, the way they import
 `from conftest import ...`.
 """
@@ -25,12 +28,13 @@ from noisy_grover.linalg import (
     hermiticity_defect,
     require_hermitian,
 )
-from noisy_grover.noise import scalar_profile
-from noisy_grover.search import SearchInstance
+from noisy_grover.noise import rotation_y, scalar_profile
+from noisy_grover.search import SearchInstance, reflection, uniform_plane_vector
 from noisy_grover.tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
     HERMITICITY_ATOL,
+    MAJORIZATION_ATOL,
     POSITIVITY_ATOL,
     TRACE_ATOL,
 )
@@ -97,6 +101,100 @@ def iterate(kraus: KrausChannel, rho: np.ndarray, m: int) -> np.ndarray:
 def success_probability(rho: np.ndarray, w: int) -> float:
     """<w| rho |w>: probability that a measurement yields the target."""
     return float(rho[w, w].real)
+
+
+def plane_channel(inst: SearchInstance) -> KrausChannel:
+    """t restricted to the search plane: 2x2 operators V_i I_s V_i^dag I_w.
+
+    On the basis {|w>, |r>} the rotations V_i = rotation_y(psi - chi/2)
+    and rotation_y(-chi/2) act unembedded, I_s = reflection(|s>) and
+    I_w = diag(-1, 1); the weights are 1/2.  Iterated from |s><s| it gives
+    the plane block of t^m(|s><s|), whose entries outside the plane are
+    exact zeros, at any n.
+    """
+    prof = scalar_profile(inst.chi)
+    pair = (rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0))
+    refl_s = reflection(uniform_plane_vector(inst))
+    refl_w = np.diag([-1.0, 1.0])
+    ops = tuple(v @ refl_s @ v.conj().T @ refl_w for v in pair)
+    return KrausChannel(ops, np.array([0.5, 0.5]))
+
+
+def bloch_map_via_channel(inst: SearchInstance) -> np.ndarray:
+    """bloch_map's matrix from plane_channel, one operator and one probe at a time.
+
+    Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
+    t((1 + sigma_z)/2), each a KrausChannel application.
+    """
+    t = plane_channel(inst)
+    out = np.array([t(np.full((2, 2), 0.5)), t(np.diag([1.0, 0.0]))]).real
+    return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
+
+
+def _libm(fn, *args) -> np.ndarray:
+    """fn mapped over Python floats, as a float array."""
+    return np.fromiter(map(fn, *args), float)
+
+
+def _xlogx(values: np.ndarray) -> np.ndarray:
+    """l ln(l) for each value l, and 0 where l is at most EIGENVALUE_FLOOR."""
+    kept = values > EIGENVALUE_FLOOR
+    return np.where(kept, values * np.log(np.where(kept, values, 1.0)), 0.0)
+
+
+def report_columns_oracle(inst: SearchInstance, m_max: int) -> dict:
+    """Every column of trajectory_report(inst, m_max), one array operation at a time.
+
+    The Bloch vector is iterated with bloch_map_via_channel's matrix, and
+    each column is its own numpy expression on whole columns: hypot and
+    the closed forms' cos and pow mapped over Python floats, the spectrum
+    stacked from (1 + r)/2 and (1 - r)/2, and each majorization flag
+    chain concatenated after a leading True.  Keys are the report's
+    attribute names.
+    """
+    (a, b), (c, d) = bloch_map_via_channel(inst).tolist()
+    s0, s1 = uniform_plane_vector(inst).tolist()
+    x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
+    bloch = np.empty((m_max + 1, 2))
+    for m in range(m_max + 1):
+        bloch[m] = x, z
+        x, z = a * x + b * z, c * x + d * z
+    bloch_x, bloch_z = bloch[:, 0].copy(), bloch[:, 1].copy()
+    p_success = 0.5 * (1.0 + bloch_z)
+    bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
+    cos_gamma = np.full(m_max + 1, math.nan)
+    np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
+
+    psi = scalar_profile(inst.chi).psi
+    alpha = math.acos(1.0 / math.sqrt(inst.n))
+    theta = math.pi + inst.chi + math.asin(2.0 * math.sqrt(inst.n - 1.0) / inst.n)
+    steps = np.arange(m_max + 1)
+    phi_half = steps * psi - steps * theta + alpha
+    damping = _libm(pow, [math.cos(2.0 * psi)] * (m_max + 1), range(m_max + 1))
+    f_closed = 0.25 * (1.0 + damping * _libm(math.cos, (2.0 * phi_half).tolist()))
+    cos_gamma_closed = _libm(pow, map(math.cos, phi_half.tolist()), [2] * (m_max + 1))
+
+    spectra = np.stack([0.5 * (1.0 + bloch_norm), 0.5 * (1.0 - bloch_norm)], axis=-1)
+    top, bottom = spectra[:, 0], spectra[:, 1]
+    entropies = 0.0 - (_xlogx(top) + _xlogx(bottom))
+    return {
+        "p_success": p_success,
+        "f_paper": 0.5 * p_success,
+        "bloch_x": bloch_x,
+        "bloch_z": bloch_z,
+        "bloch_norm": bloch_norm,
+        "cos_gamma": cos_gamma,
+        "f_closed": f_closed,
+        "cos_gamma_closed": cos_gamma_closed,
+        "entropies": entropies,
+        "spectra": spectra,
+        "majorized_by_prev": np.concatenate(
+            [[True], top[1:] - top[:-1] <= MAJORIZATION_ATOL]
+        ),
+        "majorized_by_init": np.concatenate(
+            [[True], top[1:] - top[0] <= MAJORIZATION_ATOL]
+        ),
+    }
 
 
 def target_state(n: int, w: int) -> np.ndarray:
@@ -202,9 +300,7 @@ def entropy_from_spectrum(values: np.ndarray):
     A (..., k) array of spectra gives a (...) array of entropies; a single
     spectrum gives a float.
     """
-    vals = np.asarray(values, dtype=float)
-    kept = vals > EIGENVALUE_FLOOR
-    terms = np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0)
+    terms = _xlogx(np.asarray(values, dtype=float))
     # 0.0 - x, not -x: a pure state's entropy is +0.0, not -0.0
     result = 0.0 - np.sum(terms, axis=-1)
     return float(result) if result.ndim == 0 else result

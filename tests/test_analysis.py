@@ -18,10 +18,9 @@ from noisy_grover.search import (
     bloch_map,
     build_search_channel,
     ideal_grover_probability,
-    plane_channel,
     uniform_plane_vector,
 )
-from noisy_grover.tolerances import BLOCH_ZERO_ATOL, MAJORIZATION_ATOL
+from noisy_grover.tolerances import BLOCH_ZERO_ATOL, CHI_MAX, MAJORIZATION_ATOL
 
 from oracles import (
     LengthMismatch,
@@ -37,6 +36,8 @@ from oracles import (
     high_precision_bloch_norms,
     iterate,
     plane_basis,
+    plane_channel,
+    report_columns_oracle,
     target_state,
     uniform_state,
 )
@@ -413,6 +414,30 @@ class TestTwoEntryMajorization:
         for flags in (rep.majorized_by_prev, rep.majorized_by_init):
             assert 0 < np.count_nonzero(flags) < len(flags)
         assert_flags_match_oracle(rep)
+
+
+class TestReportBits:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        chi=st.floats(0.0, 1e6),
+        n=st.sampled_from([2, 3, 2**20, 2**40, 2**53, 10**300]),
+        m_max=st.integers(1, 80),
+    )
+    @example(chi=chi_star(1), n=2**40, m_max=40)
+    @example(chi=chi_star(2), n=3, m_max=40)
+    @example(chi=2.7207, n=2**20, m_max=40)
+    @example(chi=1.269127, n=2, m_max=40)
+    @example(chi=7.716019, n=10**300, m_max=40)
+    @example(chi=CHI_MAX, n=2**53, m_max=40)
+    def test_every_column_equals_the_oracle_bit_for_bit(self, chi, n, m_max):
+        # the report's few array passes and one-loop closed forms must give
+        # the bits of each column's own numpy expression
+        inst = SearchInstance(n=n, w=0, chi=chi)
+        rep = trajectory_report(inst, m_max)
+        for name, expected in report_columns_oracle(inst, m_max).items():
+            column = getattr(rep, name)
+            assert (column.shape, column.dtype) == (expected.shape, expected.dtype), name
+            assert column.tobytes() == expected.tobytes(), name
 
 
 class TestTrajectoryReport:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -38,15 +39,47 @@ class TestExitCodes:
         assert main([]) == 1
         capsys.readouterr()
 
-    def test_impossible_m_is_a_usage_error(self, capsys):
+    def test_impossible_m_is_a_usage_error(self):
         # the trajectory's arrays are allocated before the first step, so
-        # this fails at once with a typed error instead of exhausting memory
-        code = main(["search", "--chi", "1", "--n", "16", "--m", "1000000000000000"])
-        assert code == 1
+        # this fails at once with a typed error instead of exhausting memory;
+        # the child's 1 GiB address-space cap turns a regression to lazy
+        # allocation into this test's failure, not an out-of-memory kill
+        script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from noisy_grover.cli import main
+sys.exit(main(["search", "--chi", "1", "--n", "16", "--m", "1000000000000000"]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "m, shown",
+        [
+            ("9007199254740993", "9007199254740993"),
+            ("576460752303423487", "576460752303423487"),
+            (str(10**20), "an integer of 67 bits"),
+        ],
+        ids=["2^53+1", "2^59-1", "1e20"],
+    )
+    def test_m_past_the_ceiling_names_m(self, m, shown, capsys):
+        # past 2^53, m * psi no longer holds m exactly; numpy's own shape
+        # errors, which do not name m, are never reached
+        assert main(["search", "--chi", "1", "--n", "4", "--m", m]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: out of memory")
-        assert "Traceback" not in captured.err
+        assert captured.err == (
+            f"error: iteration count m must be <= 9007199254740992, got {shown}\n"
+        )
 
     def test_parser_reuse_matches_fresh_parsers(self, capsys):
         commands = [
@@ -305,21 +338,22 @@ class TestChiStar:
         assert float(first_row.split(",")[2]) > 1e-10  # past the old fixed bound
 
     @pytest.mark.parametrize(
-        "n_max",
+        "n_max, shown",
         [
             # chi_n first exceeds CHI_MAX at this n, CHI_STAR_MAX_INDEX + 1
-            pytest.param("716770142402833", id="first-row-past-chi-max"),
-            pytest.param(str(10**15), id="n-max-1e15"),
-            pytest.param("1" + "0" * 400, id="n-max-1e400"),
+            pytest.param("716770142402833", "716770142402833", id="first-row-past-chi-max"),
+            pytest.param(str(10**15), str(10**15), id="n-max-1e15"),
+            # a value wider than 64 bits is named by its size
+            pytest.param("1" + "0" * 400, "an integer of 1329 bits", id="n-max-1e400"),
         ],
     )
-    def test_failing_table_prints_nothing(self, n_max, capsys):
+    def test_failing_table_prints_nothing(self, n_max, shown, capsys):
         # --n-max is checked before the header, so no row can fail
         assert main(["chi-star", "--n-max", n_max]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: --n-max must be <= 716770142402832, got {n_max}\n"
+            f"error: --n-max must be <= 716770142402832, got {shown}\n"
         )
 
     def test_perturb_is_not_an_option(self, capsys):

@@ -18,6 +18,7 @@ from noisy_grover.noise import (
     hamiltonian_kraus,
     nearest_unitary_oracle,
     nearest_unitary_pair,
+    pair_rotations,
     psi_zero_scan,
     rotation_y,
     scalar_profile,
@@ -206,6 +207,17 @@ class TestNearestUnitaryPair:
             assert np.max(ch.unitarity_defects()) <= 1e-10
             assert np.linalg.norm(ch(half) - half) <= 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chi=st.one_of(st.floats(0.0, 1e6), st.sampled_from([CHI_STAR_1, CHI_MAX])))
+    def test_pair_is_rotation_y_of_both_angles_bit_for_bit(self, chi):
+        prof = scalar_profile(chi)
+        v = pair_rotations(chi)
+        assert v.shape == (2, 2, 2) and v.dtype == complex
+        expected = (rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0))
+        channel = nearest_unitary_pair(chi)
+        for op, channel_op, rotation in zip(v, channel.operators, expected):
+            assert op.tobytes() == channel_op.tobytes() == rotation.tobytes()
+
 
 class TestNearestUnitaryOracle:
     def test_polar_factors_match_closed_form_pair_at_two(self):
@@ -245,11 +257,18 @@ class TestChiStar:
         assert math.pi * math.sqrt(4.0 * past * past - 0.25) == 4503599627370500.0
 
     @pytest.mark.parametrize(
-        "index", [CHI_STAR_MAX_INDEX + 1, 10**154, 10**400], ids=["max+1", "1e154", "1e400"]
+        "index, shown",
+        [
+            (CHI_STAR_MAX_INDEX + 1, "716770142402833"),
+            (10**154, "an integer of 512 bits"),
+            (10**400, "an integer of 1329 bits"),
+        ],
+        ids=["max+1", "1e154", "1e400"],
     )
-    def test_rejects_index_past_chi_max(self, index):
-        # the formula overflows to inf by 1e154 and raises OverflowError at 1e400
-        message = rf"^index must be <= 716770142402832, got {index}$"
+    def test_rejects_index_past_chi_max(self, index, shown):
+        # the formula overflows to inf by 1e154 and raises OverflowError at
+        # 1e400; a value wider than 64 bits is named by its size
+        message = rf"^index must be <= 716770142402832, got {shown}$"
         with pytest.raises(ValueError, match=message):
             chi_star(index)
 

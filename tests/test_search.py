@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisy_grover.analysis import closed_form_fidelities, trajectory_report
@@ -12,27 +14,29 @@ from noisy_grover.channels import (
     choi_of_map,
     compose_channels,
 )
-from noisy_grover.errors import DimensionMismatch, NotNormalized
-from noisy_grover.noise import chi_star
+from noisy_grover.errors import DimensionMismatch, NotNormalized, NotTracePreserving
+from noisy_grover.noise import chi_star, pair_rotations
 from noisy_grover.search import (
     SearchInstance,
+    bloch_map,
     build_search_channel,
     ideal_grover_probability,
-    plane_channel,
     reflection,
     uniform_plane_vector,
 )
-from noisy_grover.tolerances import CHI_MAX, UNITARITY_ATOL
+from noisy_grover.tolerances import CHI_MAX, M_MAX, UNITARITY_ATOL
 from noisy_grover.verify import run_verification
 
 from conftest import random_channel, random_density
 from oracles import (
     InvalidDensityMatrix,
+    bloch_map_via_channel,
     check_density_matrix,
     choi_rank,
     identity_channel,
     iterate,
     plane_basis,
+    plane_channel,
     success_probability,
     target_state,
     uniform_state,
@@ -163,6 +167,51 @@ class TestBuildChannel:
             assert_allclose(plane.weights, dense.weights)
             for k2, kn in zip(plane.operators, dense.operators):
                 assert_allclose(k2, p.conj().T @ kn @ p, atol=1e-13)
+
+
+class TestBlochMap:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.0, 1e6), n=st.sampled_from([2, 3, 2**20, 2**40, 2**53, 10**300]))
+    @example(chi=chi_star(1), n=2**40)
+    @example(chi=chi_star(2), n=3)
+    @example(chi=2.7207, n=2**20)
+    @example(chi=1.269127, n=2)
+    @example(chi=7.716019, n=10**300)
+    @example(chi=CHI_MAX, n=2**53)
+    def test_bits_equal_the_channel_construction(self, chi, n):
+        # every slice of the stacked products is the BLAS product one
+        # KrausChannel application multiplies; the bits depend on the CPU's
+        # BLAS kernels, so this test carries the claim to each machine
+        inst = SearchInstance(n=n, w=0, chi=chi)
+        assert bloch_map(inst).tobytes() == bloch_map_via_channel(inst).tobytes()
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pytest.param(lambda v: 1.5 * v, id="non-unitary-pair"),
+            pytest.param(lambda v: np.full_like(v, np.nan), id="nan-pair"),
+            # 0.5 (V0^dag V0 + V1^dag V1) = 1, but V_i I_s V_i^dag I_w is not
+            # complete: only the plane operators' check can fire
+            pytest.param(
+                lambda v: np.sqrt(2.0) * np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+                id="complete-pair-incomplete-operators",
+            ),
+        ],
+    )
+    def test_completeness_checks_fire(self, pair, monkeypatch):
+        monkeypatch.setattr(
+            "noisy_grover.search.pair_rotations", lambda chi: pair(pair_rotations(chi))
+        )
+        with pytest.raises(NotTracePreserving, match="^completeness defect "):
+            bloch_map(SearchInstance(n=16, w=0, chi=1.0))
+
+    @pytest.mark.parametrize("s", [[0.6, 0.9], [np.nan, 1.0]], ids=["long", "nan"])
+    def test_unnormalized_plane_vector_fires(self, s, monkeypatch):
+        monkeypatch.setattr(
+            "noisy_grover.search.uniform_plane_vector", lambda inst: np.array(s)
+        )
+        with pytest.raises(NotNormalized):
+            bloch_map(SearchInstance(n=16, w=0, chi=1.0))
 
 
 class TestApplyIterate:
@@ -312,6 +361,23 @@ class TestCountRule:
         message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             call(value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: trajectory_report(_COUNT_INST, m),
+            lambda m: closed_form_fidelities(_COUNT_INST, m),
+            lambda m: ideal_grover_probability(_COUNT_INST, m),
+        ],
+        ids=["trajectory_report", "closed_form_fidelities", "ideal_grover_probability"],
+    )
+    def test_m_past_the_ceiling_is_rejected(self, call):
+        assert M_MAX == 2**53
+        message = rf"^iteration count m must be <= {M_MAX}, got {M_MAX + 1}$"
+        with pytest.raises(ValueError, match=message):
+            call(M_MAX + 1)
+        with pytest.raises(ValueError, match="got an integer of 1329 bits$"):
+            call(10**400)
 
 
 class TestDensityValidation:
