@@ -1,9 +1,11 @@
-"""Kraus channels: the operator-sum carrier used by every other module.
+"""Kraus channels: weighted operator families held as one (k, d, d) stack.
 
 A channel is a weighted family {(w_i, K_i)} acting as
 rho -> sum_i w_i K_i rho K_i^dagger.  Weights are kept explicit so that
 mixed-unitary channels can store honest unitaries with probabilities
-instead of pre-scaled operators, which keeps unitarity assertable.
+instead of pre-scaled operators, which keeps unitarity assertable.  Its
+users are noise's Kraus pairs, search's dense oracle channel, verify and
+the kraus command; search.bloch_map builds no channel.
 """
 
 from __future__ import annotations
@@ -30,21 +32,25 @@ __all__ = [
 class KrausChannel:
     """Trace-preserving operator-sum map with explicit mixing weights.
 
+    operators is stored as one complex (k, d, d) array, and anything else
+    (ragged, empty, not square or not finite) raises DimensionMismatch.
     Weights must be finite and positive.  Completeness
     sum_i w_i K_i^dag K_i = I is enforced at construction within
     TRACE_ATOL (Frobenius norm); a nan defect fails it.
     """
 
-    operators: tuple
+    operators: np.ndarray
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(k) for k in self.operators)
-        if not ops:
-            raise DimensionMismatch("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        if any(k.shape[0] != dim for k in ops):
-            raise DimensionMismatch("Kraus operators must share one dimension")
+        try:
+            ops = np.asarray(self.operators, dtype=complex)
+        except ValueError:  # ragged: the operators differ in shape
+            raise DimensionMismatch("Kraus operators must share one shape") from None
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.size == 0:
+            raise DimensionMismatch(f"need a (k, d, d) operator stack, got {ops.shape}")
+        if not np.all(np.isfinite(ops)):
+            raise DimensionMismatch("Kraus operators contain non-finite entries")
         if self.weights is None:
             w = np.ones(len(ops))
         else:
@@ -61,7 +67,7 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     def completeness_defect(self) -> float:
         acc = sum(w * (k.conj().T @ k) for w, k in zip(self.weights, self.operators))
@@ -89,7 +95,7 @@ class KrausChannel:
 
 
 def compose_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Channel applying b first, then a, with Kraus set {A_i B_j}.
+    """Channel applying b first, then a, with Kraus set {A_i B_j}, i-major.
 
     Weights multiply.  When both factors are mixed-unitary the products
     A_i B_j are unitary again, so the composition stays mixed-unitary;
@@ -97,13 +103,10 @@ def compose_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"channel dims differ: {a.dim} != {b.dim}")
-    ops = []
-    weights = []
-    for wa, ka in zip(a.weights, a.operators):
-        for wb, kb in zip(b.weights, b.operators):
-            ops.append(ka @ kb)
-            weights.append(wa * wb)
-    return KrausChannel(tuple(ops), np.array(weights))
+    ops = a.operators[:, None] @ b.operators[None]
+    return KrausChannel(
+        ops.reshape(-1, a.dim, a.dim), np.outer(a.weights, b.weights).ravel()
+    )
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -128,15 +131,11 @@ def choi_of_map(f: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     Independent of choi_matrix's Kraus shortcut; used to cross-check it.
     """
     c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    basis_elem = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
-            basis_elem[:] = 0.0
-            basis_elem[i, j] = 1.0
-            out = f(basis_elem)
             e_ij = np.zeros((dim, dim), dtype=complex)
             e_ij[i, j] = 1.0
-            c += np.kron(out, e_ij)
+            c += np.kron(f(e_ij), e_ij)
     return c
 
 

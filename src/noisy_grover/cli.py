@@ -42,6 +42,7 @@ from .verify import run_verification
 __all__ = ["main", "entrypoint"]
 
 OUT_DIR_ENV = "NOISY_GROVER_OUT_DIR"
+CONFIG_KEYS = ("format", "out_dir", "target")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +61,10 @@ def _load_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"config key {key!r} is not one of {', '.join(CONFIG_KEYS)}")
+            cfg[key] = value
     return cfg
 
 

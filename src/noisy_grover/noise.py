@@ -68,13 +68,14 @@ def _require_count(name: str, value, minimum: int, maximum: int | None = None) -
     """value as an int, or ValueError naming it unless it is an integer >= minimum.
 
     A maximum other than None is a ceiling, checked the same way.  A value
-    wider than 64 bits is named by its size, not printed in full.
+    or bound wider than 64 bits is named by its size, not printed in full.
     """
     value = _require_integer(name, value)
+    shown = _describe_integer(value)
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {_describe_integer(value)}")
+        raise ValueError(f"{name} must be >= {_describe_integer(minimum)}, got {shown}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {_describe_integer(value)}")
+        raise ValueError(f"{name} must be <= {_describe_integer(maximum)}, got {shown}")
     return value
 
 
@@ -167,15 +168,11 @@ def hamiltonian_kraus(chi: float) -> KrausChannel:
 def pair_rotations(chi: float) -> np.ndarray:
     """The two preconditioning rotations as one (2, 2, 2) complex array.
 
-    V0 = exp(i (psi - chi/2) sigma_y) and V1 = exp(-i chi/2 sigma_y), each
-    entry for entry rotation_y of its angle; the one home of both angles.
+    V0 = exp(i (psi - chi/2) sigma_y) and V1 = exp(-i chi/2 sigma_y), the
+    rotation_y of each angle stacked; the one home of both angles.
     """
     prof = scalar_profile(chi)
-    (c0, s0), (c1, s1) = [
-        (math.cos(angle), math.sin(angle))
-        for angle in (prof.psi - prof.chi / 2.0, -prof.chi / 2.0)
-    ]
-    return np.array([[[c0, s0], [-s0, c0]], [[c1, s1], [-s1, c1]]], dtype=complex)
+    return np.array([rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0)])
 
 
 def nearest_unitary_pair(chi: float) -> KrausChannel:
@@ -184,8 +181,7 @@ def nearest_unitary_pair(chi: float) -> KrausChannel:
     At chi = 0 and at the magic strengths psi = 0, the two rotations
     coincide and the channel is unitary.
     """
-    v0, v1 = pair_rotations(chi)
-    return KrausChannel((v0, v1), np.array([0.5, 0.5]))
+    return KrausChannel(pair_rotations(chi), np.array([0.5, 0.5]))
 
 
 def nearest_unitary_oracle(chi: float) -> KrausChannel:
@@ -198,8 +194,7 @@ def nearest_unitary_oracle(chi: float) -> KrausChannel:
     Compare against nearest_unitary_pair per operator, optimally over a
     global phase; residual branch disagreements are findings, not bugs.
     """
-    base = closed_form_kraus(chi)
-    factors = tuple(polar_unitary_factor(k) for k in base.operators)
+    factors = [polar_unitary_factor(k) for k in closed_form_kraus(chi).operators]
     return KrausChannel(factors, np.array([0.5, 0.5]))
 
 

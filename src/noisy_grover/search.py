@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import NotNormalized, NotTracePreserving
-from .noise import _require_count, _require_integer, _require_nonnegative
+from .noise import _require_count, _require_nonnegative
 from .noise import nearest_unitary_pair, pair_rotations
 from .tolerances import M_MAX, TRACE_ATOL, UNITARITY_ATOL
 
@@ -52,10 +52,10 @@ __all__ = [
 class SearchInstance:
     """Database size, target index, and environment coupling strength.
 
-    n and w must be integers (stored as int, never bool), with 2 <= n,
-    n convertible to float, and 0 <= w < n; chi is stored as a float and
-    must be finite and in [0, CHI_MAX] (noise._require_nonnegative).
-    Anything else raises ValueError.
+    n and w pass noise._require_count (integers, stored as int, never
+    bool), with 2 <= n, n convertible to float, and 0 <= w <= n - 1; chi
+    is stored as a float and must be finite and in [0, CHI_MAX]
+    (noise._require_nonnegative).  Anything else raises ValueError.
     """
 
     n: int
@@ -63,20 +63,15 @@ class SearchInstance:
     chi: float
 
     def __post_init__(self):
-        for name in ("n", "w"):
-            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        n = _require_count("database size n", self.n, 2)
         try:
-            float(self.n)
+            float(n)
         except OverflowError:
             raise ValueError(
-                f"database size n of {self.n.bit_length()} bits does not fit a float"
+                f"database size n of {n.bit_length()} bits does not fit a float"
             ) from None
-        if self.n < 2:
-            raise ValueError(f"database size n must be >= 2, got {self.n}")
-        if not 0 <= self.w < self.n:
-            raise ValueError(
-                f"target index w must be in [0, n) = [0, {self.n}), got {self.w}"
-            )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w", _require_count("target index w", self.w, 0, n - 1))
         object.__setattr__(self, "chi", _require_nonnegative(self.chi))
 
 
@@ -171,11 +166,9 @@ def build_search_channel(inst: SearchInstance) -> KrausChannel:
     e_w = np.zeros(inst.n)
     e_w[inst.w] = 1.0
     refl_w = reflection(e_w)
-    ops = []
-    for v in pair.operators:
-        lifted = np.eye(inst.n, dtype=complex) + p @ (v - np.eye(2)) @ p.conj().T
-        ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
-    return KrausChannel(tuple(ops), pair.weights)
+    lifted = np.eye(inst.n, dtype=complex) + p @ (pair.operators - np.eye(2)) @ p.conj().T
+    ops = lifted @ refl_s @ lifted.conj().transpose(0, 2, 1) @ refl_w
+    return KrausChannel(ops, pair.weights)
 
 
 def ideal_grover_probability(inst: SearchInstance, m: int) -> float:

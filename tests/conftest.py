@@ -26,9 +26,13 @@ def random_density(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_channel(rng, dim: int, n_ops: int) -> KrausChannel:
-    """Random trace-preserving channel from a Haar-ish isometry."""
+def random_kraus_blocks(rng, dim: int, n_ops: int) -> tuple:
+    """n_ops dim x dim blocks of a Haar-ish isometry: a complete Kraus family."""
     z = rng.normal(size=(n_ops * dim, dim)) + 1j * rng.normal(size=(n_ops * dim, dim))
     isometry, _ = np.linalg.qr(z)
-    blocks = tuple(isometry[i * dim : (i + 1) * dim] for i in range(n_ops))
-    return KrausChannel(blocks)
+    return tuple(isometry[i * dim : (i + 1) * dim] for i in range(n_ops))
+
+
+def random_channel(rng, dim: int, n_ops: int) -> KrausChannel:
+    """Random trace-preserving channel from a Haar-ish isometry."""
+    return KrausChannel(random_kraus_blocks(rng, dim, n_ops))

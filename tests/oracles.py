@@ -9,9 +9,11 @@ count Choi ranks, give the Bloch trajectory in closed form, and rerun the
 plane channel in mpmath (a test dependency, not a runtime one).  The
 plane channel as a KrausChannel, bloch_map built from it one operator at
 a time, and the report's columns derived one array operation at a time
-are the bit-level oracles of the stacked bloch_map and the report.  Tests
-import them as `from oracles import ...`, the way they import
-`from conftest import ...`.
+are the bit-level oracles of the stacked bloch_map and the report; the
+Kraus sum, completeness defect, composition and dense lift taken one 2-D
+operator (or pair) at a time are those of KrausChannel's (k, d, d) stack
+and of build_search_channel.  Tests import them as
+`from oracles import ...`, the way they import `from conftest import ...`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from noisy_grover.linalg import (
     hermiticity_defect,
     require_hermitian,
 )
-from noisy_grover.noise import rotation_y, scalar_profile
+from noisy_grover.noise import pair_rotations, rotation_y, scalar_profile
 from noisy_grover.search import SearchInstance, reflection, uniform_plane_vector
 from noisy_grover.tolerances import (
     BLOCH_ZERO_ATOL,
@@ -129,6 +131,51 @@ def bloch_map_via_channel(inst: SearchInstance) -> np.ndarray:
     t = plane_channel(inst)
     out = np.array([t(np.full((2, 2), 0.5)), t(np.diag([1.0, 0.0]))]).real
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
+
+
+def kraus_sum_per_operator(weights, ops, rho) -> np.ndarray:
+    """sum_i w_i K_i rho K_i^dag over 2-D operators, summed onto zeros one at a time."""
+    out = np.zeros_like(rho)
+    for w, k in zip(weights, ops):
+        out += w * (k @ rho @ k.conj().T)
+    return out
+
+
+def completeness_per_operator(weights, ops) -> float:
+    """Frobenius norm of sum_i w_i K_i^dag K_i - 1, one 2-D operator at a time."""
+    acc = sum(w * (k.conj().T @ k) for w, k in zip(weights, ops))
+    return float(np.linalg.norm(acc - np.eye(ops[0].shape[0])))
+
+
+def compose_per_pair(a_weights, a_ops, b_weights, b_ops) -> tuple:
+    """(weights, operators) of a after b: A_i B_j and w_i w_j one pair at a time, i-major."""
+    weights, ops = [], []
+    for wa, ka in zip(a_weights, a_ops):
+        for wb, kb in zip(b_weights, b_ops):
+            weights.append(wa * wb)
+            ops.append(ka @ kb)
+    return np.array(weights), np.array(ops)
+
+
+def search_operators_per_operator(inst: SearchInstance) -> np.ndarray:
+    """build_search_channel's operators, each rotation lifted on its own.
+
+    The same (n, 2) basis, reflections and lift 1 + P (V_i - 1) P^dag, as
+    2-D products over the pair_rotations one V_i at a time, stacked last.
+    """
+    p = np.zeros((inst.n, 2), dtype=complex)
+    p[inst.w, 0] = 1.0
+    p[:, 1] = 1.0 / np.sqrt(inst.n - 1.0)
+    p[inst.w, 1] = 0.0
+    refl_s = reflection(np.full(inst.n, 1.0 / np.sqrt(inst.n)))
+    e_w = np.zeros(inst.n)
+    e_w[inst.w] = 1.0
+    refl_w = reflection(e_w)
+    ops = []
+    for v in pair_rotations(inst.chi):
+        lifted = np.eye(inst.n, dtype=complex) + p @ (v - np.eye(2)) @ p.conj().T
+        ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
+    return np.array(ops)
 
 
 def _libm(fn, *args) -> np.ndarray:

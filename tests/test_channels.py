@@ -12,8 +12,23 @@ from noisy_grover.channels import (
 from noisy_grover.errors import DimensionMismatch, NotTracePreserving
 from noisy_grover.tolerances import UNITARITY_ATOL
 
-from conftest import random_channel, random_density, random_unitary
-from oracles import choi_rank, identity_channel
+from conftest import random_channel, random_density, random_kraus_blocks, random_unitary
+from oracles import (
+    choi_rank,
+    completeness_per_operator,
+    compose_per_pair,
+    identity_channel,
+    kraus_sum_per_operator,
+)
+
+
+def _families(rng, dim: int):
+    """(weights, operators) Kraus families on dim, k = 1, 2, 3 operators each:
+    isometry blocks at weight 1, and unitaries with random mixing weights."""
+    for n_ops in (1, 2, 3):
+        yield np.ones(n_ops), random_kraus_blocks(rng, dim, n_ops)
+        weights = rng.dirichlet(np.ones(n_ops))
+        yield weights, tuple(random_unitary(rng, dim) for _ in range(n_ops))
 
 
 class TestKrausChannel:
@@ -26,6 +41,15 @@ class TestKrausChannel:
             KrausChannel((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
         with pytest.raises(DimensionMismatch):
             KrausChannel(())
+        with pytest.raises(DimensionMismatch):  # a non-square stack
+            KrausChannel(np.zeros((2, 2, 3), dtype=complex))
+        with pytest.raises(DimensionMismatch):  # one bare matrix, not a stack
+            KrausChannel(np.eye(2, dtype=complex))
+
+    def test_holds_one_stack(self):
+        ch = KrausChannel([np.eye(2), np.eye(2)], np.array([0.5, 0.5]))
+        assert type(ch.operators) is np.ndarray
+        assert ch.operators.shape == (2, 2, 2) and ch.operators.dtype == complex
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DimensionMismatch):
@@ -151,3 +175,25 @@ class TestCompose:
     def test_dimension_check(self, rng):
         with pytest.raises(DimensionMismatch):
             compose_channels(identity_channel(2), identity_channel(3))
+
+
+class TestStackBits:
+    """The (k, d, d) stack carries the bits of the per-operator arithmetic."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_apply_and_completeness(self, rng, dim):
+        for weights, ops in _families(rng, dim):
+            ch = KrausChannel(ops, weights)
+            rho = random_density(rng, dim)
+            assert ch(rho).tobytes() == kraus_sum_per_operator(weights, ops, rho).tobytes()
+            assert ch.completeness_defect() == completeness_per_operator(weights, ops)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_compose(self, rng, dim):
+        families = list(_families(rng, dim))
+        for wa, a_ops in families:
+            for wb, b_ops in families:
+                composed = compose_channels(KrausChannel(a_ops, wa), KrausChannel(b_ops, wb))
+                weights, ops = compose_per_pair(wa, a_ops, wb, b_ops)
+                assert composed.weights.tobytes() == weights.tobytes()
+                assert composed.operators.tobytes() == ops.tobytes()

@@ -230,11 +230,26 @@ class TestStderrContract:
             pytest.param(["sweep", "--chi", "1", "--n", "4", "1", "--m", "3"],
                          "database size n must be >= 2, got 1", id="sweep-n-4-1"),
             pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "4"],
-                         "target index w must be in [0, n) = [0, 4), got 4",
+                         "target index w must be <= 3, got 4",
                          id="search-target-4"),
             pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "-1"],
-                         "target index w must be in [0, n) = [0, 4), got -1",
+                         "target index w must be >= 0, got -1",
                          id="search-target-minus-1"),
+            # huge integers are named by their size, bounds as well as values
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--target", str(10**400)],
+                         "target index w must be <= 3, got an integer of 1329 bits",
+                         id="search-target-1e400"),
+            pytest.param(["search", "--chi", "1", "--n", str(10**300), "--m", "3",
+                          "--target", str(10**301)],
+                         "target index w must be <= an integer of 997 bits, "
+                         "got an integer of 1000 bits",
+                         id="search-n-1e300-target-1e301"),
+            # a mistyped key is refused, not ignored
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "typo.cfg"],
+                         "config key 'formt' is not one of format, out_dir, target",
+                         id="search-config-typo"),
             # a flag is an explicit request; a config out_dir stays a default
             pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
                          "sweep: --out-dir needs --per-cell",
@@ -248,13 +263,14 @@ class TestStderrContract:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("NOISY_GROVER_OUT_DIR", raising=False)
         configs = {"bad.cfg": "format=xml\n", "abc.cfg": "target=abc\n",
-                   "noeq.cfg": "format json\n"}
+                   "noeq.cfg": "format json\n", "typo.cfg": "formt=json\n"}
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert len(captured.err) < 120  # one short line, whatever the input's size
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)
 
     def test_bad_chi_in_any_cell_runs_no_trajectory(self, monkeypatch, capsys):

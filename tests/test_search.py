@@ -37,6 +37,7 @@ from oracles import (
     iterate,
     plane_basis,
     plane_channel,
+    search_operators_per_operator,
     success_probability,
     target_state,
     uniform_state,
@@ -155,6 +156,14 @@ class TestBuildChannel:
         assert choi_rank(t) == 2
         assert np.max(t.unitarity_defects()) <= UNITARITY_ATOL
         assert t.completeness_defect() <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_stacked_lift_matches_per_operator_lift_bit_for_bit(self, n):
+        for w, chi in ((0, 0.0), (n - 1, 0.7), (n // 2, chi_star(1)), (1, 11.0)):
+            inst = SearchInstance(n=n, w=w, chi=chi)
+            t = build_search_channel(inst)
+            assert t.operators.tobytes() == search_operators_per_operator(inst).tobytes()
+            assert t.weights.tolist() == [0.5, 0.5]
 
     def test_plane_channel_is_dense_channel_on_plane(self):
         for n, w, chi in ((2, 1, 0.4), (5, 3, 1.0), (16, 0, chi_star(1)), (9, 8, 11.0)):
