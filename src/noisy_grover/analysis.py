@@ -5,11 +5,9 @@ The columnar trajectory report, iterated on the plane Bloch vector
 f_paper, the Bloch norm and angle, the entropy of each step's two-entry
 spectrum, majorization flags, and the closed-form fidelity hypotheses
 beside them; and the gate on such a report that search, sweep and
-verify share (trajectory_violations).  Dense-state extraction (Bloch
-vector, angular fidelity, entropy of an n x n state) lives with the
-tests, as their oracles.  Closed-form values are carried side by side
-with simulated ones for comparison and are never used as the reference:
-the simulator is the oracle, the formulas are hypotheses.
+verify share (trajectory_violations).  Closed-form values are carried
+side by side with simulated ones for comparison and are never used as
+the reference: the simulator is the oracle, the formulas are hypotheses.
 """
 
 from __future__ import annotations

@@ -64,6 +64,8 @@ def _load_config(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"config key {key!r} is not one of {', '.join(CONFIG_KEYS)}")
+            if key in cfg:
+                raise ValueError(f"config key {key!r} is set twice")
             cfg[key] = value
     return cfg
 

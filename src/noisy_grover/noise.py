@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
-from .linalg import matexp_i_hermitian, polar_unitary_factor
+from .channels import KrausChannel, matexp_i_hermitian, polar_unitary_factor
 from .tolerances import CHI_MAX
 
 __all__ = [

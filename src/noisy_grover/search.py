@@ -178,4 +178,4 @@ def ideal_grover_probability(inst: SearchInstance, m: int) -> float:
     the uniform state; the chi = 0 channel must match this.
     """
     m = _require_count("iteration count m", m, 0, M_MAX)
-    return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(inst.n))) ** 2)
+    return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(float(inst.n)))) ** 2)

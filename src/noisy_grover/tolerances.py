@@ -1,7 +1,7 @@
 """Shared numerical tolerances.
 
 A bound that belongs to one check stays beside it: verify.py's
-ORACLE_ATOL, 1e-12, 1e-8, 2e-3, 1e-5 and 1e-3, linalg's SINGULARITY_FLOOR,
+ORACLE_ATOL, 1e-12, 1e-8, 2e-3, 1e-5 and 1e-3, channels' SINGULARITY_FLOOR,
 analysis's ENTROPY_DROP_ATOL, psi_zero_scan's 1e-2 and cli's strict 1e-8.
 The shared ones live here: structural checks on inputs (hermiticity),
 checks on constructed objects (unitarity, trace), and bounds on spectra,

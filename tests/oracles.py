@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisy_grover.channels import KrausChannel, choi_matrix
-from noisy_grover.errors import DimensionMismatch, NoisyGroverError
-from noisy_grover.linalg import (
+from noisy_grover.channels import (
+    KrausChannel,
     as_complex_matrix,
+    choi_matrix,
     hermiticity_defect,
     require_hermitian,
 )
+from noisy_grover.errors import DimensionMismatch, NoisyGroverError
 from noisy_grover.noise import pair_rotations, rotation_y, scalar_profile
 from noisy_grover.search import SearchInstance, reflection, uniform_plane_vector
 from noisy_grover.tolerances import (

@@ -250,6 +250,11 @@ class TestStderrContract:
                           "--config", "typo.cfg"],
                          "config key 'formt' is not one of format, out_dir, target",
                          id="search-config-typo"),
+            # a repeated key is refused, not overridden by its last line
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "twice.cfg"],
+                         "config key 'format' is set twice",
+                         id="search-config-twice"),
             # a flag is an explicit request; a config out_dir stays a default
             pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
                          "sweep: --out-dir needs --per-cell",
@@ -263,7 +268,8 @@ class TestStderrContract:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("NOISY_GROVER_OUT_DIR", raising=False)
         configs = {"bad.cfg": "format=xml\n", "abc.cfg": "target=abc\n",
-                   "noeq.cfg": "format json\n", "typo.cfg": "formt=json\n"}
+                   "noeq.cfg": "format json\n", "typo.cfg": "formt=json\n",
+                   "twice.cfg": "format=csv\nformat=json\n"}
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
         assert main(argv) == 1

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from noisy_grover.errors import DegeneratePolar, DimensionMismatch, NotHermitian
-from noisy_grover.linalg import (
+from noisy_grover.channels import (
     matexp_i_hermitian,
     polar_unitary_factor,
     unitarity_defect,
 )
+from noisy_grover.errors import DegeneratePolar, DimensionMismatch, NotHermitian
 from noisy_grover.noise import PAULI_Y
 
 from conftest import random_hermitian, random_unitary

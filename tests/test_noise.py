@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.channels import KrausChannel, channel_choi_distance
+from noisy_grover.channels import KrausChannel, channel_choi_distance, matexp_i_hermitian
 from noisy_grover.errors import DegeneratePolar
-from noisy_grover.linalg import matexp_i_hermitian
 from noisy_grover.noise import (
     CHI_STAR_MAX_INDEX,
     PAULI_Y,

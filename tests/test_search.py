@@ -330,6 +330,24 @@ class TestProbabilities:
         with pytest.raises(ValueError, match="got nan"):
             ideal_grover_probability(SearchInstance(n=n, w=0, chi=0.0), m)
 
+    # n past int64 reaches numpy as a float: no object-array TypeError
+    @pytest.mark.parametrize("n", [2**64, 10**300], ids=["2^64", "1e300"])
+    @pytest.mark.parametrize("m", [0, 1, 7, 1000])
+    def test_ideal_reference_at_huge_n(self, n, m):
+        p = ideal_grover_probability(SearchInstance(n=n, w=0, chi=0.0), m)
+        assert math.isfinite(p)
+        assert p == pytest.approx((2 * m + 1) ** 2 / n, rel=1e-12)
+
+    # the float conversion keeps every bit where numpy took the int as is
+    @pytest.mark.parametrize(
+        "n", [2, 3, 100, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 12345678901234567891]
+    )
+    @pytest.mark.parametrize("m", [0, 1, 7, 1000])
+    def test_ideal_reference_bits_below_2_64(self, n, m):
+        before = float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2)
+        got = ideal_grover_probability(SearchInstance(n=n, w=0, chi=0.0), m)
+        assert got.hex() == before.hex()
+
     def test_noiseless_simulator_matches_reference(self):
         # the plane report `search` emits; a4 checks the dense channel
         for n in (4, 16, 64):
