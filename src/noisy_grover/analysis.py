@@ -83,11 +83,7 @@ class TrajectoryReport:
 
     @property
     def points(self) -> list:
-        """The readout columns as one FidelityPoint per iteration.
-
-        Built from the columns on every access; index the columns directly
-        in loops.
-        """
+        """One FidelityPoint per iteration, rebuilt on every access."""
         return [
             FidelityPoint(*values)
             for values in zip(
@@ -108,13 +104,11 @@ def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
     theta = pi + chi + arcsin(2 sqrt(n-1)/n) on the principal arcsin
     branch.  The paper fixes psi only through cos^2(psi); psi is
     scalar_profile's principal branch [0, pi/2], the one every output uses.
+    Note f is bounded by 1/2 under this normalization.
 
-    Returned for side-by-side comparison with simulated values, never
-    asserted against them; note f is bounded by 1/2 under this
-    normalization.  Two arrays of m_max + 1 entries, allocated first, each
-    entry the formulas evaluated in Python floats with libm's cos and pow:
-    np.cos, np.power and an array's ** 2 can differ from them in the last
-    bit.
+    Two arrays of m_max + 1 entries, allocated first, each entry evaluated
+    in Python floats with libm's cos and pow: np.cos, np.power and an
+    array's ** 2 can differ from them in the last bit.
     """
     m_max = _require_count("iteration count m", m_max, 0, M_MAX)
     n, chi = inst.n, inst.chi
@@ -133,10 +127,7 @@ def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:
-    """l ln(l) for each eigenvalue l, and +0.0 where l is at most EIGENVALUE_FLOOR.
-
-    Computed in one output array, with no float temporaries the size of values.
-    """
+    """l ln(l) for each eigenvalue l, +0.0 where l <= EIGENVALUE_FLOOR, in one array."""
     kept = values > EIGENVALUE_FLOOR
     terms = np.zeros_like(values)
     np.log(values, out=terms, where=kept)
@@ -152,14 +143,12 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     also takes the Bloch norm r = math.hypot(x, z), whose bits np.hypot
     need not match.  One (6, m_max+1) array holds x, z, r, p_success, top
     and bottom; it is allocated first, so an m_max too large for memory
-    raises MemoryError at once.
-    The other columns take a few array passes over it: p_success, and the
-    spectrum (top, bottom) = ((1 + r)/2, (1 - r)/2), are 0.5 (1 + (z, r, -r))
-    in one pass (1 - r and 1 + (-r) are the same IEEE sum); the entropy is
-    -(top ln top + bottom ln bottom); the closed forms come from one
-    closed_form_fidelities(inst, m_max) call over all m.  An m_max that is
-    not an integer in [1, M_MAX] raises ValueError naming m; search and
-    sweep check --m here and nowhere else.
+    raises MemoryError at once.  p_success, and the spectrum (top, bottom)
+    = ((1 + r)/2, (1 - r)/2), are 0.5 (1 + (z, r, -r)) in one pass (1 - r
+    and 1 + (-r) are the same IEEE sum); the entropy is -(top ln top +
+    bottom ln bottom); the closed forms are one closed_form_fidelities
+    call.  An m_max that is not an integer in [1, M_MAX] raises ValueError
+    naming m; search and sweep check --m here and nowhere else.
 
     Each spectrum has two entries, so majorization is one comparison of
     the larger eigenvalues top = (1 + r)/2: step m is majorized by an

@@ -6,8 +6,8 @@ eigendecomposition, and the polar (nearest-unitary) factor by SVD.  A
 channel is a weighted (k, d, d) operator stack acting as
 rho -> sum_i w_i K_i rho K_i^dagger; explicit weights let mixed-unitary
 channels hold honest unitaries, so unitarity stays assertable.  noise
-reads the exponential, the polar factor and KrausChannel; search, verify
-and cli read the channels.
+reads the exponential, the polar factor and KrausChannel; verify and cli
+read the channels.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ def require_hermitian(m: np.ndarray) -> None:
 
 
 def matexp_i_hermitian(h) -> np.ndarray:
-    """exp(i*h) for Hermitian h, computed by eigendecomposition.
+    """exp(i*h) by eigendecomposition, unitary to the eigensolver's accuracy.
 
-    The result is unitary to the accuracy of the eigensolver.  Raises
-    NotHermitian when h deviates from self-adjointness beyond tolerance.
+    Raises NotHermitian when h deviates from self-adjointness beyond tolerance.
     """
     h = as_complex_matrix(h)
     require_hermitian(h)
@@ -78,9 +77,8 @@ def matexp_i_hermitian(h) -> np.ndarray:
 def polar_unitary_factor(m) -> np.ndarray:
     """Unitary factor W of the polar decomposition m = P W, P >= 0 Hermitian.
 
-    W is the Frobenius-nearest unitary to m.  A numerically singular input
-    raises DegeneratePolar rather than silently completing, because the
-    nearest unitary is then not unique.
+    W is the Frobenius-nearest unitary to m.  A numerically singular m,
+    whose nearest unitary is not unique, raises DegeneratePolar.
     """
     m = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(m)
@@ -167,8 +165,7 @@ def compose_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Channel applying b first, then a, with Kraus set {A_i B_j}, i-major.
 
     Weights multiply.  When both factors are mixed-unitary the products
-    A_i B_j are unitary again, so the composition stays mixed-unitary;
-    self-composition is the a = b case.
+    A_i B_j are unitary again, so the composition stays mixed-unitary.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"channel dims differ: {a.dim} != {b.dim}")
@@ -181,10 +178,8 @@ def compose_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """Channel fingerprint sum_ij (channel applied to E_ij) kron E_ij.
 
-    Two channels are equal as maps iff their Choi matrices are equal,
-    which quotients out the non-uniqueness of Kraus representations.
-    For a weighted Kraus family this reduces to
-    sum_i w_i |vec K_i><vec K_i| with row-major vec.
+    Two channels are equal as maps iff their Choi matrices are equal.  For
+    a weighted Kraus family this is sum_i w_i |vec K_i><vec K_i|, row-major vec.
     """
     d = channel.dim
     c = np.zeros((d * d, d * d), dtype=complex)

@@ -15,10 +15,12 @@ variable for the default output directory, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -43,11 +45,47 @@ __all__ = ["main", "entrypoint"]
 
 OUT_DIR_ENV = "NOISY_GROVER_OUT_DIR"
 CONFIG_KEYS = ("format", "out_dir", "target")
+# int() reads this, up to sys.get_int_max_str_digits() digits.
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+# A text argparse echoes as its repr.
+_REPR = re.compile(r"'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\"")
+
+
+def _describe_text(text: str) -> str:
+    """repr(text); past 24 characters, its digit count as an integer, else its length."""
+    if len(text) <= 24:
+        return repr(text)
+    if _INTEGER_TEXT.fullmatch(text):
+        return f"an integer of {sum(map(str.isdecimal, text))} digits"
+    return f"a text of {len(text)} characters"
+
+
+def _int(text) -> int:
+    """int(text); int()'s digit limit is process-wide, so it stays as set,
+    and a digit string past it fails naming its digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INTEGER_TEXT.fullmatch(text):
+            raise  # argparse reports it as an "invalid int value"
+    limit = f"{sys.get_int_max_str_digits()}-digit limit"
+    raise argparse.ArgumentTypeError(f"{_describe_text(text)} is past the {limit}")
+
+
+_int.__name__ = "int"  # the type argparse names in its messages
+
+
+def _describe_echo(echo) -> str:
+    try:
+        return _describe_text(ast.literal_eval(echo[0]))
+    except (SyntaxError, ValueError):  # quotes the user typed, not a repr
+        return echo[0]
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
+        # argparse echoes a bad value or choice in full
+        raise ValueError(f"{self.prog}: {_REPR.sub(_describe_echo, message)}")
 
 
 def _load_config(path) -> dict:
@@ -60,10 +98,12 @@ def _load_config(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
+                raise ValueError(f"config line without '=': {_describe_text(line)}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
-                raise ValueError(f"config key {key!r} is not one of {', '.join(CONFIG_KEYS)}")
+                raise ValueError(
+                    f"config key {_describe_text(key)} is not one of {', '.join(CONFIG_KEYS)}"
+                )
             if key in cfg:
                 raise ValueError(f"config key {key!r} is set twice")
             cfg[key] = value
@@ -105,11 +145,10 @@ def cmd_kraus(args) -> int:
 def cmd_chi_star(args) -> int:
     """The table n, chi_n, psi for n = 1..n_max, printed row by row.
 
-    --n-max passes chi_star's own index rule before the header, so no row
-    can fail: it must be in [1, CHI_STAR_MAX_INDEX].  psi(chi_n) is 0 in
-    exact arithmetic, but the float chi_n is rounded, and psi follows it:
-    psi / ulp(chi_n) measured at most 1.03 over every n <= 200000 and
-    sampled n up to CHI_STAR_MAX_INDEX (psi 0.211 there, with ulp 0.5).
+    --n-max passes chi_star's index rule, [1, CHI_STAR_MAX_INDEX], before
+    the header, so no row can fail.  psi(chi_n) is 0 in exact arithmetic
+    but follows the rounded float chi_n: psi / ulp(chi_n) measured at most
+    1.03 over every n <= 200000 and sampled n up to CHI_STAR_MAX_INDEX.
     Exit 2 when some row's psi exceeds max(UNITARITY_ATOL, 2 ulp(chi_n)),
     which is UNITARITY_ATOL while chi_n < 2^18.
     """
@@ -148,13 +187,15 @@ def cmd_trajectories(args) -> int:
     cfg = _load_config(args.config)
     fmt = _resolve(args.format, cfg, "format", "csv")
     if fmt not in ("csv", "json"):
-        raise ValueError(f"{args.command}: unknown format {fmt!r}")
+        raise ValueError(f"{args.command}: unknown format {_describe_text(fmt)}")
     target = _resolve(args.target, cfg, "target", 0)
     try:  # only a config value can fail: a flag is parsed as int already
-        target = int(target)
+        target = _int(target)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{args.command}: config target: {exc}") from None
     except ValueError:
         raise ValueError(
-            f"{args.command}: config target must be an integer, got {target!r}"
+            f"{args.command}: config target must be an integer, got {_describe_text(target)}"
         ) from None
     chis, sizes = (args.chi, args.n) if sweep else ([args.chi], [args.n])
     if args.per_cell and args.out is not None:
@@ -215,9 +256,9 @@ def _add_trajectory_parser(sub, name: str, nargs, text: str) -> _Parser:
     """The options search and sweep share; nargs of --chi and --n tells them apart."""
     parser = sub.add_parser(name, help=text)
     parser.add_argument("--chi", type=float, nargs=nargs, required=True)
-    parser.add_argument("--n", type=int, nargs=nargs, required=True)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--target", type=int, default=None)
+    parser.add_argument("--n", type=_int, nargs=nargs, required=True)
+    parser.add_argument("--m", type=_int, required=True)
+    parser.add_argument("--target", type=_int, default=None)
     parser.add_argument("--out", default=None, help="output path, '-' for stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--config", default=None)
@@ -234,7 +275,7 @@ def build_parser() -> _Parser:
     p_kraus.set_defaults(func=cmd_kraus)
 
     p_star = sub.add_parser("chi-star", help="table of magic strengths and psi")
-    p_star.add_argument("--n-max", type=int, required=True)
+    p_star.add_argument("--n-max", type=_int, required=True)
     p_star.set_defaults(func=cmd_chi_star)
 
     _add_trajectory_parser(sub, "search", None, "one trajectory, one row per iteration")
@@ -245,7 +286,7 @@ def build_parser() -> _Parser:
     )
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int, default=0)
     p_verify.add_argument(
         "--strict-paper",
         action="store_true",

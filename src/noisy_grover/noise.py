@@ -12,8 +12,7 @@ magic strengths at which the preconditioned channel becomes unitary.
 The two constructions disagree as maps for every chi (most visibly at
 chi = 0, where the closed form gives the identity channel while the
 Hamiltonian gives the pi/4 rotation).  Both are kept exactly as
-defined; nothing is silently corrected.  channel_choi_distance quantifies the gap and the
-verification layer records it.
+defined; channel_choi_distance quantifies the gap and verify records it.
 """
 
 from __future__ import annotations
@@ -186,12 +185,10 @@ def nearest_unitary_pair(chi: float) -> KrausChannel:
 def nearest_unitary_oracle(chi: float) -> KrausChannel:
     """Polar factors of the closed-form Kraus pair, equal weights 1/2.
 
-    This is the verdict procedure for the preconditioning step: replacing
-    each generator by its Frobenius-nearest unitary.  Raises
-    DegeneratePolar when an operator is singular (R1 vanishes at the
-    magic strengths), in which case the nearest unitary is undefined.
-    Compare against nearest_unitary_pair per operator, optimally over a
-    global phase; residual branch disagreements are findings, not bugs.
+    Each generator is replaced by its Frobenius-nearest unitary; an
+    operator that is singular (R1 vanishes at the magic strengths) has no
+    such unitary and raises DegeneratePolar.  Where it disagrees with
+    nearest_unitary_pair over a global phase, that is a finding, not a bug.
     """
     factors = [polar_unitary_factor(k) for k in closed_form_kraus(chi).operators]
     return KrausChannel(factors, np.array([0.5, 0.5]))
@@ -215,11 +212,9 @@ def chi_star(n: int) -> float:
 def psi_zero_scan() -> np.ndarray:
     """Locate zeros of psi(chi) on a grid, independently of chi_star.
 
-    The grid spans [0, 13] in steps of 1e-3, and psi at each point is
-    scalar_profile(chi).psi, the value every output uses.  Returns grid
-    points that are local minima of psi with value below 1e-2: 0, chi_1
-    and chi_2, each to within a step.  Serves as the root-finding oracle
-    that checks scalar_profile against chi_star at the magic strengths.
+    Returns the points of [0, 13], in steps of 1e-3, where
+    scalar_profile(chi).psi is a local minimum below 1e-2: 0, chi_1 and
+    chi_2, each to within a step.  The root-finding oracle of chi_star.
     """
     chi_max, step = 13.0, 1e-3
     grid = np.arange(0.0, chi_max + step / 2.0, step)

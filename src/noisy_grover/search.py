@@ -1,28 +1,22 @@
-"""The N-item search: reflections, the plane channel, the dense oracle.
+"""The N-item search on its plane: the instance and its 2x2 Bloch map.
 
 One iteration of the noisy search is the channel
-t(rho) = 1/2 sum_i (V~_i I_s V~_i^dag I_w) rho (...)^dag, where I_s and
-I_w reflect about the uniform state and the target, and V~_i embeds the
-two preconditioning rotations into the plane spanned by the target |w>
-and the unit component |r> of |s> orthogonal to it.  The embedding acts
-as the 2x2 rotation on the ordered basis {|w>, |r>} and as the identity
-on the orthogonal complement; with it, the chi = 0 limit reproduces the
-textbook two-reflection iteration exactly.
+t(rho) = 1/2 sum_i K_i rho K_i^dag, K_i = V_i I_s V_i^dag I_w, where I_s
+and I_w reflect about the uniform state |s> and the target |w>, and V_i
+is the i-th preconditioning rotation on the plane of |w> and the unit
+component |r> of |s> orthogonal to it.  From |s> the state never leaves
+that plane, so bloch_map gives t as the real 2x2 matrix on the plane's
+Bloch vectors (x, z), at a cost independent of n.
+verify.build_search_channel assembles t densely in n dimensions, as the
+independent oracle.
 
-Starting from |s>, the state never leaves that plane, so bloch_map
-builds t's two 2x2 operators on {|w>, |r>} and returns the real 2x2
-matrix t applies to the Bloch vector (x, z), in a few stacked numpy
-products whose cost does not depend on n.  build_search_channel
-assembles the same map densely in n dimensions and is kept as the
-independent oracle for tests and verification.
-
-Modelling assumption: the rotations act on span{|w>, |r>}, so
-build_search_channel's lift and bloch_map both need w, and every step
-carries target information beyond its one I_w query.  At chi_1 and m = 8,
-p_success is 0.9982 at n = 2^20 and 0.9994 at n = 2^40, where
-ideal_grover_probability, the best any 8-query algorithm reaches, is
-2.6e-10 (Bennett, Bernstein, Brassard & Vazirani 1997; Zalka 1999).  The
-model is the paper's; it is not an algorithm in the query model.
+Modelling assumption: the rotations act on span{|w>, |r>}, so bloch_map
+needs w, and every step carries target information beyond its one I_w
+query.  At chi_1 and m = 8, p_success is 0.9982 at n = 2^20 and 0.9994
+at n = 2^40, where verify.ideal_grover_probability, the best any 8-query
+algorithm reaches, is 2.8e-4 and 2.6e-10 (Bennett, Bernstein, Brassard &
+Vazirani 1997; Zalka 1999).  The model is the paper's, not an algorithm
+in the query model.
 """
 
 from __future__ import annotations
@@ -32,20 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
 from .errors import NotNormalized, NotTracePreserving
-from .noise import _require_count, _require_nonnegative
-from .noise import nearest_unitary_pair, pair_rotations
-from .tolerances import M_MAX, TRACE_ATOL, UNITARITY_ATOL
+from .noise import _require_count, _require_nonnegative, pair_rotations
+from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 
-__all__ = [
-    "SearchInstance",
-    "reflection",
-    "uniform_plane_vector",
-    "bloch_map",
-    "build_search_channel",
-    "ideal_grover_probability",
-]
+__all__ = ["SearchInstance", "uniform_plane_vector", "bloch_map"]
 
 
 @dataclass(frozen=True)
@@ -75,18 +60,6 @@ class SearchInstance:
         object.__setattr__(self, "chi", _require_nonnegative(self.chi))
 
 
-def reflection(v) -> np.ndarray:
-    """1 - 2|v><v| for a unit vector v: Hermitian, unitary, involutory.
-
-    A vector with a nan entry has a nan norm, which fails the check.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= UNITARITY_ATOL:
-        raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")
-    return np.eye(v.size, dtype=complex) - 2.0 * np.outer(v, v.conj())
-
-
 def uniform_plane_vector(inst: SearchInstance) -> np.ndarray:
     """|s> on the plane basis {|w>, |r>}: (1/sqrt n, sqrt((n-1)/n))."""
     return np.array([1.0 / math.sqrt(inst.n), math.sqrt((inst.n - 1) / inst.n)])
@@ -100,18 +73,16 @@ _PROBES = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]]], dtype=c
 def bloch_map(inst: SearchInstance) -> np.ndarray:
     """The real 2x2 matrix t applies to plane Bloch vectors (x, z).
 
-    On {|w>, |r>}, t(rho) = 1/2 sum_i K_i rho K_i^dag with
-    K_i = V_i I_s V_i^dag I_w: the pair_rotations V_i act unembedded, I_s
-    reflects about uniform_plane_vector(inst) and I_w = diag(-1, 1).  The
-    columns are the Bloch vectors of t((1 + sigma_x)/2) and
-    t((1 + sigma_z)/2), with no offset as t is unital; being a half-half
-    mixture of two rotations of the Bloch disc, the matrix is
-    cos(2 psi) R(phi).
+    On {|w>, |r>}, the pair_rotations V_i act unembedded, I_s reflects
+    about uniform_plane_vector(inst) and I_w = diag(-1, 1).  The columns
+    are the Bloch vectors of t((1 + sigma_x)/2) and t((1 + sigma_z)/2),
+    with no offset as t is unital; being a half-half mixture of two
+    rotations of the Bloch disc, the matrix is cos(2 psi) R(phi).
 
     Both K_i, and t of both probes, come from stacked matmuls: each slice
     is the BLAS product of the same 2x2 operands that one operator at a
     time would multiply, so it carries the same bits, and the weighted
-    images are summed onto zeros as KrausChannel does, which keeps signed
+    images are summed onto zeros as in a Kraus channel, which keeps signed
     zeros.  |s| must be 1 within UNITARITY_ATOL (NotNormalized), and the
     pair and the K_i must each be complete within TRACE_ATOL
     (NotTracePreserving); a nan fails every check.
@@ -121,7 +92,7 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
     norm = math.hypot(s0, s1)
     if not abs(norm - 1.0) <= UNITARITY_ATOL:
         raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")
-    # 1 - 2|s><s|, entry for entry reflection(s)
+    # 1 - 2|s><s|, entry for entry verify.reflection(s)
     refl_s = np.array(
         [
             [1.0 - 2.0 * (s0 * s0), -2.0 * (s0 * s1)],
@@ -145,37 +116,3 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
         images += term
     out = images.real
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
-
-
-def build_search_channel(inst: SearchInstance) -> KrausChannel:
-    """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, the pair's weights.
-
-    V~_i = 1 + P (V_i - 1) P^dag lifts each rotation of the pair, where
-    P is the (n, 2) matrix of orthonormal columns {|w>, |r>}, the target
-    and the normalized rest of |s>: V_i on the plane, the identity on its
-    complement.  Each operator is unitary (a product of unitaries), so t
-    is mixed-unitary and hence unital.
-    """
-    pair = nearest_unitary_pair(inst.chi)
-    p = np.zeros((inst.n, 2), dtype=complex)
-    p[inst.w, 0] = 1.0
-    p[:, 1] = 1.0 / np.sqrt(inst.n - 1.0)
-    p[inst.w, 1] = 0.0
-    s = np.full(inst.n, 1.0 / np.sqrt(inst.n))
-    refl_s = reflection(s)
-    e_w = np.zeros(inst.n)
-    e_w[inst.w] = 1.0
-    refl_w = reflection(e_w)
-    lifted = np.eye(inst.n, dtype=complex) + p @ (pair.operators - np.eye(2)) @ p.conj().T
-    ops = lifted @ refl_s @ lifted.conj().transpose(0, 2, 1) @ refl_w
-    return KrausChannel(ops, pair.weights)
-
-
-def ideal_grover_probability(inst: SearchInstance, m: int) -> float:
-    """Noiseless reference: sin^2((2m+1) arcsin(1/sqrt(n))).
-
-    Closed-form success probability of m two-reflection iterations from
-    the uniform state; the chi = 0 channel must match this.
-    """
-    m = _require_count("iteration count m", m, 0, M_MAX)
-    return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(float(inst.n)))) ** 2)

@@ -1,4 +1,4 @@
-"""Invariant gate and discrepancy ledger.
+"""Invariant gate, discrepancy ledger, and the dense search oracle they read.
 
 Each hard invariant (completeness, magic-angle zeros, the noiseless limit,
 composition, unitality, entropy and majorization chains, contraction
@@ -26,6 +26,7 @@ from .channels import (
     choi_of_map,
     compose_channels,
 )
+from .errors import NotNormalized
 from .noise import (
     _require_count,
     chi_star,
@@ -37,10 +38,11 @@ from .noise import (
     rotation_y,
     scalar_profile,
 )
-from .search import SearchInstance, build_search_channel, ideal_grover_probability
-from .tolerances import TRACE_ATOL, UNITARITY_ATOL
+from .search import SearchInstance
+from .tolerances import M_MAX, TRACE_ATOL, UNITARITY_ATOL
 
-__all__ = ["DiscrepancyRecord", "CheckResult", "VerificationReport", "run_verification"]
+__all__ = ["DiscrepancyRecord", "CheckResult", "VerificationReport", "run_verification",
+           "reflection", "build_search_channel", "ideal_grover_probability"]
 
 # Agreement between a computation and its independent oracle.
 ORACLE_ATOL = 1e-9
@@ -48,8 +50,7 @@ ORACLE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class DiscrepancyRecord:
-    """One machine-readable finding where a closed-form expression departs from
-    the simulated ground truth."""
+    """One finding where a closed-form expression departs from the ground truth."""
 
     kind: str
     chi: float
@@ -92,13 +93,57 @@ def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-def _completeness_grid(seed: int) -> CheckResult:
-    """The worst completeness defect of both Kraus constructions.
+def reflection(v) -> np.ndarray:
+    """1 - 2|v><v| for a unit vector v: Hermitian, unitary, involutory.
 
-    passed cannot be False: KrausChannel raises NotTracePreserving (exit 2)
-    at construction, before this check sees a defect above TRACE_ATOL.
-    The check stays because it reports the worst defect found.
+    A vector with a nan entry has a nan norm, which fails the check.
     """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= UNITARITY_ATOL:
+        raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")
+    return np.eye(v.size, dtype=complex) - 2.0 * np.outer(v, v.conj())
+
+
+def build_search_channel(inst: SearchInstance) -> KrausChannel:
+    """Assemble t with Kraus operators V~_i I_s V~_i^dag I_w, the pair's weights.
+
+    The dense n x n oracle of search.bloch_map.  V~_i = 1 + P (V_i - 1) P^dag
+    lifts each rotation of the pair, where P is the (n, 2) matrix of
+    orthonormal columns {|w>, |r>}, the target and the normalized rest of
+    |s>: V_i on the plane, the identity on its complement, so the chi = 0
+    limit is the textbook two-reflection iteration exactly.  Each operator
+    is unitary (a product of unitaries), so t is mixed-unitary and hence unital.
+    """
+    pair = nearest_unitary_pair(inst.chi)
+    p = np.zeros((inst.n, 2), dtype=complex)
+    p[inst.w, 0] = 1.0
+    p[:, 1] = 1.0 / np.sqrt(inst.n - 1.0)
+    p[inst.w, 1] = 0.0
+    s = np.full(inst.n, 1.0 / np.sqrt(inst.n))
+    refl_s = reflection(s)
+    e_w = np.zeros(inst.n)
+    e_w[inst.w] = 1.0
+    refl_w = reflection(e_w)
+    lifted = np.eye(inst.n, dtype=complex) + p @ (pair.operators - np.eye(2)) @ p.conj().T
+    ops = lifted @ refl_s @ lifted.conj().transpose(0, 2, 1) @ refl_w
+    return KrausChannel(ops, pair.weights)
+
+
+def ideal_grover_probability(inst: SearchInstance, m: int) -> float:
+    """Noiseless reference: sin^2((2m+1) arcsin(1/sqrt(n))).
+
+    Closed-form success probability of m two-reflection iterations from
+    the uniform state; the chi = 0 channel must match this.
+    """
+    m = _require_count("iteration count m", m, 0, M_MAX)
+    return float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(float(inst.n)))) ** 2)
+
+
+def _completeness_grid(seed: int) -> CheckResult:
+    """The worst completeness defect of both Kraus constructions; passed
+    cannot be False, as KrausChannel raises NotTracePreserving (exit 2) at
+    construction, but the worst defect is reported."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for chi in rng.uniform(0.0, 20.0, size=100):
@@ -219,9 +264,8 @@ def _entropy_majorization_chain() -> CheckResult:
 def _contraction_ratios() -> list:
     """(chi, per-step Bloch norm ratios, |cos(2 psi)|) for chi in {0.5, 1, 2}
     at n = 16, m <= 30, over the steps whose norm stays above 1e-5, where
-    float64 still resolves the ratio.  |cos(2 psi)| is the predicted ratio:
-    a half-half mixture of two plane rotations whose Bloch angles differ by
-    4 psi contracts every Bloch vector by cos(2 psi) per step."""
+    float64 still resolves the ratio.  |cos(2 psi)| is the predicted ratio,
+    as bloch_map is cos(2 psi) times a rotation."""
     data = []
     for chi in (0.5, 1.0, 2.0):
         norms = trajectory_report(SearchInstance(n=16, w=0, chi=chi), 30).bloch_norm
@@ -288,11 +332,10 @@ def _prop3_exponent(ratios: list) -> DiscrepancyRecord:
 
 
 def run_verification(seed: int = 0) -> VerificationReport:
-    """Run every hard invariant and collect the discrepancy ledger.
+    """Run every hard invariant and collect the ledger, in the lists' order.
 
-    seed draws the 100 completeness strengths and the ten composition
-    channels; every other check runs on fixed inputs.  The two lists
-    below are the output order.  seed must be an integer >= 0.
+    seed, an integer >= 0, draws the 100 completeness strengths and the
+    ten composition channels; every other check runs on fixed inputs.
     """
     seed = _require_count("seed", seed, 0)
     ratios = _contraction_ratios()

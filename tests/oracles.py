@@ -1,10 +1,11 @@
 """Dense and high-precision oracles that only the tests use.
 
 None of the CLI's commands reaches these; they check the package from
-outside it.  They run a dense channel from the uniform state and read
-its success probability, build the search plane's basis, extract the Bloch
-vector, angular fidelity and von Neumann entropy from dense n x n states,
-take the entropy of any stack of spectra, validate density matrices,
+outside it.  They run a dense channel, such as
+verify.build_search_channel, from the uniform state and read its success
+probability, build the search plane's basis, extract the Bloch vector,
+angular fidelity and von Neumann entropy from dense n x n states, take
+the entropy of any stack of spectra, validate density matrices,
 count Choi ranks, give the Bloch trajectory in closed form, and rerun the
 plane channel in mpmath (a test dependency, not a runtime one).  The
 plane channel as a KrausChannel, bloch_map built from it one operator at
@@ -12,7 +13,7 @@ a time, and the report's columns derived one array operation at a time
 are the bit-level oracles of the stacked bloch_map and the report; the
 Kraus sum, completeness defect, composition and dense lift taken one 2-D
 operator (or pair) at a time are those of KrausChannel's (k, d, d) stack
-and of build_search_channel.  Tests import them as
+and of verify.build_search_channel.  Tests import them as
 `from oracles import ...`, the way they import `from conftest import ...`.
 """
 
@@ -32,7 +33,8 @@ from noisy_grover.channels import (
 )
 from noisy_grover.errors import DimensionMismatch, NoisyGroverError
 from noisy_grover.noise import pair_rotations, rotation_y, scalar_profile
-from noisy_grover.search import SearchInstance, reflection, uniform_plane_vector
+from noisy_grover.search import SearchInstance, uniform_plane_vector
+from noisy_grover.verify import reflection
 from noisy_grover.tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
@@ -159,7 +161,7 @@ def compose_per_pair(a_weights, a_ops, b_weights, b_ops) -> tuple:
 
 
 def search_operators_per_operator(inst: SearchInstance) -> np.ndarray:
-    """build_search_channel's operators, each rotation lifted on its own.
+    """verify.build_search_channel's operators, each rotation lifted on its own.
 
     The same (n, 2) basis, reflections and lift 1 + P (V_i - 1) P^dag, as
     2-D products over the pair_rotations one V_i at a time, stacked last.

@@ -25,7 +25,8 @@ from noisy_grover.noise import (
     psi_zero_scan,
     scalar_profile,
 )
-from noisy_grover.search import SearchInstance, build_search_channel, ideal_grover_probability
+from noisy_grover.search import SearchInstance
+from noisy_grover.verify import build_search_channel, ideal_grover_probability
 
 from oracles import (
     angular_fidelity,

@@ -13,14 +13,9 @@ from noisy_grover.analysis import (
 )
 from noisy_grover.errors import DimensionMismatch
 from noisy_grover.noise import chi_star, scalar_profile
-from noisy_grover.search import (
-    SearchInstance,
-    bloch_map,
-    build_search_channel,
-    ideal_grover_probability,
-    uniform_plane_vector,
-)
+from noisy_grover.search import SearchInstance, bloch_map, uniform_plane_vector
 from noisy_grover.tolerances import BLOCH_ZERO_ATOL, CHI_MAX, MAJORIZATION_ATOL
+from noisy_grover.verify import build_search_channel, ideal_grover_probability
 
 from oracles import (
     LengthMismatch,

@@ -18,6 +18,11 @@ from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import POSITIVITY_ATOL, TRACE_ATOL
 from noisy_grover.verify import CheckResult, VerificationReport
 
+# Past int()'s digit limit, and a text far longer than a message may echo.
+HUGE_DIGITS = "1" + "0" * 5000
+LONG_TEXT = "x" * 5000
+PAST_LIMIT = f"an integer of 5001 digits is past the {sys.get_int_max_str_digits()}-digit limit"
+
 
 def read_rows(path):
     lines = path.read_text().splitlines()
@@ -262,6 +267,59 @@ class TestStderrContract:
             # chi-star's flag passes chi_star's own index rule
             pytest.param(["chi-star", "--n-max", "0"], "--n-max must be >= 1, got 0",
                          id="chi-star-n-max-0"),
+            # over-long text is named by its size: an integer by its digits
+            *(
+                pytest.param([*argv, HUGE_DIGITS],
+                             f"noisy-grover {argv[0]}: argument {argv[-1]}: {PAST_LIMIT}",
+                             id=f"{argv[0]}{argv[-1]}-5001-digits")
+                for argv in (
+                    ["search", "--chi", "1", "--m", "3", "--n"],
+                    ["search", "--chi", "1", "--n", "4", "--m"],
+                    ["search", "--chi", "1", "--n", "4", "--m", "3", "--target"],
+                    ["sweep", "--chi", "1", "--m", "3", "--n"],
+                    ["chi-star", "--n-max"],
+                    ["verify", "--seed"],
+                )
+            ),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--target", "9" * 4300],
+                         "target index w must be <= 3, got an integer of 14285 bits",
+                         id="search-target-4300-digits"),
+            pytest.param(["search", "--chi", LONG_TEXT, "--n", "4", "--m", "3"],
+                         "noisy-grover search: argument --chi: invalid float value: "
+                         "a text of 5000 characters",
+                         id="search-chi-long-text"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--format", LONG_TEXT],
+                         "noisy-grover search: argument --format: invalid choice: "
+                         "a text of 5000 characters (choose from 'csv', 'json')",
+                         id="search-format-long-text"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "huge_target.cfg"],
+                         f"search: config target: {PAST_LIMIT}",
+                         id="search-config-target-5001-digits"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "long_target.cfg"],
+                         "search: config target must be an integer, "
+                         "got a text of 5000 characters",
+                         id="search-config-target-long-text"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "long_format.cfg"],
+                         "search: unknown format a text of 5000 characters",
+                         id="search-config-format-long-text"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "long_key.cfg"],
+                         "config key a text of 5000 characters is not one of "
+                         "format, out_dir, target",
+                         id="search-config-long-key"),
+            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                          "--config", "long_line.cfg"],
+                         "config line without '=': a text of 5000 characters",
+                         id="search-config-long-line"),
+            # quotes typed into an unquoted echo are not a repr, and stay as typed
+            pytest.param(["verify", "a'\\x'b"],
+                         "noisy-grover: unrecognized arguments: a'\\x'b",
+                         id="verify-unrecognized-quotes"),
         ],
     )
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -269,7 +327,12 @@ class TestStderrContract:
         monkeypatch.delenv("NOISY_GROVER_OUT_DIR", raising=False)
         configs = {"bad.cfg": "format=xml\n", "abc.cfg": "target=abc\n",
                    "noeq.cfg": "format json\n", "typo.cfg": "formt=json\n",
-                   "twice.cfg": "format=csv\nformat=json\n"}
+                   "twice.cfg": "format=csv\nformat=json\n",
+                   "huge_target.cfg": f"target={HUGE_DIGITS}\n",
+                   "long_target.cfg": f"target={LONG_TEXT}\n",
+                   "long_format.cfg": f"format={LONG_TEXT}\n",
+                   "long_key.cfg": f"{LONG_TEXT}=csv\n",
+                   "long_line.cfg": f"{LONG_TEXT}\n"}
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
         assert main(argv) == 1

@@ -16,16 +16,14 @@ from noisy_grover.channels import (
 )
 from noisy_grover.errors import DimensionMismatch, NotNormalized, NotTracePreserving
 from noisy_grover.noise import chi_star, pair_rotations
-from noisy_grover.search import (
-    SearchInstance,
-    bloch_map,
+from noisy_grover.search import SearchInstance, bloch_map, uniform_plane_vector
+from noisy_grover.tolerances import CHI_MAX, M_MAX, UNITARITY_ATOL
+from noisy_grover.verify import (
     build_search_channel,
     ideal_grover_probability,
     reflection,
-    uniform_plane_vector,
+    run_verification,
 )
-from noisy_grover.tolerances import CHI_MAX, M_MAX, UNITARITY_ATOL
-from noisy_grover.verify import run_verification
 
 from conftest import random_channel, random_density
 from oracles import (
@@ -347,6 +345,20 @@ class TestProbabilities:
         before = float(np.sin((2 * m + 1) * np.arcsin(1.0 / np.sqrt(n))) ** 2)
         got = ideal_grover_probability(SearchInstance(n=n, w=0, chi=0.0), m)
         assert got.hex() == before.hex()
+
+    # the figures of the modelling assumption, as search's docstring and the
+    # README quote them: at chi_1 and m = 8, p_success beats the best any
+    # 8-query algorithm reaches, the noiseless reference
+    @pytest.mark.parametrize(
+        "n, p_quoted, ideal_quoted", [(2**20, 0.9982, 2.8e-4), (2**40, 0.9994, 2.6e-10)],
+        ids=["2^20", "2^40"],
+    )
+    def test_modelling_assumption_figures(self, n, p_quoted, ideal_quoted):
+        inst = SearchInstance(n=n, w=0, chi=chi_star(1))
+        p = trajectory_report(inst, 8).p_success
+        assert round(float(p[8]), 4) == p_quoted
+        assert float(f"{ideal_grover_probability(inst, 8):.1e}") == ideal_quoted
+        assert np.flatnonzero(p >= 0.99).tolist() == [8]  # the first m with p >= 0.99
 
     def test_noiseless_simulator_matches_reference(self):
         # the plane report `search` emits; a4 checks the dense channel

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from noisy_grover import verify
+from noisy_grover.channels import KrausChannel
 from noisy_grover.noise import chi_star
 from noisy_grover.verify import DiscrepancyRecord, _aligned_distance, run_verification
 
@@ -105,3 +107,27 @@ def test_seeded_runs_are_reproducible():
 def test_aligned_distance_at_zero_overlap():
     # tr(a^dag b) = 0, so every global phase gives the same distance
     assert _aligned_distance(np.eye(2), [[0, 1], [-1, 0]]) == 2.0
+
+
+def _reset_channel(inst):
+    """rho -> tr(rho) |0><0|, with K_i = |0><i|: complete, but not unital."""
+    ops = np.zeros((inst.n, inst.n, inst.n), dtype=complex)
+    ops[np.arange(inst.n), 0, np.arange(inst.n)] = 1.0
+    return KrausChannel(ops)
+
+
+@pytest.mark.parametrize(
+    "check, worst",
+    [
+        (verify._noiseless_reference, 1.00),
+        (verify._unitality, 0.968),  # sqrt(15/16): |0><0| against 1/16
+        (lambda: verify._composition_stays_mixed_unitary(0), 3.46),
+    ],
+    ids=["noiseless_reference", "unitality", "composition_stays_mixed_unitary"],
+)
+def test_dense_checks_fail_on_a_wrong_channel(check, worst, monkeypatch):
+    # each check that reads the dense channel can fail, not only report
+    monkeypatch.setattr(verify, "build_search_channel", _reset_channel)
+    result = check()
+    assert not result.passed
+    assert result.worst == pytest.approx(worst, abs=5e-3)
