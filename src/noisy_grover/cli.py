@@ -83,6 +83,19 @@ def _describe_echo(echo) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # on the top-level parser: the command parsers by name
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        self.refuse(extras)
+        return args
+
+    def refuse(self, extras) -> None:
+        """argparse's error for unrecognized words, each named by its size past 24 characters."""
+        if extras:
+            words = (word if len(word) <= 24 else _describe_text(word) for word in extras)
+            self.error(f"unrecognized arguments: {' '.join(words)}")
+
     def error(self, message):
         # argparse echoes a bad value or choice in full
         raise ValueError(f"{self.prog}: {_REPR.sub(_describe_echo, message)}")
@@ -294,6 +307,7 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("--out", default=None, help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
+    parser.commands = sub.choices
     return parser
 
 
@@ -301,9 +315,26 @@ def build_parser() -> _Parser:
 _cached_parser = functools.cache(build_parser)
 
 
+def _parse(argv=None) -> argparse.Namespace:
+    """The top-level parse_args, with a command's words read once, by its parser.
+
+    Nested, argparse reads each word twice: at the top level, then in the
+    command's parser.  No arguments, help, an unknown command or an option
+    before the command still take the nested path.
+    """
+    parser = _cached_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    parser.refuse(extras)
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _cached_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except MemoryError as exc:
         # a trajectory's arrays are allocated up front, so an impossible
@@ -313,8 +344,11 @@ def main(argv=None) -> int:
     except NoisyGroverError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # names the path as its repr
+        print(f"error: {_REPR.sub(_describe_echo, str(exc))}", file=sys.stderr)
         return 1
 
 

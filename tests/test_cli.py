@@ -21,6 +21,8 @@ from noisy_grover.verify import CheckResult, VerificationReport
 # Past int()'s digit limit, and a text far longer than a message may echo.
 HUGE_DIGITS = "1" + "0" * 5000
 LONG_TEXT = "x" * 5000
+WORD = "x" * 3000
+MISSING_PATH = f"/nonexistent/{WORD}"
 PAST_LIMIT = f"an integer of 5001 digits is past the {sys.get_int_max_str_digits()}-digit limit"
 
 
@@ -156,6 +158,157 @@ class TestViolationGate:
         assert trajectory_violations(report) == expected
 
 
+USAGE_ERRORS = [
+    pytest.param(["search", "--chi", "-1", "--n", "4", "--m", "3"],
+                 "noise strength chi must be finite and >= 0, got -1.0",
+                 id="search-chi-minus-1"),
+    pytest.param(["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"],
+                 "noise strength chi must be finite and >= 0, got -1.0",
+                 id="sweep-chi-minus-1"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "0"],
+                 "iteration count m must be >= 1, got 0", id="search-m-0"),
+    pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "0"],
+                 "iteration count m must be >= 1, got 0", id="sweep-m-0"),
+    (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
+     "search: unknown format 'xml'"),
+    (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
+     "sweep: unknown format 'xml'"),
+    (["search", "--chi", "--n", "4", "--m", "3"],
+     "noisy-grover search: argument --chi: expected one argument"),
+    (["sweep", "--chi", "--n", "4", "--m", "3"],
+     "noisy-grover sweep: argument --chi: expected at least one argument"),
+    (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--per-cell", "--out", "x.csv"],
+     "sweep: --out cannot be combined with --per-cell"),
+    (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "abc.cfg"],
+     "search: config target must be an integer, got 'abc'"),
+    (["verify", "--random-chi", "5"],
+     "noisy-grover: unrecognized arguments: --random-chi 5"),
+    pytest.param(["verify", "--seed", "-1"], "seed must be >= 0, got -1",
+                 id="verify-seed-minus-1"),
+    (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "noeq.cfg"],
+     "config line without '=': 'format json'"),
+    pytest.param(["search", "--chi", "nan", "--n", "4", "--m", "3"],
+                 "noise strength chi must be finite and >= 0, got nan",
+                 id="search-chi-nan"),
+    pytest.param(["search", "--chi", "inf", "--n", "4", "--m", "3"],
+                 "noise strength chi must be finite and >= 0, got inf",
+                 id="search-chi-inf"),
+    pytest.param(["kraus", "--chi", "-1"],
+                 "noise strength chi must be finite and >= 0, got -1.0",
+                 id="kraus-chi-minus-1"),
+    pytest.param(["search", "--chi", "1", "--n", "1", "--m", "3"],
+                 "database size n must be >= 2, got 1", id="search-n-1"),
+    pytest.param(["sweep", "--chi", "1", "--n", "4", "1", "--m", "3"],
+                 "database size n must be >= 2, got 1", id="sweep-n-4-1"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "4"],
+                 "target index w must be <= 3, got 4",
+                 id="search-target-4"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "-1"],
+                 "target index w must be >= 0, got -1",
+                 id="search-target-minus-1"),
+    # huge integers are named by their size, bounds as well as values
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--target", str(10**400)],
+                 "target index w must be <= 3, got an integer of 1329 bits",
+                 id="search-target-1e400"),
+    pytest.param(["search", "--chi", "1", "--n", str(10**300), "--m", "3",
+                  "--target", str(10**301)],
+                 "target index w must be <= an integer of 997 bits, "
+                 "got an integer of 1000 bits",
+                 id="search-n-1e300-target-1e301"),
+    # a mistyped key is refused, not ignored
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "typo.cfg"],
+                 "config key 'formt' is not one of format, out_dir, target",
+                 id="search-config-typo"),
+    # a repeated key is refused, not overridden by its last line
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "twice.cfg"],
+                 "config key 'format' is set twice",
+                 id="search-config-twice"),
+    # a flag is an explicit request; a config out_dir stays a default
+    pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
+                 "sweep: --out-dir needs --per-cell",
+                 id="sweep-out-dir-without-per-cell"),
+    # chi-star's flag passes chi_star's own index rule
+    pytest.param(["chi-star", "--n-max", "0"], "--n-max must be >= 1, got 0",
+                 id="chi-star-n-max-0"),
+    # over-long text is named by its size: an integer by its digits
+    *(
+        pytest.param([*argv, HUGE_DIGITS],
+                     f"noisy-grover {argv[0]}: argument {argv[-1]}: {PAST_LIMIT}",
+                     id=f"{argv[0]}{argv[-1]}-5001-digits")
+        for argv in (
+            ["search", "--chi", "1", "--m", "3", "--n"],
+            ["search", "--chi", "1", "--n", "4", "--m"],
+            ["search", "--chi", "1", "--n", "4", "--m", "3", "--target"],
+            ["sweep", "--chi", "1", "--m", "3", "--n"],
+            ["chi-star", "--n-max"],
+            ["verify", "--seed"],
+        )
+    ),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--target", "9" * 4300],
+                 "target index w must be <= 3, got an integer of 14285 bits",
+                 id="search-target-4300-digits"),
+    pytest.param(["search", "--chi", LONG_TEXT, "--n", "4", "--m", "3"],
+                 "noisy-grover search: argument --chi: invalid float value: "
+                 "a text of 5000 characters",
+                 id="search-chi-long-text"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--format", LONG_TEXT],
+                 "noisy-grover search: argument --format: invalid choice: "
+                 "a text of 5000 characters (choose from 'csv', 'json')",
+                 id="search-format-long-text"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "huge_target.cfg"],
+                 f"search: config target: {PAST_LIMIT}",
+                 id="search-config-target-5001-digits"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "long_target.cfg"],
+                 "search: config target must be an integer, "
+                 "got a text of 5000 characters",
+                 id="search-config-target-long-text"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "long_format.cfg"],
+                 "search: unknown format a text of 5000 characters",
+                 id="search-config-format-long-text"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "long_key.cfg"],
+                 "config key a text of 5000 characters is not one of "
+                 "format, out_dir, target",
+                 id="search-config-long-key"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--config", "long_line.cfg"],
+                 "config line without '=': a text of 5000 characters",
+                 id="search-config-long-line"),
+    # quotes typed into an unquoted echo are not a repr, and stay as typed
+    pytest.param(["verify", "a'\\x'b"],
+                 "noisy-grover: unrecognized arguments: a'\\x'b",
+                 id="verify-unrecognized-quotes"),
+    # unrecognized words and paths in I/O errors are named by their size too
+    pytest.param(["verify", WORD],
+                 "noisy-grover: unrecognized arguments: a text of 3000 characters",
+                 id="verify-unrecognized-long-word"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", f"--bogus-{WORD}"],
+                 "noisy-grover: unrecognized arguments: a text of 3008 characters",
+                 id="search-unrecognized-long-option"),
+    pytest.param([f"--bogus-{WORD}", "search", "--chi", "1", "--n", "4", "--m", "3"],
+                 "noisy-grover: unrecognized arguments: a text of 3008 characters",
+                 id="long-option-before-the-command"),
+    pytest.param(["verify", "extra", WORD, "1" * 30],
+                 "noisy-grover: unrecognized arguments: extra a text of 3000 characters "
+                 "an integer of 30 digits",
+                 id="verify-unrecognized-words"),
+    *(
+        pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", flag, MISSING_PATH],
+                     "[Errno 2] No such file or directory: a text of 3013 characters",
+                     id=f"search{flag}-long-missing-path")
+        for flag in ("--config", "--out")
+    ),
+]
+
+
 class TestStderrContract:
     """What search and sweep write to stderr, with which exit code."""
 
@@ -190,138 +343,7 @@ class TestStderrContract:
         )
         assert len(read_rows(tmp_path / "cell_chi1_n8.csv")) == 4
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            pytest.param(["search", "--chi", "-1", "--n", "4", "--m", "3"],
-                         "noise strength chi must be finite and >= 0, got -1.0",
-                         id="search-chi-minus-1"),
-            pytest.param(["sweep", "--chi", "1", "-1", "--n", "4", "--m", "3"],
-                         "noise strength chi must be finite and >= 0, got -1.0",
-                         id="sweep-chi-minus-1"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "0"],
-                         "iteration count m must be >= 1, got 0", id="search-m-0"),
-            pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "0"],
-                         "iteration count m must be >= 1, got 0", id="sweep-m-0"),
-            (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
-             "search: unknown format 'xml'"),
-            (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
-             "sweep: unknown format 'xml'"),
-            (["search", "--chi", "--n", "4", "--m", "3"],
-             "noisy-grover search: argument --chi: expected one argument"),
-            (["sweep", "--chi", "--n", "4", "--m", "3"],
-             "noisy-grover sweep: argument --chi: expected at least one argument"),
-            (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--per-cell", "--out", "x.csv"],
-             "sweep: --out cannot be combined with --per-cell"),
-            (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "abc.cfg"],
-             "search: config target must be an integer, got 'abc'"),
-            (["verify", "--random-chi", "5"],
-             "noisy-grover: unrecognized arguments: --random-chi 5"),
-            pytest.param(["verify", "--seed", "-1"], "seed must be >= 0, got -1",
-                         id="verify-seed-minus-1"),
-            (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "noeq.cfg"],
-             "config line without '=': 'format json'"),
-            pytest.param(["search", "--chi", "nan", "--n", "4", "--m", "3"],
-                         "noise strength chi must be finite and >= 0, got nan",
-                         id="search-chi-nan"),
-            pytest.param(["search", "--chi", "inf", "--n", "4", "--m", "3"],
-                         "noise strength chi must be finite and >= 0, got inf",
-                         id="search-chi-inf"),
-            pytest.param(["kraus", "--chi", "-1"],
-                         "noise strength chi must be finite and >= 0, got -1.0",
-                         id="kraus-chi-minus-1"),
-            pytest.param(["search", "--chi", "1", "--n", "1", "--m", "3"],
-                         "database size n must be >= 2, got 1", id="search-n-1"),
-            pytest.param(["sweep", "--chi", "1", "--n", "4", "1", "--m", "3"],
-                         "database size n must be >= 2, got 1", id="sweep-n-4-1"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "4"],
-                         "target index w must be <= 3, got 4",
-                         id="search-target-4"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--target", "-1"],
-                         "target index w must be >= 0, got -1",
-                         id="search-target-minus-1"),
-            # huge integers are named by their size, bounds as well as values
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--target", str(10**400)],
-                         "target index w must be <= 3, got an integer of 1329 bits",
-                         id="search-target-1e400"),
-            pytest.param(["search", "--chi", "1", "--n", str(10**300), "--m", "3",
-                          "--target", str(10**301)],
-                         "target index w must be <= an integer of 997 bits, "
-                         "got an integer of 1000 bits",
-                         id="search-n-1e300-target-1e301"),
-            # a mistyped key is refused, not ignored
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "typo.cfg"],
-                         "config key 'formt' is not one of format, out_dir, target",
-                         id="search-config-typo"),
-            # a repeated key is refused, not overridden by its last line
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "twice.cfg"],
-                         "config key 'format' is set twice",
-                         id="search-config-twice"),
-            # a flag is an explicit request; a config out_dir stays a default
-            pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "2", "--out-dir", "D"],
-                         "sweep: --out-dir needs --per-cell",
-                         id="sweep-out-dir-without-per-cell"),
-            # chi-star's flag passes chi_star's own index rule
-            pytest.param(["chi-star", "--n-max", "0"], "--n-max must be >= 1, got 0",
-                         id="chi-star-n-max-0"),
-            # over-long text is named by its size: an integer by its digits
-            *(
-                pytest.param([*argv, HUGE_DIGITS],
-                             f"noisy-grover {argv[0]}: argument {argv[-1]}: {PAST_LIMIT}",
-                             id=f"{argv[0]}{argv[-1]}-5001-digits")
-                for argv in (
-                    ["search", "--chi", "1", "--m", "3", "--n"],
-                    ["search", "--chi", "1", "--n", "4", "--m"],
-                    ["search", "--chi", "1", "--n", "4", "--m", "3", "--target"],
-                    ["sweep", "--chi", "1", "--m", "3", "--n"],
-                    ["chi-star", "--n-max"],
-                    ["verify", "--seed"],
-                )
-            ),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--target", "9" * 4300],
-                         "target index w must be <= 3, got an integer of 14285 bits",
-                         id="search-target-4300-digits"),
-            pytest.param(["search", "--chi", LONG_TEXT, "--n", "4", "--m", "3"],
-                         "noisy-grover search: argument --chi: invalid float value: "
-                         "a text of 5000 characters",
-                         id="search-chi-long-text"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--format", LONG_TEXT],
-                         "noisy-grover search: argument --format: invalid choice: "
-                         "a text of 5000 characters (choose from 'csv', 'json')",
-                         id="search-format-long-text"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "huge_target.cfg"],
-                         f"search: config target: {PAST_LIMIT}",
-                         id="search-config-target-5001-digits"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "long_target.cfg"],
-                         "search: config target must be an integer, "
-                         "got a text of 5000 characters",
-                         id="search-config-target-long-text"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "long_format.cfg"],
-                         "search: unknown format a text of 5000 characters",
-                         id="search-config-format-long-text"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "long_key.cfg"],
-                         "config key a text of 5000 characters is not one of "
-                         "format, out_dir, target",
-                         id="search-config-long-key"),
-            pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
-                          "--config", "long_line.cfg"],
-                         "config line without '=': a text of 5000 characters",
-                         id="search-config-long-line"),
-            # quotes typed into an unquoted echo are not a repr, and stay as typed
-            pytest.param(["verify", "a'\\x'b"],
-                         "noisy-grover: unrecognized arguments: a'\\x'b",
-                         id="verify-unrecognized-quotes"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
     def test_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("NOISY_GROVER_OUT_DIR", raising=False)
@@ -360,6 +382,76 @@ class TestStderrContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "invariant violation: x\n"
+
+
+def _argv(case) -> list:
+    return case.values[0] if hasattr(case, "values") else case[0]
+
+
+SEARCH = ["search", "--chi", "1", "--n", "4", "--m", "3"]
+PARSE_CORPUS = [
+    *map(_argv, USAGE_ERRORS),
+    # the README commands
+    ["kraus", "--chi", "0.8"],
+    ["chi-star", "--n-max", "5"],
+    ["search", "--chi", "1", "--n", "16", "--m", "40", "--target", "0", "--out", "run.csv"],
+    ["sweep", "--chi", "0", "1", "6.083668013960418", "--n", "4", "16", "--m", "25"],
+    ["verify", "--seed", "0", "--strict-paper", "--out", "report.json"],
+    # the benchmark's command shapes
+    ["search", "--chi", "6.083668013960418", "--n", "64", "--m", "60", "--target", "17",
+     "--out", "op0.csv"],
+    ["sweep", "--chi", "3.5", "--n", "300", "400", "--m", "200", "--format", "json",
+     "--out", "op3.json"],
+    ["search", "--chi", "1.0", "--n", str(2**20), "--m", "10", "--out", "op4.csv"],
+    # help at both levels, and no arguments
+    [], ["-h"], ["--help"], ["search", "-h"], ["sweep", "--help"], ["verify", "-h"],
+    ["kraus", "--chi", "1", "-h"], ["search", "-h", "--bogus"],
+    # abbreviations, --flag=value, --, repeated flags, negative values
+    [*SEARCH, "--tar", "2", "--form", "json"],
+    ["search", "--ch", "1", "--n", "4", "--m", "3"],
+    ["sweep", "--chi", "1", "--n", "4", "--m", "3", "--per", "--out-d", "cells"],
+    ["sweep", "--chi", "1", "--n", "4", "--m", "3", "--ou", "x.csv"],
+    ["search", "--chi=1", "--n=4", "--m=3"],
+    ["search", "--", "--chi", "1", "--n", "4", "--m", "3"],
+    [*SEARCH, "--", "extra"],
+    ["sweep", "--chi", "1", "--", "2", "--n", "4", "--m", "3"],
+    [*SEARCH, "--chi", "2", "--m", "5"],
+    ["sweep", "--chi", "-1", "-0", "--n", "4", "--m", "-3", "--target", "-2"],
+    # an option before the command, extra words, an unknown command
+    ["--bogus", *SEARCH], ["-h", *SEARCH], ["--chi", "1", "search"],
+    [*SEARCH, "extra"], ["kraus", "--chi", "1", "2"], ["verify", "extra", "--bogus=1"],
+    ["nosuch"], ["nosuch", "--chi", "1"], [LONG_TEXT], ["Search", "--chi", "1"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace, or the exception and its message, or the exit code; and stdout."""
+    try:
+        outcome = repr(vars(parse(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    except Exception as exc:  # compared, not handled
+        outcome = (type(exc), str(exc))
+    return outcome, capsys.readouterr().out
+
+
+class TestOnePassParse:
+    """A command's words are parsed once, by its parser; the nested parse is the oracle."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS)
+    def test_matches_the_nested_parse(self, argv, capsys):
+        nested = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert _parse_outcome(cli._parse, argv, capsys) == nested
+
+    def test_the_top_level_parser_never_reads_a_command(self, tmp_path, monkeypatch):
+        def nested(*args, **kwargs):
+            raise AssertionError("the top-level parser read a command's words")
+
+        monkeypatch.setattr(cli._cached_parser(), "parse_known_args", nested)
+        assert main([*SEARCH, "--out", str(tmp_path / "search.csv")]) == 0
+        sweep = ["sweep", "--chi", "0", "1", "--n", "4", "8", "--m", "3", "--format", "json"]
+        assert main([*sweep, "--out", str(tmp_path / "sweep.json")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["search.csv", "sweep.json"]
 
 
 class TestKraus:
