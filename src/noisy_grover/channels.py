@@ -5,19 +5,36 @@ the hermiticity and unitarity defects, exp(i*h) for Hermitian h by
 eigendecomposition, and the polar (nearest-unitary) factor by SVD.  A
 channel is a weighted (k, d, d) operator stack acting as
 rho -> sum_i w_i K_i rho K_i^dagger; explicit weights let mixed-unitary
-channels hold honest unitaries, so unitarity stays assertable.  noise
-reads the exponential, the polar factor and KrausChannel; verify and cli
-read the channels.
+channels hold honest unitaries, so unitarity stays assertable.
+
+Channel assembly builds the noise model's channels from noise's scalars
+and rotations: two independent constructions of the two-operator Kraus
+channel (a closed form, and extraction from the exponentiated
+Hamiltonian), the preconditioned pair, and its polar oracle.  The two
+constructions disagree as maps for every chi (most visibly at chi = 0,
+where the closed form gives the identity channel while the Hamiltonian
+gives the pi/4 rotation).  Both are kept exactly as defined;
+channel_choi_distance quantifies the gap and verify records it.  verify
+and the kraus command read this module; search and sweep never load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegeneratePolar, DimensionMismatch, NotHermitian, NotTracePreserving
+from .noise import (
+    PAULI_Y,
+    PAULI_Z,
+    _require_nonnegative,
+    pair_rotations,
+    rotation_y,
+    scalar_profile,
+)
 from .tolerances import HERMITICITY_ATOL, TRACE_ATOL
 
 __all__ = [
@@ -29,6 +46,10 @@ __all__ = [
     "polar_unitary_factor",
     "unitarity_defect",
     "KrausChannel",
+    "closed_form_kraus",
+    "hamiltonian_kraus",
+    "nearest_unitary_pair",
+    "nearest_unitary_oracle",
     "compose_channels",
     "choi_matrix",
     "choi_of_map",
@@ -38,6 +59,7 @@ __all__ = [
 # Smallest singular value below which a polar factor is considered
 # undefined (the nearest unitary is non-unique at singularity).
 SINGULARITY_FLOOR = 1e-10
+_ID2 = np.eye(2, dtype=complex)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -159,6 +181,62 @@ class KrausChannel:
         for w, k in zip(self.weights, self.operators):
             out += w * (k @ rho @ k.conj().T)
         return out
+
+
+def closed_form_kraus(chi: float) -> KrausChannel:
+    """The closed-form Kraus pair:
+
+    R0 = (cos(mu) 1 + (i chi/2) delta sigma_y) exp(-i chi/2 sigma_y)
+    R1 = (pi/4) delta exp(-i chi/2 sigma_y)
+
+    Completeness follows from cos^2(mu) + mu^2 delta^2 = 1.  Note this
+    family reduces to the identity channel at chi = 0, not to the pi/4
+    rotation that hamiltonian_kraus produces there.
+    """
+    prof = scalar_profile(chi)
+    half_turn = rotation_y(-prof.chi / 2.0)
+    r0 = (math.cos(prof.mu) * _ID2 + 0.5j * prof.chi * prof.delta * PAULI_Y) @ half_turn
+    r1 = (math.pi / 4.0) * prof.delta * half_turn
+    return KrausChannel((r0, r1))
+
+
+def hamiltonian_kraus(chi: float) -> KrausChannel:
+    """Kraus pair extracted from the coupled-system evolution operator.
+
+    Builds the 4x4 generator on system (x) environment, exponentiates,
+    and reads off R_i = <i_env| U |0_env>.  Unitarity of U guarantees
+    completeness, so this construction is the ground-truth channel for
+    every chi.  The system is the left Kronecker factor and the
+    environment the right one, so U[2a + i, 2b + j] = <a i| U |b j> and
+    R_i is the slice u[i::2, 0::2].
+    """
+    chi = _require_nonnegative(chi)
+    h = math.pi / 4.0 * np.kron(PAULI_Y, _ID2) + chi / 2.0 * np.kron(
+        _ID2 - PAULI_Z, PAULI_Y
+    )
+    u = matexp_i_hermitian(h)
+    return KrausChannel((u[0::2, 0::2], u[1::2, 0::2]))
+
+
+def nearest_unitary_pair(chi: float) -> KrausChannel:
+    """The preconditioned channel: pair_rotations(chi), each weighted 1/2.
+
+    At chi = 0 and at the magic strengths psi = 0, the two rotations
+    coincide and the channel is unitary.
+    """
+    return KrausChannel(pair_rotations(chi), np.array([0.5, 0.5]))
+
+
+def nearest_unitary_oracle(chi: float) -> KrausChannel:
+    """Polar factors of the closed-form Kraus pair, equal weights 1/2.
+
+    Each generator is replaced by its Frobenius-nearest unitary; an
+    operator that is singular (R1 vanishes at the magic strengths) has no
+    such unitary and raises DegeneratePolar.  Where it disagrees with
+    nearest_unitary_pair over a global phase, that is a finding, not a bug.
+    """
+    factors = [polar_unitary_factor(k) for k in closed_form_kraus(chi).operators]
+    return KrausChannel(factors, np.array([0.5, 0.5]))
 
 
 def compose_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
-import json
 import math
 import os
 import re
@@ -26,20 +25,14 @@ import sys
 import numpy as np
 
 from .analysis import trajectory_report, trajectory_violations
-from .channels import channel_choi_distance
 from .errors import NoisyGroverError
-from .noise import (
-    CHI_STAR_MAX_INDEX,
-    _require_count,
-    chi_star,
-    closed_form_kraus,
-    hamiltonian_kraus,
-    scalar_profile,
-)
+from .noise import CHI_STAR_MAX_INDEX, _require_count, chi_star, scalar_profile
 from .reporting import rows_to_csv, rows_to_json
 from .search import SearchInstance
 from .tolerances import UNITARITY_ATOL
-from .verify import run_verification
+
+# kraus and verify import channels, verify and json when they run, so
+# search, sweep and chi-star start without the dense layers.
 
 __all__ = ["main", "entrypoint"]
 
@@ -52,8 +45,9 @@ _REPR = re.compile(r"'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\"")
 
 
 def _describe_text(text: str) -> str:
-    """repr(text); past 24 characters, its digit count as an integer, else its length."""
-    if len(text) <= 24:
+    """repr(text) up to 26 characters (24 and the quotes); past that, its
+    digit count as an integer, else its length, so escapes cannot grow it."""
+    if len(text) <= 24 and len(repr(text)) <= 26:
         return repr(text)
     if _INTEGER_TEXT.fullmatch(text):
         return f"an integer of {sum(map(str.isdecimal, text))} digits"
@@ -133,6 +127,8 @@ def _resolve(flag_value, cfg, key, default):
 
 def cmd_kraus(args) -> int:
     """Both Kraus constructions at chi; building each checks its completeness."""
+    from .channels import channel_choi_distance, closed_form_kraus, hamiltonian_kraus
+
     prof = scalar_profile(args.chi)
     chi = prof.chi
     closed = closed_form_kraus(chi)
@@ -243,6 +239,10 @@ def cmd_trajectories(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from .verify import run_verification
+
     report = run_verification(seed=args.seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

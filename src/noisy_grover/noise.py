@@ -3,16 +3,13 @@
 A pi/4 rotation of the search qubit is corrupted by a two-level
 environment coupled with strength chi >= 0 through
 H = (pi/4) sigma_y (x) 1 + (chi/2)(1 - sigma_z) (x) sigma_y.
-This module provides two independent constructions of the resulting
-two-operator Kraus channel (a closed form, and extraction from the
-exponentiated Hamiltonian), the scalar functions mu, delta, psi that
-parametrize them, the nearest-unitary preconditioning pair, and the
-magic strengths at which the preconditioned channel becomes unitary.
-
-The two constructions disagree as maps for every chi (most visibly at
-chi = 0, where the closed form gives the identity channel while the
-Hamiltonian gives the pi/4 rotation).  Both are kept exactly as
-defined; channel_choi_distance quantifies the gap and verify records it.
+This module provides the scalar functions mu, delta, psi that
+parametrize the resulting two-operator Kraus channel, the
+nearest-unitary preconditioning rotations, and the magic strengths at
+which the preconditioned channel becomes unitary.  The Kraus channels
+built from them (both constructions, the preconditioned pair and its
+polar oracle) live in channels, which imports this module; the plane
+path reads only these scalars and rotations.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, matexp_i_hermitian, polar_unitary_factor
 from .tolerances import CHI_MAX
 
 __all__ = [
@@ -32,11 +28,7 @@ __all__ = [
     "rotation_y",
     "ScalarProfile",
     "scalar_profile",
-    "closed_form_kraus",
-    "hamiltonian_kraus",
     "pair_rotations",
-    "nearest_unitary_pair",
-    "nearest_unitary_oracle",
     "CHI_STAR_MAX_INDEX",
     "chi_star",
     "psi_zero_scan",
@@ -44,7 +36,6 @@ __all__ = [
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 
 def _require_integer(name: str, value) -> int:
@@ -128,41 +119,6 @@ def scalar_profile(chi: float) -> ScalarProfile:
     return ScalarProfile(chi=chi, mu=mu, delta=delta, psi=psi)
 
 
-def closed_form_kraus(chi: float) -> KrausChannel:
-    """The closed-form Kraus pair:
-
-    R0 = (cos(mu) 1 + (i chi/2) delta sigma_y) exp(-i chi/2 sigma_y)
-    R1 = (pi/4) delta exp(-i chi/2 sigma_y)
-
-    Completeness follows from cos^2(mu) + mu^2 delta^2 = 1.  Note this
-    family reduces to the identity channel at chi = 0, not to the pi/4
-    rotation that hamiltonian_kraus produces there.
-    """
-    prof = scalar_profile(chi)
-    half_turn = rotation_y(-prof.chi / 2.0)
-    r0 = (math.cos(prof.mu) * _ID2 + 0.5j * prof.chi * prof.delta * PAULI_Y) @ half_turn
-    r1 = (math.pi / 4.0) * prof.delta * half_turn
-    return KrausChannel((r0, r1))
-
-
-def hamiltonian_kraus(chi: float) -> KrausChannel:
-    """Kraus pair extracted from the coupled-system evolution operator.
-
-    Builds the 4x4 generator on system (x) environment, exponentiates,
-    and reads off R_i = <i_env| U |0_env>.  Unitarity of U guarantees
-    completeness, so this construction is the ground-truth channel for
-    every chi.  The system is the left Kronecker factor and the
-    environment the right one, so U[2a + i, 2b + j] = <a i| U |b j> and
-    R_i is the slice u[i::2, 0::2].
-    """
-    chi = _require_nonnegative(chi)
-    h = math.pi / 4.0 * np.kron(PAULI_Y, _ID2) + chi / 2.0 * np.kron(
-        _ID2 - PAULI_Z, PAULI_Y
-    )
-    u = matexp_i_hermitian(h)
-    return KrausChannel((u[0::2, 0::2], u[1::2, 0::2]))
-
-
 def pair_rotations(chi: float) -> np.ndarray:
     """The two preconditioning rotations as one (2, 2, 2) complex array.
 
@@ -171,27 +127,6 @@ def pair_rotations(chi: float) -> np.ndarray:
     """
     prof = scalar_profile(chi)
     return np.array([rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0)])
-
-
-def nearest_unitary_pair(chi: float) -> KrausChannel:
-    """The preconditioned channel: pair_rotations(chi), each weighted 1/2.
-
-    At chi = 0 and at the magic strengths psi = 0, the two rotations
-    coincide and the channel is unitary.
-    """
-    return KrausChannel(pair_rotations(chi), np.array([0.5, 0.5]))
-
-
-def nearest_unitary_oracle(chi: float) -> KrausChannel:
-    """Polar factors of the closed-form Kraus pair, equal weights 1/2.
-
-    Each generator is replaced by its Frobenius-nearest unitary; an
-    operator that is singular (R1 vanishes at the magic strengths) has no
-    such unitary and raises DegeneratePolar.  Where it disagrees with
-    nearest_unitary_pair over a global phase, that is a finding, not a bug.
-    """
-    factors = [polar_unitary_factor(k) for k in closed_form_kraus(chi).operators]
-    return KrausChannel(factors, np.array([0.5, 0.5]))
 
 
 # The last index whose chi_star is at most CHI_MAX (4503599627370493.5 there).

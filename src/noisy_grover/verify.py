@@ -24,20 +24,14 @@ from .channels import (
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
-    compose_channels,
-)
-from .errors import NotNormalized
-from .noise import (
-    _require_count,
-    chi_star,
     closed_form_kraus,
+    compose_channels,
     hamiltonian_kraus,
     nearest_unitary_oracle,
     nearest_unitary_pair,
-    psi_zero_scan,
-    rotation_y,
-    scalar_profile,
 )
+from .errors import NotNormalized
+from .noise import _require_count, chi_star, psi_zero_scan, rotation_y, scalar_profile
 from .search import SearchInstance
 from .tolerances import M_MAX, TRACE_ATOL, UNITARITY_ATOL
 

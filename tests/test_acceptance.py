@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from noisy_grover.analysis import trajectory_report
-from noisy_grover.channels import choi_matrix, choi_of_map, compose_channels
-from noisy_grover.cli import main
-from noisy_grover.noise import (
-    chi_star,
+from noisy_grover.channels import (
+    choi_matrix,
+    choi_of_map,
     closed_form_kraus,
+    compose_channels,
     hamiltonian_kraus,
-    psi_zero_scan,
-    scalar_profile,
 )
+from noisy_grover.cli import main
+from noisy_grover.noise import chi_star, psi_zero_scan, scalar_profile
 from noisy_grover.search import SearchInstance
 from noisy_grover.verify import build_search_channel, ideal_grover_probability
 

@@ -282,6 +282,16 @@ USAGE_ERRORS = [
                   "--config", "long_line.cfg"],
                  "config line without '=': a text of 5000 characters",
                  id="search-config-long-line"),
+    # a short text whose repr escapes past 26 characters is named by its size
+    pytest.param(["search", "--chi", "\x01" * 24, "--n", "4", "--m", "3"],
+                 "noisy-grover search: argument --chi: invalid float value: "
+                 "a text of 24 characters",
+                 id="search-chi-24-control-characters"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3",
+                  "--format", "'\"\\" * 8],
+                 "noisy-grover search: argument --format: invalid choice: "
+                 "a text of 24 characters (choose from 'csv', 'json')",
+                 id="search-format-24-quotes-and-backslashes"),
     # quotes typed into an unquoted echo are not a repr, and stay as typed
     pytest.param(["verify", "a'\\x'b"],
                  "noisy-grover: unrecognized arguments: a'\\x'b",
@@ -741,7 +751,7 @@ class TestVerify:
         failed = VerificationReport(
             checks=[CheckResult("x", False, 1.0, "d")], discrepancies=[]
         )
-        monkeypatch.setattr(cli, "run_verification", lambda seed: failed)
+        monkeypatch.setattr("noisy_grover.verify.run_verification", lambda seed: failed)
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 2
         assert capsys.readouterr().out == "[FAIL] x: worst 1.000e+00 (d)\n"
@@ -789,3 +799,61 @@ print(codes)
     )
     assert proc.stderr == ""
     assert proc.stdout == "[0, 0, 0, 0, 0]\n"
+
+
+# Runs one command in a fresh interpreter and prints its exit code and the
+# modules it loaded beyond numpy's; the script itself imports nothing more.
+IMPORT_SET_SCRIPT = """
+import contextlib, io, sys
+import numpy
+before = set(sys.modules)
+from noisy_grover.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+DENSE_LAYERS = {"noisy_grover.verify", "noisy_grover.channels", "json"}
+
+
+def _loaded_by(argv) -> tuple:
+    """The exit code of `noisy-grover argv` and the modules it newly loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET_SCRIPT, *argv], capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+class TestImportSet:
+    """Each command loads only the layers it runs; a difference set, so a json
+    that site or numpy already loaded cannot fail it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--chi", "1", "--n", "16", "--m", "40"],
+            ["sweep", "--chi", "0", "1", "--n", "4", "16", "--m", "25"],
+            ["sweep", "--chi", "0", "1", "--n", "4", "16", "--m", "25", "--format", "json"],
+            ["chi-star", "--n-max", "5"],
+        ],
+        ids=["search", "sweep-csv", "sweep-json", "chi-star"],
+    )
+    def test_plane_commands_skip_the_dense_layers(self, argv):
+        code, loaded = _loaded_by(argv)
+        assert code == 0
+        assert "noisy_grover.search" in loaded
+        assert loaded & DENSE_LAYERS == set()
+
+    def test_kraus_loads_channels_but_not_verify(self):
+        code, loaded = _loaded_by(["kraus", "--chi", "0.8"])
+        assert code == 0
+        assert "noisy_grover.channels" in loaded
+        assert "noisy_grover.verify" not in loaded
+
+    def test_verify_loads_its_layers_and_still_works(self, tmp_path):
+        out = tmp_path / "verify.json"
+        code, loaded = _loaded_by(["verify", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert {"noisy_grover.verify", "noisy_grover.channels"} <= loaded
+        assert json.loads(out.read_text())["all_hard_passed"] is True

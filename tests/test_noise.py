@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.channels import KrausChannel, channel_choi_distance, matexp_i_hermitian
+from noisy_grover.channels import (
+    KrausChannel,
+    channel_choi_distance,
+    closed_form_kraus,
+    hamiltonian_kraus,
+    matexp_i_hermitian,
+    nearest_unitary_oracle,
+    nearest_unitary_pair,
+)
 from noisy_grover.errors import DegeneratePolar
 from noisy_grover.noise import (
     CHI_STAR_MAX_INDEX,
     PAULI_Y,
     PAULI_Z,
     chi_star,
-    closed_form_kraus,
-    hamiltonian_kraus,
-    nearest_unitary_oracle,
-    nearest_unitary_pair,
     pair_rotations,
     psi_zero_scan,
     rotation_y,
