@@ -8,9 +8,10 @@ rho -> sum_i w_i K_i rho K_i^dagger; explicit weights let mixed-unitary
 channels hold honest unitaries, so unitarity stays assertable.
 
 Channel assembly builds the noise model's channels from noise's scalars
-and rotations: two independent constructions of the two-operator Kraus
-channel (a closed form, and extraction from the exponentiated
-Hamiltonian), the preconditioned pair, and its polar oracle.  The two
+and rotations and the Pauli matrices PAULI_Y and PAULI_Z: two independent
+constructions of the two-operator Kraus channel (a closed form, and
+extraction from the exponentiated Hamiltonian), the preconditioned pair,
+and its polar oracle.  The two
 constructions disagree as maps for every chi (most visibly at chi = 0,
 where the closed form gives the identity channel while the Hamiltonian
 gives the pi/4 rotation).  Both are kept exactly as defined;
@@ -27,17 +28,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneratePolar, DimensionMismatch, NotHermitian, NotTracePreserving
-from .noise import (
-    PAULI_Y,
-    PAULI_Z,
-    _require_nonnegative,
-    pair_rotations,
-    rotation_y,
-    scalar_profile,
-)
+from .noise import _require_nonnegative, pair_rotations, rotation_y, scalar_profile
 from .tolerances import HERMITICITY_ATOL, TRACE_ATOL
 
 __all__ = [
+    "PAULI_Y",
+    "PAULI_Z",
     "SINGULARITY_FLOOR",
     "as_complex_matrix",
     "hermiticity_defect",
@@ -60,6 +56,8 @@ __all__ = [
 # undefined (the nearest unitary is non-unique at singularity).
 SINGULARITY_FLOOR = 1e-10
 _ID2 = np.eye(2, dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -221,7 +221,7 @@ def cmd_trajectories(args) -> int:
     if args.per_cell:
         default_dir = os.environ.get(OUT_DIR_ENV, ".")
         directory = _resolve(args.out_dir, cfg, "out_dir", default_dir)
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory or ".", exist_ok=True)
         for inst, report in zip(instances, reports):
             name = f"cell_chi{inst.chi:.17g}_n{inst.n}.{fmt}"
             _emit(_render([report], fmt), os.path.join(directory, name))

@@ -23,8 +23,6 @@ import numpy as np
 from .tolerances import CHI_MAX
 
 __all__ = [
-    "PAULI_Y",
-    "PAULI_Z",
     "rotation_y",
     "ScalarProfile",
     "scalar_profile",
@@ -33,9 +31,6 @@ __all__ = [
     "chi_star",
     "psi_zero_scan",
 ]
-
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _require_integer(name: str, value) -> int:

@@ -5,8 +5,11 @@ t(rho) = 1/2 sum_i K_i rho K_i^dag, K_i = V_i I_s V_i^dag I_w, where I_s
 and I_w reflect about the uniform state |s> and the target |w>, and V_i
 is the i-th preconditioning rotation on the plane of |w> and the unit
 component |r> of |s> orthogonal to it.  From |s> the state never leaves
-that plane, so bloch_map gives t as the real 2x2 matrix on the plane's
-Bloch vectors (x, z), at a cost independent of n.
+that plane.  plane_kraus builds the 2x2 K_i from its two arguments, the
+pair V_i and the plane vector s, with I_w = diag(-1, 1) and the weights
+1/2 fixed; bloch_image gives the half-half mixture of such a stack as the
+real 2x2 matrix on the plane's Bloch vectors (x, z); bloch_map composes
+them for an instance's pair and uniform vector, at a cost independent of n.
 verify.build_search_channel assembles t densely in n dimensions, as the
 independent oracle.
 
@@ -30,7 +33,13 @@ from .errors import NotNormalized, NotTracePreserving
 from .noise import _require_count, _require_nonnegative, pair_rotations
 from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 
-__all__ = ["SearchInstance", "uniform_plane_vector", "bloch_map"]
+__all__ = [
+    "SearchInstance",
+    "uniform_plane_vector",
+    "plane_kraus",
+    "bloch_image",
+    "bloch_map",
+]
 
 
 @dataclass(frozen=True)
@@ -70,25 +79,20 @@ _REFL_W = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _PROBES = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
 
 
-def bloch_map(inst: SearchInstance) -> np.ndarray:
-    """The real 2x2 matrix t applies to plane Bloch vectors (x, z).
+def plane_kraus(pair, s) -> np.ndarray:
+    """The (2, 2, 2) stack K_i = V_i I_s V_i^dag I_w on {|w>, |r>}.
 
-    On {|w>, |r>}, the pair_rotations V_i act unembedded, I_s reflects
-    about uniform_plane_vector(inst) and I_w = diag(-1, 1).  The columns
-    are the Bloch vectors of t((1 + sigma_x)/2) and t((1 + sigma_z)/2),
-    with no offset as t is unital; being a half-half mixture of two
-    rotations of the Bloch disc, the matrix is cos(2 psi) R(phi).
-
-    Both K_i, and t of both probes, come from stacked matmuls: each slice
-    is the BLAS product of the same 2x2 operands that one operator at a
-    time would multiply, so it carries the same bits, and the weighted
-    images are summed onto zeros as in a Kraus channel, which keeps signed
-    zeros.  |s| must be 1 within UNITARITY_ATOL (NotNormalized), and the
-    pair and the K_i must each be complete within TRACE_ATOL
+    pair is the two rotations V_i as one (2, 2, 2) stack (or a list of two
+    2x2 matrices), and s the real plane vector I_s reflects about;
+    I_w = diag(-1, 1) and the weights 1/2 are fixed.  Both K_i come from
+    stacked matmuls: each slice is the BLAS product of the same 2x2
+    operands that one operator at a time would multiply, so it carries the
+    same bits.  |s| must be 1 within UNITARITY_ATOL (NotNormalized), and
+    the pair and the K_i must each be complete within TRACE_ATOL
     (NotTracePreserving); a nan fails every check.
     """
-    v = pair_rotations(inst.chi)
-    s0, s1 = uniform_plane_vector(inst).tolist()
+    v = np.asarray(pair, dtype=complex)
+    s0, s1 = np.asarray(s, dtype=float).tolist()
     norm = math.hypot(s0, s1)
     if not abs(norm - 1.0) <= UNITARITY_ATOL:
         raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")
@@ -102,8 +106,7 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
     )
     k = v @ refl_s @ v.conj().transpose(0, 2, 1) @ _REFL_W
     ops = np.concatenate((v, k))
-    ops_dag = ops.conj().transpose(0, 2, 1)
-    gram = ops_dag @ ops
+    gram = ops.conj().transpose(0, 2, 1) @ ops
     # sum_i 1/2 X_i^dag X_i - 1 for the pair X = V and for X = K
     defects = np.linalg.norm(0.5 * (gram[0::2] + gram[1::2]) - np.eye(2), axis=(1, 2))
     for defect in defects.tolist():
@@ -111,8 +114,31 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
             raise NotTracePreserving(
                 f"completeness defect {defect:.3e} exceeds {TRACE_ATOL:.1e}"
             )
+    return k
+
+
+def bloch_image(k: np.ndarray) -> np.ndarray:
+    """The real 2x2 matrix the half-half mixture of the stack k applies to (x, z).
+
+    Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
+    t((1 + sigma_z)/2) for t(rho) = 1/2 sum_i K_i rho K_i^dag, with no
+    offset, which holds when t is unital.  It assumes real operators: the
+    y component, and every imaginary part, is dropped.  Both probes pass
+    through K P K^dag in one stacked product, and the weighted images are
+    summed onto zeros as in a Kraus channel, which keeps signed zeros.
+    """
     images = np.zeros((2, 2, 2), dtype=complex)
-    for term in 0.5 * (k[:, None] @ _PROBES @ ops_dag[2:, None]):
+    for term in 0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None]):
         images += term
     out = images.real
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
+
+
+def bloch_map(inst: SearchInstance) -> np.ndarray:
+    """The real 2x2 matrix t applies to plane Bloch vectors (x, z).
+
+    The Bloch image of plane_kraus for the pair_rotations of inst.chi and
+    I_s about uniform_plane_vector(inst); being a half-half mixture of two
+    rotations of the Bloch disc, the matrix is cos(2 psi) R(phi).
+    """
+    return bloch_image(plane_kraus(pair_rotations(inst.chi), uniform_plane_vector(inst)))

@@ -8,12 +8,13 @@ angular fidelity and von Neumann entropy from dense n x n states, take
 the entropy of any stack of spectra, validate density matrices,
 count Choi ranks, give the Bloch trajectory in closed form, and rerun the
 plane channel in mpmath (a test dependency, not a runtime one).  The
-plane channel as a KrausChannel, bloch_map built from it one operator at
-a time, and the report's columns derived one array operation at a time
-are the bit-level oracles of the stacked bloch_map and the report; the
-Kraus sum, completeness defect, composition and dense lift taken one 2-D
-operator (or pair) at a time are those of KrausChannel's (k, d, d) stack
-and of verify.build_search_channel.  Tests import them as
+plane channel of any rotation pair as a KrausChannel, the Bloch matrix
+built from it one operator at a time, and the report's columns derived
+one array operation at a time are the bit-level oracles of the stacked
+plane_kraus and bloch_image, of bloch_map and of the report; the Kraus
+sum, completeness defect, composition and dense lift of any pair taken
+one 2-D operator (or pair) at a time are those of KrausChannel's
+(k, d, d) stack and of verify.build_search_channel.  Tests import them as
 `from oracles import ...`, the way they import `from conftest import ...`.
 """
 
@@ -32,7 +33,7 @@ from noisy_grover.channels import (
     require_hermitian,
 )
 from noisy_grover.errors import DimensionMismatch, NoisyGroverError
-from noisy_grover.noise import pair_rotations, rotation_y, scalar_profile
+from noisy_grover.noise import rotation_y, scalar_profile
 from noisy_grover.search import SearchInstance, uniform_plane_vector
 from noisy_grover.verify import reflection
 from noisy_grover.tolerances import (
@@ -108,32 +109,50 @@ def success_probability(rho: np.ndarray, w: int) -> float:
     return float(rho[w, w].real)
 
 
-def plane_channel(inst: SearchInstance) -> KrausChannel:
-    """t restricted to the search plane: 2x2 operators V_i I_s V_i^dag I_w.
+def profile_pair(chi: float) -> tuple:
+    """The two rotations rotation_y(psi - chi/2) and rotation_y(-chi/2), from scalar_profile."""
+    prof = scalar_profile(chi)
+    return rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0)
 
-    On the basis {|w>, |r>} the rotations V_i = rotation_y(psi - chi/2)
-    and rotation_y(-chi/2) act unembedded, I_s = reflection(|s>) and
-    I_w = diag(-1, 1); the weights are 1/2.  Iterated from |s><s| it gives
-    the plane block of t^m(|s><s|), whose entries outside the plane are
-    exact zeros, at any n.
+
+def pair_channel(pair, s) -> KrausChannel:
+    """The plane channel of any pair V_i: 2x2 operators V_i I_s V_i^dag I_w.
+
+    I_s = reflection(s), I_w = diag(-1, 1) and the weights are 1/2; each
+    operator is built on its own.
     """
-    prof = scalar_profile(inst.chi)
-    pair = (rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0))
-    refl_s = reflection(uniform_plane_vector(inst))
+    refl_s = reflection(s)
     refl_w = np.diag([-1.0, 1.0])
     ops = tuple(v @ refl_s @ v.conj().T @ refl_w for v in pair)
     return KrausChannel(ops, np.array([0.5, 0.5]))
 
 
-def bloch_map_via_channel(inst: SearchInstance) -> np.ndarray:
-    """bloch_map's matrix from plane_channel, one operator and one probe at a time.
+def plane_channel(inst: SearchInstance) -> KrausChannel:
+    """t restricted to the search plane: pair_channel of the profile_pair.
+
+    On the basis {|w>, |r>} the rotations V_i = rotation_y(psi - chi/2)
+    and rotation_y(-chi/2) act unembedded and I_s reflects about
+    uniform_plane_vector(inst).  Iterated from |s><s| it gives the plane
+    block of t^m(|s><s|), whose entries outside the plane are exact zeros,
+    at any n.
+    """
+    return pair_channel(profile_pair(inst.chi), uniform_plane_vector(inst))
+
+
+def bloch_image_via_channel(pair, s) -> np.ndarray:
+    """bloch_image(plane_kraus(pair, s)) from pair_channel, one operator and one probe at a time.
 
     Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
     t((1 + sigma_z)/2), each a KrausChannel application.
     """
-    t = plane_channel(inst)
+    t = pair_channel(pair, s)
     out = np.array([t(np.full((2, 2), 0.5)), t(np.diag([1.0, 0.0]))]).real
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
+
+
+def bloch_map_via_channel(inst: SearchInstance) -> np.ndarray:
+    """bloch_map's matrix, as bloch_image_via_channel of plane_channel's pair and vector."""
+    return bloch_image_via_channel(profile_pair(inst.chi), uniform_plane_vector(inst))
 
 
 def kraus_sum_per_operator(weights, ops, rho) -> np.ndarray:
@@ -160,11 +179,12 @@ def compose_per_pair(a_weights, a_ops, b_weights, b_ops) -> tuple:
     return np.array(weights), np.array(ops)
 
 
-def search_operators_per_operator(inst: SearchInstance) -> np.ndarray:
-    """verify.build_search_channel's operators, each rotation lifted on its own.
+def search_operators_per_operator(inst: SearchInstance, pair) -> np.ndarray:
+    """The dense operators of any pair V_i, each rotation lifted on its own.
 
-    The same (n, 2) basis, reflections and lift 1 + P (V_i - 1) P^dag, as
-    2-D products over the pair_rotations one V_i at a time, stacked last.
+    verify.build_search_channel's (n, 2) basis, reflections and lift
+    1 + P (V_i - 1) P^dag, as 2-D products one V_i at a time, stacked
+    last; with pair_rotations(inst.chi) they are that channel's operators.
     """
     p = np.zeros((inst.n, 2), dtype=complex)
     p[inst.w, 0] = 1.0
@@ -175,7 +195,7 @@ def search_operators_per_operator(inst: SearchInstance) -> np.ndarray:
     e_w[inst.w] = 1.0
     refl_w = reflection(e_w)
     ops = []
-    for v in pair_rotations(inst.chi):
+    for v in pair:
         lifted = np.eye(inst.n, dtype=complex) + p @ (v - np.eye(2)) @ p.conj().T
         ops.append(lifted @ refl_s @ lifted.conj().T @ refl_w)
     return np.array(ops)

@@ -690,6 +690,16 @@ class TestSweep:
         ) == 0
         assert (tmp_path / "envdir" / "cell_chi0_n4.csv").exists()
 
+    @pytest.mark.parametrize("source", ["env", "config", "flag"])
+    def test_empty_out_dir_is_the_cwd(self, source, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NOISY_GROVER_OUT_DIR", "" if source == "env" else "unused")
+        (tmp_path / "run.cfg").write_text("out_dir=\n" if source == "config" else "")
+        argv = ["sweep", "--chi", "1", "--n", "4", "--m", "1", "--per-cell",
+                "--config", "run.cfg"]
+        assert main(argv + (["--out-dir", ""] if source == "flag" else [])) == 0
+        assert [p.name for p in tmp_path.glob("cell_*")] == ["cell_chi1_n4.csv"]
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# defaults\nformat=json\nout_dir=unused\n")

@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from noisy_grover.channels import (
+    PAULI_Y,
     matexp_i_hermitian,
     polar_unitary_factor,
     unitarity_defect,
 )
 from noisy_grover.errors import DegeneratePolar, DimensionMismatch, NotHermitian
-from noisy_grover.noise import PAULI_Y
 
 from conftest import random_hermitian, random_unitary
 from oracles import eigvals_hermitian

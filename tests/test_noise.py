@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisy_grover.channels import (
+    PAULI_Y,
+    PAULI_Z,
     KrausChannel,
     channel_choi_distance,
     closed_form_kraus,
@@ -18,8 +20,6 @@ from noisy_grover.channels import (
 from noisy_grover.errors import DegeneratePolar
 from noisy_grover.noise import (
     CHI_STAR_MAX_INDEX,
-    PAULI_Y,
-    PAULI_Z,
     chi_star,
     pair_rotations,
     psi_zero_scan,

@@ -9,14 +9,21 @@ from numpy.testing import assert_allclose
 
 from noisy_grover.analysis import closed_form_fidelities, trajectory_report
 from noisy_grover.channels import (
+    KrausChannel,
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
     compose_channels,
 )
 from noisy_grover.errors import DimensionMismatch, NotNormalized, NotTracePreserving
-from noisy_grover.noise import chi_star, pair_rotations
-from noisy_grover.search import SearchInstance, bloch_map, uniform_plane_vector
+from noisy_grover.noise import chi_star, pair_rotations, rotation_y
+from noisy_grover.search import (
+    SearchInstance,
+    bloch_image,
+    bloch_map,
+    plane_kraus,
+    uniform_plane_vector,
+)
 from noisy_grover.tolerances import CHI_MAX, M_MAX, UNITARITY_ATOL
 from noisy_grover.verify import (
     build_search_channel,
@@ -28,6 +35,7 @@ from noisy_grover.verify import (
 from conftest import random_channel, random_density
 from oracles import (
     InvalidDensityMatrix,
+    bloch_image_via_channel,
     bloch_map_via_channel,
     check_density_matrix,
     choi_rank,
@@ -41,6 +49,9 @@ from oracles import (
     uniform_state,
 )
 
+# the plane p_success against the dense one, for any rotation pair: the worst
+# gap over 400 random pairs (n <= 64, m <= 30) was 8.0e-14
+PLANE_DENSE_ATOL = 1e-12
 IDEAL_100_7 = 0.9953444003575990  # sin^2(15 asin(0.1)), 30-digit evaluation
 
 
@@ -160,7 +171,8 @@ class TestBuildChannel:
         for w, chi in ((0, 0.0), (n - 1, 0.7), (n // 2, chi_star(1)), (1, 11.0)):
             inst = SearchInstance(n=n, w=w, chi=chi)
             t = build_search_channel(inst)
-            assert t.operators.tobytes() == search_operators_per_operator(inst).tobytes()
+            per_operator = search_operators_per_operator(inst, pair_rotations(inst.chi))
+            assert t.operators.tobytes() == per_operator.tobytes()
             assert t.weights.tolist() == [0.5, 0.5]
 
     def test_plane_channel_is_dense_channel_on_plane(self):
@@ -205,20 +217,51 @@ class TestBlochMap:
             ),
         ],
     )
-    def test_completeness_checks_fire(self, pair, monkeypatch):
-        monkeypatch.setattr(
-            "noisy_grover.search.pair_rotations", lambda chi: pair(pair_rotations(chi))
-        )
+    def test_completeness_checks_fire(self, pair):
+        s = uniform_plane_vector(SearchInstance(n=16, w=0, chi=1.0))
         with pytest.raises(NotTracePreserving, match="^completeness defect "):
-            bloch_map(SearchInstance(n=16, w=0, chi=1.0))
+            plane_kraus(pair(pair_rotations(1.0)), s)
 
     @pytest.mark.parametrize("s", [[0.6, 0.9], [np.nan, 1.0]], ids=["long", "nan"])
-    def test_unnormalized_plane_vector_fires(self, s, monkeypatch):
-        monkeypatch.setattr(
-            "noisy_grover.search.uniform_plane_vector", lambda inst: np.array(s)
-        )
+    def test_unnormalized_plane_vector_fires(self, s):
         with pytest.raises(NotNormalized):
-            bloch_map(SearchInstance(n=16, w=0, chi=1.0))
+            plane_kraus(pair_rotations(1.0), np.array(s))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-10.0, 10.0),
+        b=st.floats(-10.0, 10.0),
+        n=st.sampled_from([2, 3, 64, 2**20, 2**40, 10**300]),
+    )
+    def test_any_rotation_pair_bits_equal_the_channel_construction(self, a, b, n):
+        pair = [rotation_y(a), rotation_y(b)]
+        s = uniform_plane_vector(SearchInstance(n=n, w=0, chi=0.0))
+        got = bloch_image(plane_kraus(pair, s))
+        assert got.tobytes() == bloch_image_via_channel(pair, s).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-10.0, 10.0),
+        b=st.floats(-10.0, 10.0),
+        n=st.integers(2, 64),
+        w=st.integers(0, 63),
+        m=st.integers(1, 30),
+    )
+    def test_any_rotation_pair_matches_the_dense_iteration(self, a, b, n, w, m):
+        # the Bloch matrix iterated from |s> against the dense n x n channel
+        # of the same pair, lifted onto the plane one operator at a time
+        inst = SearchInstance(n=n, w=w % n, chi=0.0)
+        pair = [rotation_y(a), rotation_y(b)]
+        s0, s1 = uniform_plane_vector(inst).tolist()
+        x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
+        (p, q), (r, t) = bloch_image(plane_kraus(pair, [s0, s1])).tolist()
+        plane = []
+        for _ in range(m + 1):
+            plane.append(0.5 * (1.0 + z))
+            x, z = p * x + q * z, r * x + t * z
+        dense = KrausChannel(search_operators_per_operator(inst, pair), np.array([0.5, 0.5]))
+        dense_p = iterate(dense, uniform_state(inst), m)[:, inst.w, inst.w].real
+        assert np.max(np.abs(np.array(plane) - dense_p)) <= PLANE_DENSE_ATOL
 
 
 class TestApplyIterate:
