@@ -29,7 +29,6 @@ from .tolerances import (
 )
 
 __all__ = [
-    "FidelityPoint",
     "TrajectoryReport",
     "closed_form_fidelities",
     "trajectory_report",
@@ -38,17 +37,6 @@ __all__ = [
 
 # Largest entropy drop between consecutive steps a trajectory may show.
 ENTROPY_DROP_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FidelityPoint:
-    """Per-iteration merit figures read off the simulated state."""
-
-    m: int
-    f_paper: float
-    p_success: float
-    cos_gamma: float
-    bloch_norm: float
 
 
 @dataclass(eq=False)
@@ -82,18 +70,9 @@ class TrajectoryReport:
     majorized_by_init: np.ndarray
 
     @property
-    def points(self) -> list:
-        """One FidelityPoint per iteration, rebuilt on every access."""
-        return [
-            FidelityPoint(*values)
-            for values in zip(
-                range(len(self.p_success)),
-                self.f_paper.tolist(),
-                self.p_success.tolist(),
-                self.cos_gamma.tolist(),
-                self.bloch_norm.tolist(),
-            )
-        ]
+    def points(self) -> range:
+        """range(m_max + 1): the step count perfbench/tracing.py reads for analysis.steps."""
+        return range(len(self.p_success))
 
 
 def closed_form_fidelities(inst: SearchInstance, m_max: int) -> tuple:

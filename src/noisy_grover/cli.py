@@ -252,9 +252,8 @@ def cmd_verify(args) -> int:
             f"[NOTE] {rec.kind} at chi={rec.chi:.6g}: magnitude {rec.magnitude:.6g}; "
             f"{rec.detail}"
         )
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    if args.out is not None:
+        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     if not report.all_hard_passed:
         return 2
     if args.strict_paper and report.max_discrepancy() > 1e-8:
@@ -305,7 +304,9 @@ def build_parser() -> _Parser:
         action="store_true",
         help="treat recorded closed-form discrepancies above 1e-8 as failures",
     )
-    p_verify.add_argument("--out", default=None, help="write the JSON report here")
+    p_verify.add_argument(
+        "--out", default=None, help="write the JSON report here, '-' for stdout"
+    )
     p_verify.set_defaults(func=cmd_verify)
     parser.commands = sub.choices
     return parser

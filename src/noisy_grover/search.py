@@ -124,13 +124,12 @@ def bloch_image(k: np.ndarray) -> np.ndarray:
     t((1 + sigma_z)/2) for t(rho) = 1/2 sum_i K_i rho K_i^dag, with no
     offset, which holds when t is unital.  It assumes real operators: the
     y component, and every imaginary part, is dropped.  Both probes pass
-    through K P K^dag in one stacked product, and the weighted images are
-    summed onto zeros as in a Kraus channel, which keeps signed zeros.
+    through K P K^dag in one stacked product, and the real parts of the
+    two weighted images are summed onto 0.0 in operator order, as a Kraus
+    channel sums its terms, which keeps signed zeros.
     """
-    images = np.zeros((2, 2, 2), dtype=complex)
-    for term in 0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None]):
-        images += term
-    out = images.real
+    t = (0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None])).real
+    out = (0.0 + t[0]) + t[1]
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
 
 

@@ -6,11 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.analysis import (
-    FidelityPoint,
-    closed_form_fidelities,
-    trajectory_report,
-)
+from noisy_grover.analysis import closed_form_fidelities, trajectory_report
 from noisy_grover.errors import DimensionMismatch
 from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import SearchInstance, bloch_map, uniform_plane_vector
@@ -469,6 +465,7 @@ class TestTrajectoryReport:
     def test_sequence_lengths_match(self):
         rep = trajectory_report(SearchInstance(n=4, w=0, chi=0.5), 7)
         assert len(rep.points) == 8
+        assert rep.points == range(8)
         for column in (rep.p_success, rep.f_paper, rep.bloch_x, rep.bloch_z,
                        rep.bloch_norm, rep.cos_gamma):
             assert column.shape == (8,)
@@ -478,18 +475,6 @@ class TestTrajectoryReport:
         assert len(rep.majorized_by_init) == 8
         assert len(rep.f_closed) == 8
         assert len(rep.cos_gamma_closed) == 8
-
-    def test_points_view_matches_columns(self):
-        rep = trajectory_report(SearchInstance(n=16, w=5, chi=3.0), 30)
-        for m, point in enumerate(rep.points):
-            assert point == FidelityPoint(
-                m=m,
-                f_paper=rep.f_paper[m],
-                p_success=rep.p_success[m],
-                cos_gamma=rep.cos_gamma[m],
-                bloch_norm=rep.bloch_norm[m],
-            )
-            assert type(point.p_success) is float
 
     def test_large_n_noiseless_run_matches_reference(self):
         # the plane path costs the same at any n; the noiseless run must

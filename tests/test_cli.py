@@ -26,6 +26,11 @@ MISSING_PATH = f"/nonexistent/{WORD}"
 PAST_LIMIT = f"an integer of 5001 digits is past the {sys.get_int_max_str_digits()}-digit limit"
 
 
+def fill_longer(path, written):
+    """Fill path with other bytes, longer than the file written: a rewrite must truncate."""
+    path.write_bytes(b"\0" * (written.stat().st_size + 4096))
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -567,6 +572,7 @@ class TestSearch:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["search", "--chi", "1", "--n", "8", "--m", "12"]
         assert main(args + ["--out", str(a)]) == 0
+        fill_longer(b, a)
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -720,6 +726,7 @@ class TestSweep:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--chi", "0.5", "2", "--n", "4", "--m", "5"]
         assert main(args + ["--out", str(a)]) == 0
+        fill_longer(b, a)
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -729,10 +736,11 @@ class TestSweep:
         cell = ["--chi", "2.5", "--n", "300", "--m", "12", "--target", "7",
                 "--format", fmt]
         search, sweep = tmp_path / "search", tmp_path / "sweep"
+        per_cell = tmp_path / f"cell_chi2.5_n300.{fmt}"
         assert main(["search", *cell, "--out", str(search)]) == 0
         assert main(["sweep", *cell, "--out", str(sweep)]) == 0
+        fill_longer(per_cell, search)
         assert main(["sweep", *cell, "--per-cell", "--out-dir", str(tmp_path)]) == 0
-        per_cell = tmp_path / f"cell_chi2.5_n300.{fmt}"
         assert search.read_bytes() == sweep.read_bytes() == per_cell.read_bytes()
 
 
@@ -766,6 +774,28 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 2
         assert capsys.readouterr().out == "[FAIL] x: worst 1.000e+00 (d)\n"
         assert json.loads(out.read_text())["all_hard_passed"] is False
+
+    @pytest.fixture
+    def passed(self, tmp_path, monkeypatch):
+        report = VerificationReport(checks=[CheckResult("x", True, 0.0, "d")], discrepancies=[])
+        monkeypatch.setattr("noisy_grover.verify.run_verification", lambda seed: report)
+        monkeypatch.chdir(tmp_path)
+        return report
+
+    def test_out_dash_prints_the_json_after_the_check_lines(self, passed, tmp_path, capsys):
+        assert main(["verify", "--out", "-"]) == 0
+        assert capsys.readouterr().out == (
+            "[PASS] x: worst 0.000e+00 (d)\n" + json.dumps(passed.to_dict(), indent=2) + "\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_is_an_io_error(self, passed, tmp_path, capsys):
+        assert main(["verify", "--out", ""]) == 1
+        assert capsys.readouterr() == (
+            "[PASS] x: worst 0.000e+00 (d)\n",
+            "error: [Errno 2] No such file or directory: ''\n",
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_seeded_determinism(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0
