@@ -1,13 +1,15 @@
 """Measurable quantities along a search trajectory.
 
 The columnar trajectory report, iterated on the plane Bloch vector
-(x, z): the success probability and its half-normalized overlap
-f_paper, the Bloch norm and angle, the entropy of each step's two-entry
-spectrum, majorization flags, and the closed-form fidelity hypotheses
-beside them; and the gate on such a report that search, sweep and
-verify share (trajectory_violations).  Closed-form values are carried
-side by side with simulated ones for comparison and are never used as
-the reference: the simulator is the oracle, the formulas are hypotheses.
+(x, z) by any real 2x2 step (plane_report) or by the instance's own
+bloch_map (trajectory_report): the success probability and its
+half-normalized overlap f_paper, the Bloch norm and angle, the entropy
+of each step's two-entry spectrum, majorization flags, and the
+closed-form fidelity hypotheses beside them; and the gate on such a
+report that search, sweep and verify share (trajectory_violations).
+Closed-form values are carried side by side with simulated ones for
+comparison and are never used as the reference: the simulator is the
+oracle, the formulas are hypotheses.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .tolerances import (
 __all__ = [
     "TrajectoryReport",
     "closed_form_fidelities",
+    "plane_report",
     "trajectory_report",
     "trajectory_violations",
 ]
@@ -114,20 +117,22 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
     return terms
 
 
-def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
-    """Run m_max iterations from the uniform state and measure every step.
+def plane_report(inst: SearchInstance, step: np.ndarray, m_max: int) -> TrajectoryReport:
+    """Run m_max iterations of the plane step from inst's uniform state.
 
-    The state is its Bloch vector (x, z), two Python floats, and a step is
-    the 2x2 matrix bloch_map(inst), at a cost independent of n; each step
-    also takes the Bloch norm r = math.hypot(x, z), whose bits np.hypot
-    need not match.  One (6, m_max+1) array holds x, z, r, p_success, top
-    and bottom; it is allocated first, so an m_max too large for memory
-    raises MemoryError at once.  p_success, and the spectrum (top, bottom)
+    step is any real 2x2 Bloch matrix acting on the column (x, z); inst
+    gives the start vector uniform_plane_vector(inst) and the closed forms.
+    The state is its Bloch vector (x, z), two Python floats, at a cost per
+    step independent of n; each step also takes the Bloch norm
+    r = math.hypot(x, z), whose bits np.hypot need not match.  One
+    (6, m_max+1) array holds x, z, r, p_success, top and bottom; it is
+    allocated first, so an m_max too large for memory raises MemoryError
+    at once.  p_success, and the spectrum (top, bottom)
     = ((1 + r)/2, (1 - r)/2), are 0.5 (1 + (z, r, -r)) in one pass (1 - r
     and 1 + (-r) are the same IEEE sum); the entropy is -(top ln top +
     bottom ln bottom); the closed forms are one closed_form_fidelities
     call.  An m_max that is not an integer in [1, M_MAX] raises ValueError
-    naming m; search and sweep check --m here and nowhere else.
+    naming m.
 
     Each spectrum has two entries, so majorization is one comparison of
     the larger eigenvalues top = (1 + r)/2: step m is majorized by an
@@ -141,7 +146,7 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
     count = m_max + 1
     # rows x, z, r, then p_success, top, bottom = 0.5 (1 + (z, r, -r))
     rows = np.empty((6, count))
-    (a, b), (c, d) = bloch_map(inst).tolist()
+    (a, b), (c, d) = step.tolist()
     s0, s1 = uniform_plane_vector(inst).tolist()
     x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
     xs, zs, rs = map(memoryview, rows[:3])
@@ -181,6 +186,15 @@ def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
         majorized_by_prev=flags[0],
         majorized_by_init=flags[1],
     )
+
+
+def trajectory_report(inst: SearchInstance, m_max: int) -> TrajectoryReport:
+    """plane_report applied to bloch_map(inst): inst's own search, measured at every step.
+
+    An m_max that is not an integer in [1, M_MAX] raises plane_report's
+    ValueError naming m; search and sweep check --m here and nowhere else.
+    """
+    return plane_report(inst, bloch_map(inst), m_max)
 
 
 def trajectory_violations(report: TrajectoryReport) -> list:

@@ -213,7 +213,8 @@ def cmd_trajectories(args) -> int:
         raise ValueError(f"{args.command}: --out-dir needs --per-cell")
 
     # chi-major, then n: deterministic cell order independent of scheduling;
-    # every instance is checked, and trajectory_report checks m, before the
+    # every instance is checked, and trajectory_report checks m (through
+    # plane_report, which it applies to bloch_map(inst)), before the
     # first trajectory runs; cells are named by the checked chi, so -0 and 0
     # are one cell
     instances = [SearchInstance(n=n, w=target, chi=chi) for chi in chis for n in sizes]

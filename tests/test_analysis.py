@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.analysis import closed_form_fidelities, trajectory_report
+from noisy_grover.analysis import closed_form_fidelities, plane_report, trajectory_report
 from noisy_grover.errors import DimensionMismatch
 from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import SearchInstance, bloch_map, uniform_plane_vector
@@ -392,16 +392,15 @@ class TestTwoEntryMajorization:
         assert np.max(np.abs(steps)) <= 4 * np.spacing(1.0)
         assert_flags_match_oracle(rep)
 
-    def test_failing_flags_on_a_non_contracting_map(self, monkeypatch):
+    def test_failing_flags_on_a_non_contracting_map(self):
         # bloch_map is cos(2 psi) times a rotation, so the norm never grows
-        # and every flag of a real trajectory is True; a non-normal map makes
+        # and every flag of a real trajectory is True; a non-normal step makes
         # the norm swing up and down, and both chains must fail exactly
         # where the oracle does
         c, s = math.cos(0.7), math.sin(0.7)
         stretch = np.diag([1.0, 4.0])
         swing = 0.97 * stretch @ np.array([[c, s], [-s, c]]) @ np.linalg.inv(stretch)
-        monkeypatch.setattr("noisy_grover.analysis.bloch_map", lambda inst: swing)
-        rep = trajectory_report(SearchInstance(n=16, w=0, chi=1.0), 30)
+        rep = plane_report(SearchInstance(n=16, w=0, chi=1.0), swing, 30)
         for flags in (rep.majorized_by_prev, rep.majorized_by_init):
             assert 0 < np.count_nonzero(flags) < len(flags)
         assert_flags_match_oracle(rep)
@@ -422,13 +421,16 @@ class TestReportBits:
     @example(chi=CHI_MAX, n=2**53, m_max=40)
     def test_every_column_equals_the_oracle_bit_for_bit(self, chi, n, m_max):
         # the report's few array passes and one-loop closed forms must give
-        # the bits of each column's own numpy expression
+        # the bits of each column's own numpy expression, and plane_report
+        # of the instance's own step the bits of trajectory_report
         inst = SearchInstance(n=n, w=0, chi=chi)
         rep = trajectory_report(inst, m_max)
+        stepped = plane_report(inst, bloch_map(inst), m_max)
         for name, expected in report_columns_oracle(inst, m_max).items():
             column = getattr(rep, name)
             assert (column.shape, column.dtype) == (expected.shape, expected.dtype), name
             assert column.tobytes() == expected.tobytes(), name
+            assert getattr(stepped, name).tobytes() == column.tobytes(), name
 
 
 class TestTrajectoryReport:

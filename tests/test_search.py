@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.analysis import closed_form_fidelities, trajectory_report
+from noisy_grover.analysis import closed_form_fidelities, plane_report, trajectory_report
 from noisy_grover.channels import (
     KrausChannel,
     channel_choi_distance,
@@ -248,20 +248,16 @@ class TestBlochMap:
         m=st.integers(1, 30),
     )
     def test_any_rotation_pair_matches_the_dense_iteration(self, a, b, n, w, m):
-        # the Bloch matrix iterated from |s> against the dense n x n channel
-        # of the same pair, lifted onto the plane one operator at a time
+        # the report of the pair's Bloch matrix, iterated from |s>, against
+        # the dense n x n channel of the same pair, lifted onto the plane one
+        # operator at a time
         inst = SearchInstance(n=n, w=w % n, chi=0.0)
         pair = [rotation_y(a), rotation_y(b)]
-        s0, s1 = uniform_plane_vector(inst).tolist()
-        x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
-        (p, q), (r, t) = bloch_image(plane_kraus(pair, [s0, s1])).tolist()
-        plane = []
-        for _ in range(m + 1):
-            plane.append(0.5 * (1.0 + z))
-            x, z = p * x + q * z, r * x + t * z
+        step = bloch_image(plane_kraus(pair, uniform_plane_vector(inst)))
+        plane = plane_report(inst, step, m).p_success
         dense = KrausChannel(search_operators_per_operator(inst, pair), np.array([0.5, 0.5]))
         dense_p = iterate(dense, uniform_state(inst), m)[:, inst.w, inst.w].real
-        assert np.max(np.abs(np.array(plane) - dense_p)) <= PLANE_DENSE_ATOL
+        assert np.max(np.abs(plane - dense_p)) <= PLANE_DENSE_ATOL
 
 
 class TestApplyIterate:
@@ -415,6 +411,7 @@ class TestProbabilities:
 
 
 _COUNT_INST = SearchInstance(n=4, w=0, chi=1.0)
+_COUNT_STEP = bloch_map(_COUNT_INST)
 BELOW_FLOOR = object()
 
 
@@ -425,12 +422,13 @@ class TestCountRule:
         "call, name, floor",
         [
             (lambda m: trajectory_report(_COUNT_INST, m), "iteration count m", 1),
+            (lambda m: plane_report(_COUNT_INST, _COUNT_STEP, m), "iteration count m", 1),
             (lambda m: closed_form_fidelities(_COUNT_INST, m), "iteration count m", 0),
             (lambda m: ideal_grover_probability(_COUNT_INST, m), "iteration count m", 0),
             (chi_star, "index", 1),
             (run_verification, "seed", 0),
         ],
-        ids=["trajectory_report", "closed_form_fidelities",
+        ids=["trajectory_report", "plane_report", "closed_form_fidelities",
              "ideal_grover_probability", "chi_star", "run_verification"],
     )
     @pytest.mark.parametrize(
@@ -448,10 +446,12 @@ class TestCountRule:
         "call",
         [
             lambda m: trajectory_report(_COUNT_INST, m),
+            lambda m: plane_report(_COUNT_INST, _COUNT_STEP, m),
             lambda m: closed_form_fidelities(_COUNT_INST, m),
             lambda m: ideal_grover_probability(_COUNT_INST, m),
         ],
-        ids=["trajectory_report", "closed_form_fidelities", "ideal_grover_probability"],
+        ids=["trajectory_report", "plane_report", "closed_form_fidelities",
+             "ideal_grover_probability"],
     )
     def test_m_past_the_ceiling_is_rejected(self, call):
         assert M_MAX == 2**53
