@@ -5,7 +5,10 @@ the hermiticity and unitarity defects, exp(i*h) for Hermitian h by
 eigendecomposition, and the polar (nearest-unitary) factor by SVD.  A
 channel is a weighted (k, d, d) operator stack acting as
 rho -> sum_i w_i K_i rho K_i^dagger; explicit weights let mixed-unitary
-channels hold honest unitaries, so unitarity stays assertable.
+channels hold honest unitaries, so unitarity stays assertable.  Each
+channel operation is one stacked expression summed onto 0.0 in operator
+order, with a per-operator loop's bits, except unitarity_defects: a
+stacked norm would move bits that verify prints.
 
 Channel assembly builds the noise model's channels from noise's scalars
 and rotations and the Pauli matrices PAULI_Y and PAULI_Z: two independent
@@ -115,6 +118,11 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(d)))
 
 
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i w_i stack_i onto 0.0 in order: the bits and signed zeros of a += loop."""
+    return np.add.reduce(weights[:, None, None] * stack, axis=0, initial=0.0)
+
+
 @dataclass(eq=False)
 class KrausChannel:
     """Trace-preserving operator-sum map with explicit mixing weights.
@@ -138,10 +146,7 @@ class KrausChannel:
             raise DimensionMismatch(f"need a (k, d, d) operator stack, got {ops.shape}")
         if not np.all(np.isfinite(ops)):
             raise DimensionMismatch("Kraus operators contain non-finite entries")
-        if self.weights is None:
-            w = np.ones(len(ops))
-        else:
-            w = np.asarray(self.weights, dtype=float)
+        w = np.ones(len(ops)) if self.weights is None else np.asarray(self.weights, float)
         if w.shape != (len(ops),) or not np.all(np.isfinite(w) & (w > 0)):
             raise DimensionMismatch("need one finite positive weight per operator")
         self.operators = ops
@@ -157,28 +162,25 @@ class KrausChannel:
         return self.operators.shape[1]
 
     def completeness_defect(self) -> float:
-        acc = sum(w * (k.conj().T @ k) for w, k in zip(self.weights, self.operators))
+        ops = self.operators
+        acc = _weighted_sum(self.weights, ops.conj().transpose(0, 2, 1) @ ops)
         return float(np.linalg.norm(acc - np.eye(self.dim)))
 
     def unitarity_defects(self) -> np.ndarray:
+        # per operator: a stacked norm moved bits in 69-129 of 300 families, printed by verify
         return np.array([unitarity_defect(k) for k in self.operators])
 
     def fractional_weights(self) -> np.ndarray:
         """Probability each operator carries: w_i tr(K_i^dag K_i) / dim."""
-        norms = np.array(
-            [np.sum(np.abs(k) ** 2).real for k in self.operators]
-        )
-        return self.weights * norms / self.dim
+        return self.weights * (np.abs(self.operators) ** 2).sum(axis=(1, 2)) / self.dim
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Apply the channel: sum_i w_i K_i rho K_i^dagger."""
         rho = as_complex_matrix(rho)
         if rho.shape[0] != self.dim:
             raise DimensionMismatch(f"state dim {rho.shape[0]} != channel dim {self.dim}")
-        out = np.zeros_like(rho)
-        for w, k in zip(self.weights, self.operators):
-            out += w * (k @ rho @ k.conj().T)
-        return out
+        ops = self.operators
+        return _weighted_sum(self.weights, ops @ rho @ ops.conj().transpose(0, 2, 1))
 
 
 def closed_form_kraus(chi: float) -> KrausChannel:
@@ -257,12 +259,8 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     Two channels are equal as maps iff their Choi matrices are equal.  For
     a weighted Kraus family this is sum_i w_i |vec K_i><vec K_i|, row-major vec.
     """
-    d = channel.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for w, k in zip(channel.weights, channel.operators):
-        v = k.reshape(d * d)
-        c += w * np.outer(v, v.conj())
-    return c
+    vecs = channel.operators.reshape(len(channel.operators), -1)
+    return _weighted_sum(channel.weights, vecs[:, :, None] * vecs.conj()[:, None, :])
 
 
 def choi_of_map(f: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

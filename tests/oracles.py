@@ -12,9 +12,10 @@ plane channel of any rotation pair as a KrausChannel, the Bloch matrix
 built from it one operator at a time, and the report's columns derived
 one array operation at a time are the bit-level oracles of the stacked
 plane_kraus and bloch_image, of bloch_map and of the report; the Kraus
-sum, completeness defect, composition and dense lift of any pair taken
-one 2-D operator (or pair) at a time are those of KrausChannel's
-(k, d, d) stack and of verify.build_search_channel.  Tests import them as
+sum, completeness defect, Choi matrix, composition and dense lift of any
+pair taken one 2-D operator (or pair) at a time are those of
+KrausChannel's (k, d, d) stack, choi_matrix and
+verify.build_search_channel.  Tests import them as
 `from oracles import ...`, the way they import `from conftest import ...`.
 """
 
@@ -167,6 +168,16 @@ def completeness_per_operator(weights, ops) -> float:
     """Frobenius norm of sum_i w_i K_i^dag K_i - 1, one 2-D operator at a time."""
     acc = sum(w * (k.conj().T @ k) for w, k in zip(weights, ops))
     return float(np.linalg.norm(acc - np.eye(ops[0].shape[0])))
+
+
+def choi_per_operator(weights, ops) -> np.ndarray:
+    """sum_i w_i |vec K_i><vec K_i| (row-major vec) over 2-D operators, onto zeros one at a time."""
+    d = ops[0].shape[0]
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for w, k in zip(weights, ops):
+        v = k.reshape(d * d)
+        c += w * np.outer(v, v.conj())
+    return c
 
 
 def compose_per_pair(a_weights, a_ops, b_weights, b_ops) -> tuple:

@@ -7,13 +7,20 @@ from noisy_grover.channels import (
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
+    closed_form_kraus,
     compose_channels,
+    hamiltonian_kraus,
+    nearest_unitary_pair,
 )
 from noisy_grover.errors import DimensionMismatch, NotTracePreserving
+from noisy_grover.noise import chi_star
+from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import UNITARITY_ATOL
+from noisy_grover.verify import build_search_channel
 
 from conftest import random_channel, random_density, random_kraus_blocks, random_unitary
 from oracles import (
+    choi_per_operator,
     choi_rank,
     completeness_per_operator,
     compose_per_pair,
@@ -29,6 +36,17 @@ def _families(rng, dim: int):
         yield np.ones(n_ops), random_kraus_blocks(rng, dim, n_ops)
         weights = rng.dirichlet(np.ones(n_ops))
         yield weights, tuple(random_unitary(rng, dim) for _ in range(n_ops))
+
+
+def _verify_families():
+    """The channels verify builds, as pytest params: the three noise pairs at
+    chi in {0.5, chi_star(1), 5.0}, and the dense search channel at n = 3 and 8."""
+    for chi in (0.5, chi_star(1), 5.0):
+        for build in (nearest_unitary_pair, closed_form_kraus, hamiltonian_kraus):
+            yield pytest.param(build(chi), id=f"{build.__name__}-{chi:.6g}")
+        for n in (3, 8):
+            ch = build_search_channel(SearchInstance(n, 0, chi))
+            yield pytest.param(ch, id=f"search-n{n}-{chi:.6g}")
 
 
 class TestKrausChannel:
@@ -187,6 +205,22 @@ class TestStackBits:
             rho = random_density(rng, dim)
             assert ch(rho).tobytes() == kraus_sum_per_operator(weights, ops, rho).tobytes()
             assert ch.completeness_defect() == completeness_per_operator(weights, ops)
+
+    @pytest.mark.parametrize("ch", _verify_families())
+    def test_apply_and_completeness_on_verify_families(self, rng, ch):
+        # real operators give terms with -0.0 entries, which the loop's sum
+        # onto zeros turns into +0.0; the stacked sum must do the same
+        weights, ops, dim = ch.weights, tuple(ch.operators), ch.dim
+        for rho in (random_density(rng, dim), np.full((dim, dim), 1.0 / dim, dtype=complex)):
+            assert ch(rho).tobytes() == kraus_sum_per_operator(weights, ops, rho).tobytes()
+        assert ch.completeness_defect() == completeness_per_operator(weights, ops)
+        assert choi_matrix(ch).tobytes() == choi_per_operator(weights, ops).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_choi_matrix(self, rng, dim):
+        for weights, ops in _families(rng, dim):
+            got = choi_matrix(KrausChannel(ops, weights))
+            assert got.tobytes() == choi_per_operator(weights, ops).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_compose(self, rng, dim):

@@ -1,3 +1,6 @@
+"""Tests of channels' matrix helpers, once the linalg module, and of the
+eigvals_hermitian oracle."""
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
