@@ -3,6 +3,11 @@ import pytest
 
 from noisy_grover.channels import KrausChannel
 
+# frozen from a 30-digit evaluation of the defining formulas; test_noise and
+# test_channels both read them
+PSI_AT_2 = 1.1969609816743351
+CHI_STAR_1 = 6.0836680139604178
+
 
 @pytest.fixture
 def rng():

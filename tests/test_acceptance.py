@@ -1,6 +1,11 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
+A1, A2, A4, A6 and A7 read `verify`'s hard checks (`_completeness_grid`,
+`_magic_psi_zero` and `_psi_zero_scan`, `_noiseless_reference`,
+`_entropy_majorization_chain`, `_composition_stays_mixed_unitary`) and
+hold them to this gate's own thresholds and time bounds; A3, A5 and A8
+compute their criteria here.
 A3 at N=16 is a known, documented failure (strict xfail): at the first
 magic strength the trajectory is a rigid Bloch rotation, so the angular
 cosine equals 2*p_success - 1; within the allowed m <= 16 window the
@@ -15,18 +20,11 @@ import time
 import numpy as np
 import pytest
 
-from noisy_grover.analysis import trajectory_report
-from noisy_grover.channels import (
-    choi_matrix,
-    choi_of_map,
-    closed_form_kraus,
-    compose_channels,
-    hamiltonian_kraus,
-)
+from noisy_grover import verify
 from noisy_grover.cli import main
-from noisy_grover.noise import chi_star, psi_zero_scan, scalar_profile
+from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import SearchInstance
-from noisy_grover.verify import build_search_channel, ideal_grover_probability
+from noisy_grover.verify import build_search_channel
 
 from oracles import (
     angular_fidelity,
@@ -43,11 +41,7 @@ def verdict(name: str, ok: bool, detail: str) -> None:
 
 def test_a1_completeness_of_both_constructions():
     start = time.perf_counter()
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for chi in rng.uniform(0.0, 20.0, size=100):
-        worst = max(worst, closed_form_kraus(chi).completeness_defect())
-        worst = max(worst, hamiltonian_kraus(chi).completeness_defect())
+    worst = verify._completeness_grid(1).worst
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     verdict("A1 completeness", ok, f"worst defect {worst:.2e}, {elapsed:.2f}s")
@@ -57,17 +51,16 @@ def test_a1_completeness_of_both_constructions():
 
 def test_a2_magic_strengths():
     start = time.perf_counter()
-    worst_psi = max(scalar_profile(chi_star(n)).psi for n in range(1, 6))
-    zeros = psi_zero_scan()
-    expected = np.array([0.0, chi_star(1), chi_star(2)])
-    scan_ok = zeros.size == 3 and bool(np.all(np.abs(zeros - expected) <= 2e-3))
+    worst_psi = verify._magic_psi_zero().worst
+    scan = verify._psi_zero_scan()
+    scan_ok = scan.worst <= 2e-3
     elapsed = time.perf_counter() - start
     ok = worst_psi <= 1e-10 and scan_ok and elapsed < 5.0
     verdict(
         "A2 magic strengths",
         ok,
-        f"max psi(chi_n) {worst_psi:.2e}, scan zeros {np.round(zeros, 4)}, "
-        f"{elapsed:.2f}s",
+        f"max psi(chi_n) {worst_psi:.2e}, {scan.detail} within {scan.worst:.2e} "
+        f"of 0, chi_1 and chi_2, {elapsed:.2f}s",
     )
     assert worst_psi <= 1e-10
     assert scan_ok
@@ -118,13 +111,7 @@ def test_a3_robust_search_at_first_magic_strength(n):
 
 
 def test_a4_noiseless_limit_matches_reference():
-    worst = 0.0
-    for n in (4, 16, 64):
-        inst = SearchInstance(n=n, w=0, chi=0.0)
-        states = iterate(build_search_channel(inst), uniform_state(inst), 30)
-        for m in range(31):
-            sim = success_probability(states[m], 0)
-            worst = max(worst, abs(sim - ideal_grover_probability(inst, m)))
+    worst = verify._noiseless_reference().worst
     inst4 = SearchInstance(n=4, w=0, chi=0.0)
     single = success_probability(
         iterate(build_search_channel(inst4), uniform_state(inst4), 1)[1], 0
@@ -165,63 +152,30 @@ def test_a5_exponential_bloch_damping():
 
 def test_a6_entropy_and_majorization():
     start = time.perf_counter()
-    worst_drop = 0.0
-    weakest_gain = math.inf
-    all_majorized = True
-    for chi in (0.5, 1.0, 2.0, 5.0):
-        for n in (4, 16):
-            rep = trajectory_report(SearchInstance(n=n, w=0, chi=chi), 40)
-            ent = np.array(rep.entropies)
-            worst_drop = max(worst_drop, float(np.max(ent[:-1] - ent[1:], initial=0.0)))
-            for k in range(1, 41):
-                if rep.bloch_norm[k - 1] > 1e-3:
-                    weakest_gain = min(weakest_gain, ent[k] - ent[k - 1])
-            all_majorized = all_majorized and all(rep.majorized_by_prev)
-            all_majorized = all_majorized and all(rep.majorized_by_init)
+    chain = verify._entropy_majorization_chain()
     elapsed = time.perf_counter() - start
-    ok = (
-        worst_drop <= 1e-12
-        and weakest_gain > 1e-8
-        and all_majorized
-        and elapsed < 10.0
-    )
+    ok = chain.worst <= 1e-12 and chain.passed and elapsed < 10.0
     verdict(
         "A6 entropy and majorization",
         ok,
-        f"worst entropy drop {worst_drop:.2e}, weakest strict gain "
-        f"{weakest_gain:.2e}, majorization {all_majorized}, {elapsed:.1f}s",
+        f"worst entropy drop {chain.worst:.2e}, strict gains, spectra and "
+        f"majorization {'hold' if chain.passed else 'fail'}, {elapsed:.1f}s",
     )
-    assert worst_drop <= 1e-12
-    assert weakest_gain > 1e-8
-    assert all_majorized
+    assert chain.worst <= 1e-12
+    assert chain.passed
     assert elapsed < 10.0
 
 
 def test_a7_composition_stays_mixed_unitary():
-    rng = np.random.default_rng(7)
-    worst_unitarity = 0.0
-    worst_choi = 0.0
-    for _ in range(10):
-        chi = float(rng.uniform(0.0, 13.0))
-        n = int(rng.choice([2, 3, 4, 6, 8, 12]))
-        t = build_search_channel(SearchInstance(n=n, w=0, chi=chi))
-        squared = compose_channels(t, t)
-        worst_unitarity = max(
-            worst_unitarity, float(np.max(squared.unitarity_defects()))
-        )
-        sequential = choi_of_map(lambda r: t(t(r)), n)
-        worst_choi = max(
-            worst_choi, float(np.linalg.norm(choi_matrix(squared) - sequential))
-        )
-    ok = worst_unitarity <= 1e-10 and worst_choi <= 1e-10
+    # verify draws from default_rng(seed + 1): seed 6 draws the ten pairs of rng 7
+    worst = verify._composition_stays_mixed_unitary(6).worst
+    ok = worst <= 1e-10
     verdict(
         "A7 composition",
         ok,
-        f"worst generator unitarity {worst_unitarity:.2e}, worst Choi gap "
-        f"{worst_choi:.2e} over 10 seeded pairs",
+        f"worst generator unitarity or Choi gap {worst:.2e} over 10 seeded pairs",
     )
-    assert worst_unitarity <= 1e-10
-    assert worst_choi <= 1e-10
+    assert worst <= 1e-10
 
 
 def test_a8_discrepancies_surface_not_hidden(tmp_path, capsys):

@@ -1,8 +1,18 @@
+"""Tests of channels: the Kraus channel on its operator stack, Choi
+matrices and composition, the noise model's four Kraus constructions, and
+the matrix helpers that were once the linalg module."""
+
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisy_grover.channels import (
+    PAULI_Y,
+    PAULI_Z,
     KrausChannel,
     channel_choi_distance,
     choi_matrix,
@@ -10,15 +20,32 @@ from noisy_grover.channels import (
     closed_form_kraus,
     compose_channels,
     hamiltonian_kraus,
+    matexp_i_hermitian,
+    nearest_unitary_oracle,
     nearest_unitary_pair,
+    polar_unitary_factor,
+    unitarity_defect,
 )
-from noisy_grover.errors import DimensionMismatch, NotTracePreserving
-from noisy_grover.noise import chi_star
+from noisy_grover.errors import (
+    DegeneratePolar,
+    DimensionMismatch,
+    NotHermitian,
+    NotTracePreserving,
+)
+from noisy_grover.noise import chi_star, pair_rotations, rotation_y, scalar_profile
 from noisy_grover.search import SearchInstance
-from noisy_grover.tolerances import UNITARITY_ATOL
+from noisy_grover.tolerances import CHI_MAX, UNITARITY_ATOL
 from noisy_grover.verify import build_search_channel
 
-from conftest import random_channel, random_density, random_kraus_blocks, random_unitary
+from conftest import (
+    CHI_STAR_1,
+    PSI_AT_2,
+    random_channel,
+    random_density,
+    random_hermitian,
+    random_kraus_blocks,
+    random_unitary,
+)
 from oracles import (
     choi_per_operator,
     choi_rank,
@@ -27,6 +54,26 @@ from oracles import (
     identity_channel,
     kraus_sum_per_operator,
 )
+
+I2 = np.eye(2, dtype=complex)
+
+
+def expm_i_series(h: np.ndarray) -> np.ndarray:
+    """Independent oracle: truncated power series of exp(i h)."""
+    acc = np.eye(h.shape[0], dtype=complex)
+    term = np.eye(h.shape[0], dtype=complex)
+    for k in range(1, 200):
+        term = term @ (1j * h) / k
+        acc = acc + term
+        if np.max(np.abs(term)) < 1e-20:
+            break
+    return acc
+
+
+def aligned_distance(a, b):
+    overlap = np.trace(a.conj().T @ b)
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    return np.linalg.norm(a - phase * b)
 
 
 def _families(rng, dim: int):
@@ -231,3 +278,223 @@ class TestStackBits:
                 weights, ops = compose_per_pair(wa, a_ops, wb, b_ops)
                 assert composed.weights.tobytes() == weights.tobytes()
                 assert composed.operators.tobytes() == ops.tobytes()
+
+
+class TestMatexp:
+    def test_zero_exponent(self):
+        assert_allclose(matexp_i_hermitian(np.zeros((3, 3))), np.eye(3))
+
+    def test_quarter_turn_closed_form(self):
+        got = matexp_i_hermitian(np.pi / 4 * PAULI_Y)
+        c = np.cos(np.pi / 4)
+        assert_allclose(got, np.array([[c, c], [-c, c]]), atol=1e-14)
+        assert_allclose(got, expm_i_series(np.pi / 4 * PAULI_Y), atol=1e-14)
+
+    def test_scalar_phase(self):
+        assert_allclose(
+            matexp_i_hermitian(np.pi * np.eye(2)), -np.eye(2), atol=1e-14
+        )
+
+    def test_inverse_property(self, rng):
+        for dim in (2, 3, 5, 8):
+            h = random_hermitian(rng, dim)
+            prod = matexp_i_hermitian(h) @ matexp_i_hermitian(-h)
+            assert np.linalg.norm(prod - np.eye(dim)) <= 1e-10
+
+    def test_matches_series_oracle(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            h = random_hermitian(rng, dim)
+            h *= rng.uniform(0.1, 10.0) / max(np.linalg.norm(h), 1e-12)
+            assert np.max(
+                np.abs(matexp_i_hermitian(h) - expm_i_series(h))
+            ) <= 1e-9
+
+    def test_result_is_unitary(self, rng):
+        for _ in range(10):
+            h = random_hermitian(rng, 4, scale=3.0)
+            assert unitarity_defect(matexp_i_hermitian(h)) <= 1e-10
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            matexp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestPolar:
+    def test_positive_scalar_multiple(self):
+        assert_allclose(polar_unitary_factor(2.0 * I2), I2, atol=1e-14)
+
+    def test_permutation_times_diagonal(self):
+        got = polar_unitary_factor(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert_allclose(got, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)
+
+    def test_factor_is_frobenius_nearest_unitary(self, rng):
+        # exact characterization (Higham 1986): W is the Frobenius-nearest
+        # unitary to m iff W is unitary and m W^dag is Hermitian PSD; the
+        # first 20 matrices also face a sampling oracle: no random unitary
+        # gets closer than the factor
+        for k in range(100):
+            u = random_unitary(rng, 2)
+            v = random_unitary(rng, 2)
+            sv = rng.uniform(0.1, 10.0, size=2)
+            m = u @ np.diag(sv).astype(complex) @ v
+            w = polar_unitary_factor(m)
+            assert unitarity_defect(w) <= 1e-12
+            p = m @ w.conj().T
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-12 * np.max(sv)
+            assert np.min(np.linalg.eigvalsh((p + p.conj().T) / 2)) >= 0.0
+            if k < 20:
+                base = np.linalg.norm(m - w)
+                trials = min(
+                    np.linalg.norm(m - random_unitary(rng, 2)) for _ in range(200)
+                )
+                assert base <= trials + 1e-12
+
+    def test_left_cofactor_hermitian_positive(self, rng):
+        for dim in (2, 3, 5):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = z + 3.0 * np.eye(dim)
+            w = polar_unitary_factor(m)
+            p = m @ w.conj().T
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-9
+            assert np.min(np.linalg.eigvalsh((p + p.conj().T) / 2)) > 0
+
+    def test_factor_is_unitary(self, rng):
+        for dim in (2, 4, 6):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            z += 2.0 * np.eye(dim)
+            assert unitarity_defect(polar_unitary_factor(z)) <= 1e-10
+
+    def test_singular_input_rejected(self):
+        with pytest.raises(DegeneratePolar):
+            polar_unitary_factor(np.zeros((2, 2)))
+        with pytest.raises(DegeneratePolar):
+            polar_unitary_factor(np.diag([1.0, 0.0, 2.0]))
+
+
+class TestClosedFormKraus:
+    def test_noiseless_pair_is_scaled_identity(self):
+        ch = closed_form_kraus(0.0)
+        assert_allclose(ch.operators[0], math.cos(math.pi / 4) * np.eye(2), atol=1e-15)
+        assert_allclose(ch.operators[1], math.sin(math.pi / 4) * np.eye(2), atol=1e-15)
+
+    def test_completeness_identity_on_grid(self):
+        rng = np.random.default_rng(11)
+        chis = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), size=100))
+        for chi in chis:
+            assert closed_form_kraus(chi).completeness_defect() <= 1e-12
+
+    def test_magic_point_collapses_to_one_operator(self):
+        ch = closed_form_kraus(CHI_STAR_1)
+        assert np.linalg.norm(ch.operators[1]) <= 1e-14
+        assert_allclose(
+            ch.operators[0], -rotation_y(-CHI_STAR_1 / 2), atol=1e-12
+        )
+
+
+class TestHamiltonianKraus:
+    def test_noiseless_limit_is_pure_rotation(self):
+        ch = hamiltonian_kraus(0.0)
+        assert_allclose(ch.operators[0], rotation_y(math.pi / 4), atol=1e-14)
+        assert np.linalg.norm(ch.operators[1]) <= 1e-14
+        gap = channel_choi_distance(ch, KrausChannel((rotation_y(math.pi / 4),)))
+        assert gap <= 1e-10
+
+    def test_completeness_on_grid(self):
+        rng = np.random.default_rng(12)
+        chis = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), size=100))
+        for chi in chis:
+            assert hamiltonian_kraus(chi).completeness_defect() <= 1e-10
+
+    def test_generic_strength_gives_true_mixture(self):
+        ch = hamiltonian_kraus(1.0)
+        weights = ch.fractional_weights()
+        assert weights.min() > 1e-3
+        k0, k1 = ch.operators
+        overlap = abs(np.trace(k0.conj().T @ k1))
+        norms = np.linalg.norm(k0) * np.linalg.norm(k1)
+        assert overlap < 0.99 * norms  # not proportional
+        assert choi_rank(ch) == 2
+
+    @pytest.mark.parametrize("chi", [0.0, 0.8, CHI_STAR_1, 7.716])
+    def test_environment_is_the_right_kron_factor(self, chi):
+        # R_i = (1 (x) <i|) U (1 (x) |0>), with the projectors built by np.kron
+        eye = np.eye(2)
+        h = math.pi / 4.0 * np.kron(PAULI_Y, eye) + chi / 2.0 * np.kron(
+            eye - PAULI_Z, PAULI_Y
+        )
+        u = matexp_i_hermitian(h)
+        ket0 = np.kron(eye, eye[:, [0]])
+        for i, op in enumerate(hamiltonian_kraus(chi).operators):
+            bra_i = np.kron(eye, eye[[i], :])
+            assert_allclose(op, bra_i @ u @ ket0, atol=1e-15)
+
+
+class TestChoiGap:
+    def test_same_channel_distance_zero(self):
+        ch = hamiltonian_kraus(0.7)
+        assert channel_choi_distance(ch, ch) == 0.0
+
+    def test_constructions_disagree_at_zero(self):
+        # closed form gives the identity map, the Hamiltonian the rotation
+        gap = channel_choi_distance(closed_form_kraus(0.0), hamiltonian_kraus(0.0))
+        assert gap == pytest.approx(2.0, abs=1e-9)
+
+    def test_constructions_disagree_everywhere_sampled(self):
+        for chi in (0.5, 1.0, 2.0, 5.0):
+            gap = channel_choi_distance(
+                closed_form_kraus(chi), hamiltonian_kraus(chi)
+            )
+            assert gap > 0.1
+
+
+class TestNearestUnitaryPair:
+    def test_noiseless_pair_is_identity_channel(self):
+        ch = nearest_unitary_pair(0.0)
+        for op in ch.operators:
+            assert_allclose(op, np.eye(2), atol=1e-15)
+
+    def test_magic_point_is_one_unitary(self):
+        ch = nearest_unitary_pair(CHI_STAR_1)
+        assert_allclose(ch.operators[0], ch.operators[1], atol=1e-10)
+        assert choi_rank(ch) == 1
+
+    def test_generic_point_has_distinct_rotations(self):
+        ch = nearest_unitary_pair(2.0)
+        assert_allclose(ch.operators[0], rotation_y(PSI_AT_2 - 1.0), atol=1e-12)
+        assert_allclose(ch.operators[1], rotation_y(-1.0), atol=1e-12)
+        assert np.linalg.norm(ch.operators[0] - ch.operators[1]) > 0.1
+
+    def test_operators_unitary_and_channel_unital(self):
+        half = np.eye(2, dtype=complex) / 2
+        for chi in (0.0, 0.5, 2.0, 7.0, CHI_STAR_1):
+            ch = nearest_unitary_pair(chi)
+            assert np.max(ch.unitarity_defects()) <= 1e-10
+            assert np.linalg.norm(ch(half) - half) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chi=st.one_of(st.floats(0.0, 1e6), st.sampled_from([CHI_STAR_1, CHI_MAX])))
+    def test_pair_is_rotation_y_of_both_angles_bit_for_bit(self, chi):
+        prof = scalar_profile(chi)
+        v = pair_rotations(chi)
+        assert v.shape == (2, 2, 2) and v.dtype == complex
+        expected = (rotation_y(prof.psi - prof.chi / 2.0), rotation_y(-prof.chi / 2.0))
+        channel = nearest_unitary_pair(chi)
+        for op, channel_op, rotation in zip(v, channel.operators, expected):
+            assert op.tobytes() == channel_op.tobytes() == rotation.tobytes()
+
+
+class TestNearestUnitaryOracle:
+    def test_polar_factors_match_closed_form_pair_at_two(self):
+        oracle = nearest_unitary_oracle(2.0)
+        closed_pair = nearest_unitary_pair(2.0)
+        for a, b in zip(oracle.operators, closed_pair.operators):
+            assert aligned_distance(a, b) <= 1e-8
+
+    def test_noiseless_polar_factor_is_identity(self):
+        oracle = nearest_unitary_oracle(0.0)
+        assert_allclose(oracle.operators[0], np.eye(2), atol=1e-12)
+
+    def test_degenerate_at_magic_point(self):
+        with pytest.raises(DegeneratePolar):
+            nearest_unitary_oracle(CHI_STAR_1)
