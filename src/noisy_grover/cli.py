@@ -3,7 +3,9 @@
 Subcommands: kraus, chi-star, search, sweep, verify.  search is the
 one-cell sweep; only sweep names the (chi, n) cell in front of each
 invariant violation it prints.  Exit codes are a three-way contract:
-0 success, 1 usage or I/O error, 2 numerical invariant violation.
+0 success, 1 usage or I/O error, 2 numerical invariant violation.  main
+prints a usage or I/O error as one line and names every text it echoes
+there (_describe_echo), so the line stays short whatever the input.
 Identical invocations (including seeds) produce byte-identical output
 files.
 
@@ -40,40 +42,38 @@ OUT_DIR_ENV = "NOISY_GROVER_OUT_DIR"
 CONFIG_KEYS = ("format", "out_dir", "target")
 # int() reads this, up to sys.get_int_max_str_digits() digits.
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-# A text argparse echoes as its repr.
+# A text a message echoes as its repr: argparse's, an I/O error's or our own.
 _REPR = re.compile(r"'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\"")
-
-
-def _describe_text(text: str) -> str:
-    """repr(text) up to 26 characters (24 and the quotes); past that, its
-    digit count as an integer, else its length, so escapes cannot grow it."""
-    if len(text) <= 24 and len(repr(text)) <= 26:
-        return repr(text)
-    if _INTEGER_TEXT.fullmatch(text):
-        return f"an integer of {sum(map(str.isdecimal, text))} digits"
-    return f"a text of {len(text)} characters"
 
 
 def _int(text) -> int:
     """int(text); int()'s digit limit is process-wide, so it stays as set,
-    and a digit string past it fails naming its digit count."""
+    and a digit string past it fails with its repr."""
     try:
         return int(text)
     except ValueError:
         if not _INTEGER_TEXT.fullmatch(text):
             raise  # argparse reports it as an "invalid int value"
     limit = f"{sys.get_int_max_str_digits()}-digit limit"
-    raise argparse.ArgumentTypeError(f"{_describe_text(text)} is past the {limit}")
+    raise argparse.ArgumentTypeError(f"{text!r} is past the {limit}")
 
 
 _int.__name__ = "int"  # the type argparse names in its messages
 
 
 def _describe_echo(echo) -> str:
+    """The text an echoed repr stands for, as its repr up to 26 characters
+    (24 and the quotes); past that, its digit count as an integer, else its
+    length, so escapes cannot grow it."""
     try:
-        return _describe_text(ast.literal_eval(echo[0]))
+        text = ast.literal_eval(echo[0])
     except (SyntaxError, ValueError):  # quotes the user typed, not a repr
         return echo[0]
+    if len(repr(text)) <= 26:
+        return repr(text)
+    if _INTEGER_TEXT.fullmatch(text):
+        return f"an integer of {sum(map(str.isdecimal, text))} digits"
+    return f"a text of {len(text)} characters"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,14 +85,16 @@ class _Parser(argparse.ArgumentParser):
         return args
 
     def refuse(self, extras) -> None:
-        """argparse's error for unrecognized words, each named by its size past 24 characters."""
+        """argparse's error for unrecognized words: a word past 24 characters
+        as its repr, and beside one, a word with a quote, which could otherwise
+        pair with the repr's quotes when main names it."""
         if extras:
-            words = (word if len(word) <= 24 else _describe_text(word) for word in extras)
+            quotes = {"'", '"'} if max(map(len, extras)) > 24 else set()
+            words = (repr(w) if len(w) > 24 or quotes & set(w) else w for w in extras)
             self.error(f"unrecognized arguments: {' '.join(words)}")
 
     def error(self, message):
-        # argparse echoes a bad value or choice in full
-        raise ValueError(f"{self.prog}: {_REPR.sub(_describe_echo, message)}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _load_config(path) -> dict:
@@ -105,12 +107,10 @@ def _load_config(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line without '=': {_describe_text(line)}")
+                raise ValueError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
-                raise ValueError(
-                    f"config key {_describe_text(key)} is not one of {', '.join(CONFIG_KEYS)}"
-                )
+                raise ValueError(f"config key {key!r} is not one of {', '.join(CONFIG_KEYS)}")
             if key in cfg:
                 raise ValueError(f"config key {key!r} is set twice")
             cfg[key] = value
@@ -196,7 +196,7 @@ def cmd_trajectories(args) -> int:
     cfg = _load_config(args.config)
     fmt = _resolve(args.format, cfg, "format", "csv")
     if fmt not in ("csv", "json"):
-        raise ValueError(f"{args.command}: unknown format {_describe_text(fmt)}")
+        raise ValueError(f"{args.command}: unknown format {fmt!r}")
     target = _resolve(args.target, cfg, "target", 0)
     try:  # only a config value can fail: a flag is parsed as int already
         target = _int(target)
@@ -204,7 +204,7 @@ def cmd_trajectories(args) -> int:
         raise ValueError(f"{args.command}: config target: {exc}") from None
     except ValueError:
         raise ValueError(
-            f"{args.command}: config target must be an integer, got {_describe_text(target)}"
+            f"{args.command}: config target must be an integer, got {target!r}"
         ) from None
     chis, sizes = (args.chi, args.n) if sweep else ([args.chi], [args.n])
     if args.per_cell and args.out is not None:
@@ -346,10 +346,8 @@ def main(argv=None) -> int:
     except NoisyGroverError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # names the path as its repr
+    except (ValueError, OSError) as exc:
+        # each text the message echoes in full, as its repr, is named here
         print(f"error: {_REPR.sub(_describe_echo, str(exc))}", file=sys.stderr)
         return 1
 

@@ -23,3 +23,7 @@ class NotTracePreserving(NoisyGroverError):
 
 class NotNormalized(NoisyGroverError):
     """Vector expected to have unit norm does not."""
+
+
+class NotReal(NoisyGroverError):
+    """A mixture expected to be real carries an imaginary part beyond tolerance."""

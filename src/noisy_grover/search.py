@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, NotTracePreserving
+from .errors import NotNormalized, NotReal, NotTracePreserving
 from .noise import _require_count, _require_nonnegative, pair_rotations
-from .tolerances import TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import IMAGINARY_ATOL, TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "SearchInstance",
@@ -122,14 +122,20 @@ def bloch_image(k: np.ndarray) -> np.ndarray:
 
     Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
     t((1 + sigma_z)/2) for t(rho) = 1/2 sum_i K_i rho K_i^dag, with no
-    offset, which holds when t is unital.  It assumes real operators: the
-    y component, and every imaginary part, is dropped.  Both probes pass
-    through K P K^dag in one stacked product, and the real parts of the
-    two weighted images are summed onto 0.0 in operator order, as a Kraus
-    channel sums its terms, which keeps signed zeros.
+    offset, which holds when t is unital.  The operators may be complex,
+    but the mixture must be real: an imaginary entry past IMAGINARY_ATOL in
+    either image (a y component) raises NotReal.  Both probes pass through
+    K P K^dag in one stacked product, and the two weighted images are summed
+    onto 0.0 in operator order, as a Kraus channel sums its terms, which
+    keeps signed zeros; real and imaginary parts add apart, so the real part
+    of the sum is the sum of the real parts.
     """
-    t = (0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None])).real
-    out = (0.0 + t[0]) + t[1]
+    t = 0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None])
+    mixture = (0.0 + t[0]) + t[1]
+    imaginary = np.abs(mixture.imag).max()
+    if not imaginary <= IMAGINARY_ATOL:
+        raise NotReal(f"mixture's imaginary part {imaginary:.3e} exceeds {IMAGINARY_ATOL:.1e}")
+    out = mixture.real
     return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
 
 
@@ -138,6 +144,7 @@ def bloch_map(inst: SearchInstance) -> np.ndarray:
 
     The Bloch image of plane_kraus for the pair_rotations of inst.chi and
     I_s about uniform_plane_vector(inst); being a half-half mixture of two
-    rotations of the Bloch disc, the matrix is cos(2 psi) R(phi).
+    rotations of the Bloch disc, the matrix is cos(2 psi) R(phi) in exact
+    arithmetic; see ROADMAP item 13.
     """
     return bloch_image(plane_kraus(pair_rotations(inst.chi), uniform_plane_vector(inst)))

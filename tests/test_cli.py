@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from noisy_grover import cli
 from noisy_grover.analysis import trajectory_report, trajectory_violations
@@ -311,6 +315,10 @@ USAGE_ERRORS = [
     pytest.param([f"--bogus-{WORD}", "search", "--chi", "1", "--n", "4", "--m", "3"],
                  "noisy-grover: unrecognized arguments: a text of 3008 characters",
                  id="long-option-before-the-command"),
+    # a raw quote beside a long word would pair with its repr's quotes
+    pytest.param(["verify", "a'", WORD],
+                 "noisy-grover: unrecognized arguments: \"a'\" a text of 3000 characters",
+                 id="verify-quote-beside-a-long-word"),
     pytest.param(["verify", "extra", WORD, "1" * 30],
                  "noisy-grover: unrecognized arguments: extra a text of 3000 characters "
                  "an integer of 30 digits",
@@ -467,6 +475,68 @@ class TestOnePassParse:
         sweep = ["sweep", "--chi", "0", "1", "--n", "4", "8", "--m", "3", "--format", "json"]
         assert main([*sweep, "--out", str(tmp_path / "sweep.json")]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["search.csv", "sweep.json"]
+
+
+ECHO_ALPHABET = "'\"\\\x01\n0123456789éxy"
+
+
+# a drawn text repeated up to 100 times: hypothesis alone rarely draws past 30 characters
+ECHO_TEXTS = st.tuples(st.text(ECHO_ALPHABET, min_size=1, max_size=30), st.integers(1, 100)).map(
+    lambda drawn: (drawn[0] * drawn[1])[:3000]
+)
+
+
+def named(text: str) -> str:
+    """How an error line names an echoed text: its repr up to 26 characters,
+    past that its digit count as an integer, else its length."""
+    if len(repr(text)) <= 26:
+        return repr(text)
+    if text.strip().isdecimal():
+        return f"an integer of {sum(map(str.isdecimal, text))} digits"
+    return f"a text of {len(text)} characters"
+
+
+class TestEchoNaming:
+    """Every echo site's line is its template, the echo named by the rule above."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=ECHO_TEXTS)
+    @example(text="'\"\\\x01\né" * 500)
+    @example(text="\n" + "9" * 2999)
+    def test_each_site_names_the_text(self, text, tmp_path_factory):
+        line = text.replace("\n", "x")  # a config line cannot hold a newline
+        assume(not line.isdecimal())  # that target is an integer, and runs
+        word = text.ljust(25, "x")  # a shorter word is echoed as typed
+        quoted = text[:23] + "'"  # unless a longer one is beside it
+        path = f"/nonexistent-dir/{text}"
+        try:
+            open(path, "w")
+        except OSError as exc:  # which errno depends on the path's length
+            missing = f"[Errno {exc.errno}] {exc.strerror}: {named(path)}"
+        config = str(tmp_path_factory.mktemp("echo") / "echo.cfg")
+        sites = [
+            ([*SEARCH, "--format", text], None,
+             "noisy-grover search: argument --format: invalid choice: "
+             f"{named(text)} (choose from 'csv', 'json')"),
+            ([*SEARCH, "--config", config], line,
+             f"config line without '=': {named(line)}"),
+            ([*SEARCH, "--config", config], f"{line}=csv",
+             f"config key {named(line)} is not one of format, out_dir, target"),
+            ([*SEARCH, "--config", config], f"target={line}",
+             f"search: config target must be an integer, got {named(line)}"),
+            ([*SEARCH, "--out", path], None, missing),
+            ([*SEARCH, word], None, f"noisy-grover: unrecognized arguments: {named(word)}"),
+            ([*SEARCH, quoted, word], None,
+             f"noisy-grover: unrecognized arguments: {named(quoted)} {named(word)}"),
+        ]
+        for argv, config_line, message in sites:
+            if config_line is not None:
+                with open(config, "w") as handle:
+                    handle.write(config_line + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 1
+            assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
 
 
 class TestKraus:

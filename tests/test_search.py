@@ -15,7 +15,7 @@ from noisy_grover.channels import (
     choi_of_map,
     compose_channels,
 )
-from noisy_grover.errors import DimensionMismatch, NotNormalized, NotTracePreserving
+from noisy_grover.errors import DimensionMismatch, NotNormalized, NotReal, NotTracePreserving
 from noisy_grover.noise import chi_star, pair_rotations, rotation_y
 from noisy_grover.search import (
     SearchInstance,
@@ -40,6 +40,7 @@ from oracles import (
     choi_rank,
     identity_channel,
     iterate,
+    pair_channel,
     plane_basis,
     plane_channel,
     search_operators_per_operator,
@@ -52,6 +53,9 @@ from oracles import (
 # gap over 400 random pairs (n <= 64, m <= 30) was 8.0e-14
 PLANE_DENSE_ATOL = 1e-12
 IDEAL_100_7 = 0.9953444003575990  # sin^2(15 asin(0.1)), 30-digit evaluation
+# a complete, complex plane operator: [PHASE, PHASE] has a complex mixture,
+# [PHASE, PHASE.conj()] complex operators but a real mixture
+PHASE = np.diag([np.exp(0.3j), np.exp(-0.3j)])
 
 
 class TestInstance:
@@ -257,6 +261,26 @@ class TestBlochMap:
         dense = KrausChannel(search_operators_per_operator(inst, pair), np.array([0.5, 0.5]))
         dense_p = iterate(dense, uniform_state(inst), m)[:, inst.w, inst.w].real
         assert np.max(np.abs(plane - dense_p)) <= PLANE_DENSE_ATOL
+
+
+    def test_complex_mixture_is_refused(self):
+        # it passes plane_kraus's checks; its real part alone would give
+        # p_2 = 0.7956 at n = 16, where the density iteration gives 0.8704
+        s = uniform_plane_vector(SearchInstance(n=16, w=0, chi=0.0))
+        k = plane_kraus([PHASE, PHASE], s)
+        with pytest.raises(NotReal, match="^mixture's imaginary part 2.392e-01 exceeds 1.0e-12$"):
+            bloch_image(k)
+
+    @pytest.mark.parametrize("n", [2, 16, 64, 2**20])
+    def test_complex_operators_with_a_real_mixture_match_the_density_iteration(self, n):
+        inst = SearchInstance(n=n, w=0, chi=0.0)
+        s = uniform_plane_vector(inst)
+        pair = [PHASE, PHASE.conj()]
+        step = bloch_image(plane_kraus(pair, s))
+        assert step.tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        rho = iterate(pair_channel(pair, s), np.outer(s, s).astype(complex), 30)
+        plane = plane_report(inst, step, 30).p_success
+        assert np.max(np.abs(plane - rho[:, 0, 0].real)) <= PLANE_DENSE_ATOL
 
 
 class TestApplyIterate:
