@@ -4,10 +4,10 @@ Subcommands: kraus, chi-star, search, sweep, verify.  search is the
 one-cell sweep; only sweep names the (chi, n) cell in front of each
 invariant violation it prints.  Exit codes are a three-way contract:
 0 success, 1 usage or I/O error, 2 numerical invariant violation.  main
-prints a usage or I/O error as one line and names every text it echoes
-there (_describe_echo), so the line stays short whatever the input.
-Identical invocations (including seeds) produce byte-identical output
-files.
+prints a usage or I/O error as one line; every text it echoes there is a
+repr, unrecognized words included, and main names each (_describe_echo),
+so the line stays short whatever the input.  Options must be spelled in
+full.  Identical invocations (including seeds) give byte-identical files.
 
 Configuration precedence: command-line flags, then an optional key=value
 config file (--config), then the NOISY_GROVER_OUT_DIR environment
@@ -67,7 +67,7 @@ def _describe_echo(echo) -> str:
     length, so escapes cannot grow it."""
     try:
         text = ast.literal_eval(echo[0])
-    except (SyntaxError, ValueError):  # quotes the user typed, not a repr
+    except (SyntaxError, ValueError):  # a quoted span that is not a repr
         return echo[0]
     if len(repr(text)) <= 26:
         return repr(text)
@@ -79,19 +79,18 @@ def _describe_echo(echo) -> str:
 class _Parser(argparse.ArgumentParser):
     commands: dict[str, _Parser]  # on the top-level parser: the command parsers by name
 
+    def __init__(self, *args, **kwargs):  # options are read only when spelled in full
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
         self.refuse(extras)
         return args
 
     def refuse(self, extras) -> None:
-        """argparse's error for unrecognized words: a word past 24 characters
-        as its repr, and beside one, a word with a quote, which could otherwise
-        pair with the repr's quotes when main names it."""
+        """argparse's error for unrecognized words, each as its repr."""
         if extras:
-            quotes = {"'", '"'} if max(map(len, extras)) > 24 else set()
-            words = (repr(w) if len(w) > 24 or quotes & set(w) else w for w in extras)
-            self.error(f"unrecognized arguments: {' '.join(words)}")
+            self.error(f"unrecognized arguments: {' '.join(map(repr, extras))}")
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

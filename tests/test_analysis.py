@@ -6,11 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from noisy_grover.analysis import closed_form_fidelities, plane_report, trajectory_report
+from noisy_grover.analysis import (
+    closed_form_fidelities,
+    plane_report,
+    trajectory_report,
+    trajectory_violations,
+)
 from noisy_grover.errors import DimensionMismatch
 from noisy_grover.noise import chi_star, scalar_profile
 from noisy_grover.search import SearchInstance, bloch_map, uniform_plane_vector
-from noisy_grover.tolerances import BLOCH_ZERO_ATOL, CHI_MAX, MAJORIZATION_ATOL
+from noisy_grover.tolerances import (
+    BLOCH_ZERO_ATOL,
+    CHI_MAX,
+    MAJORIZATION_ATOL,
+    POSITIVITY_ATOL,
+    TRACE_ATOL,
+)
 from noisy_grover.verify import build_search_channel, ideal_grover_probability
 
 from oracles import (
@@ -579,3 +590,41 @@ class TestTrajectoryReport:
             bloch = bloch_from_density(rho, inst)
             assert norm == pytest.approx(bloch.norm, abs=1e-11)
             assert ent == pytest.approx(entropy(rho), abs=1e-11)
+
+
+def per_step_violations(report) -> list:
+    """The gate evaluated one step at a time, as the reference."""
+    problems = []
+    entropies = report.entropies
+    for k, spectrum in enumerate(report.spectra):
+        if abs(float(np.sum(spectrum)) - 1.0) > TRACE_ATOL:
+            problems.append(f"m={k}: trace {float(np.sum(spectrum)):.12f}")
+        if float(spectrum[-1]) < -POSITIVITY_ATOL:
+            problems.append(f"m={k}: eigenvalue {float(spectrum[-1]):.3e}")
+        if k > 0 and entropies[k] < entropies[k - 1] - 1e-12:
+            problems.append(
+                f"m={k}: entropy drops by {entropies[k - 1] - entropies[k]:.3e}"
+            )
+        if not report.majorized_by_prev[k]:
+            problems.append(f"m={k}: not majorized by previous step")
+        if not report.majorized_by_init[k]:
+            problems.append(f"m={k}: not majorized by initial state")
+    return problems
+
+
+class TestViolationGate:
+    def test_clean_trajectory_passes(self):
+        report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 30)
+        assert trajectory_violations(report) == []
+
+    def test_matches_per_step_gate_on_a_corrupted_report(self):
+        report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 12)
+        report.spectra[2] = [0.6, 0.4 + 1e-6]  # trace off
+        report.spectra[4, 1] = -1e-6  # negative eigenvalue, trace off too
+        report.entropies[7] = report.entropies[6] - 1e-6  # entropy drop
+        report.majorized_by_prev[9] = False
+        report.majorized_by_init[9] = False
+        report.majorized_by_init[11] = False
+        expected = per_step_violations(report)
+        assert len(expected) == 7
+        assert trajectory_violations(report) == expected

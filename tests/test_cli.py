@@ -7,19 +7,15 @@ import sys
 import warnings
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noisy_grover import cli
-from noisy_grover.analysis import trajectory_report, trajectory_violations
 from noisy_grover.cli import main
 from noisy_grover.errors import NoisyGroverError
 from noisy_grover.noise import CHI_STAR_MAX_INDEX, chi_star, scalar_profile
 from noisy_grover.reporting import CSV_HEADER
-from noisy_grover.search import SearchInstance
-from noisy_grover.tolerances import POSITIVITY_ATOL, TRACE_ATOL
 from noisy_grover.verify import CheckResult, VerificationReport
 
 # Past int()'s digit limit, and a text far longer than a message may echo.
@@ -129,44 +125,6 @@ sys.exit(main(["search", "--chi", "1", "--n", "16", "--m", "1000000000000000"]))
         capsys.readouterr()
 
 
-def per_step_violations(report) -> list:
-    """The gate evaluated one step at a time, as the reference."""
-    problems = []
-    entropies = report.entropies
-    for k, spectrum in enumerate(report.spectra):
-        if abs(float(np.sum(spectrum)) - 1.0) > TRACE_ATOL:
-            problems.append(f"m={k}: trace {float(np.sum(spectrum)):.12f}")
-        if float(spectrum[-1]) < -POSITIVITY_ATOL:
-            problems.append(f"m={k}: eigenvalue {float(spectrum[-1]):.3e}")
-        if k > 0 and entropies[k] < entropies[k - 1] - 1e-12:
-            problems.append(
-                f"m={k}: entropy drops by {entropies[k - 1] - entropies[k]:.3e}"
-            )
-        if not report.majorized_by_prev[k]:
-            problems.append(f"m={k}: not majorized by previous step")
-        if not report.majorized_by_init[k]:
-            problems.append(f"m={k}: not majorized by initial state")
-    return problems
-
-
-class TestViolationGate:
-    def test_clean_trajectory_passes(self):
-        report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 30)
-        assert trajectory_violations(report) == []
-
-    def test_matches_per_step_gate_on_a_corrupted_report(self):
-        report = trajectory_report(SearchInstance(n=16, w=3, chi=1.5), 12)
-        report.spectra[2] = [0.6, 0.4 + 1e-6]  # trace off
-        report.spectra[4, 1] = -1e-6  # negative eigenvalue, trace off too
-        report.entropies[7] = report.entropies[6] - 1e-6  # entropy drop
-        report.majorized_by_prev[9] = False
-        report.majorized_by_init[9] = False
-        report.majorized_by_init[11] = False
-        expected = per_step_violations(report)
-        assert len(expected) == 7
-        assert trajectory_violations(report) == expected
-
-
 USAGE_ERRORS = [
     pytest.param(["search", "--chi", "-1", "--n", "4", "--m", "3"],
                  "noise strength chi must be finite and >= 0, got -1.0",
@@ -190,8 +148,9 @@ USAGE_ERRORS = [
      "sweep: --out cannot be combined with --per-cell"),
     (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "abc.cfg"],
      "search: config target must be an integer, got 'abc'"),
-    (["verify", "--random-chi", "5"],
-     "noisy-grover: unrecognized arguments: --random-chi 5"),
+    pytest.param(["verify", "--random-chi", "5"],
+                 "noisy-grover: unrecognized arguments: '--random-chi' '5'",
+                 id="verify-unrecognized-option"),
     pytest.param(["verify", "--seed", "-1"], "seed must be >= 0, got -1",
                  id="verify-seed-minus-1"),
     (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "noeq.cfg"],
@@ -301,10 +260,13 @@ USAGE_ERRORS = [
                  "noisy-grover search: argument --format: invalid choice: "
                  "a text of 24 characters (choose from 'csv', 'json')",
                  id="search-format-24-quotes-and-backslashes"),
-    # quotes typed into an unquoted echo are not a repr, and stay as typed
+    # an unrecognized word is echoed as its repr, whatever its length
     pytest.param(["verify", "a'\\x'b"],
-                 "noisy-grover: unrecognized arguments: a'\\x'b",
+                 "noisy-grover: unrecognized arguments: \"a'\\\\x'b\"",
                  id="verify-unrecognized-quotes"),
+    pytest.param(["verify", "ab\ncd"],
+                 "noisy-grover: unrecognized arguments: 'ab\\ncd'",
+                 id="verify-unrecognized-newline"),
     # unrecognized words and paths in I/O errors are named by their size too
     pytest.param(["verify", WORD],
                  "noisy-grover: unrecognized arguments: a text of 3000 characters",
@@ -315,12 +277,18 @@ USAGE_ERRORS = [
     pytest.param([f"--bogus-{WORD}", "search", "--chi", "1", "--n", "4", "--m", "3"],
                  "noisy-grover: unrecognized arguments: a text of 3008 characters",
                  id="long-option-before-the-command"),
-    # a raw quote beside a long word would pair with its repr's quotes
+    # options are read only when spelled in full: a prefix is an unrecognized word
+    pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "3", f"--ou={WORD}"],
+                 "noisy-grover: unrecognized arguments: a text of 3005 characters",
+                 id="sweep-option-prefix-with-a-long-value"),
+    pytest.param(["search", "--ch", "1", "--n", "4", "--m", "3"],
+                 "noisy-grover search: the following arguments are required: --chi",
+                 id="search-option-prefix"),
     pytest.param(["verify", "a'", WORD],
                  "noisy-grover: unrecognized arguments: \"a'\" a text of 3000 characters",
                  id="verify-quote-beside-a-long-word"),
     pytest.param(["verify", "extra", WORD, "1" * 30],
-                 "noisy-grover: unrecognized arguments: extra a text of 3000 characters "
+                 "noisy-grover: unrecognized arguments: 'extra' a text of 3000 characters "
                  "an integer of 30 digits",
                  id="verify-unrecognized-words"),
     *(
@@ -429,11 +397,13 @@ PARSE_CORPUS = [
     # help at both levels, and no arguments
     [], ["-h"], ["--help"], ["search", "-h"], ["sweep", "--help"], ["verify", "-h"],
     ["kraus", "--chi", "1", "-h"], ["search", "-h", "--bogus"],
-    # abbreviations, --flag=value, --, repeated flags, negative values
+    # option prefixes, --flag=value, --, repeated flags, negative values
     [*SEARCH, "--tar", "2", "--form", "json"],
     ["search", "--ch", "1", "--n", "4", "--m", "3"],
     ["sweep", "--chi", "1", "--n", "4", "--m", "3", "--per", "--out-d", "cells"],
     ["sweep", "--chi", "1", "--n", "4", "--m", "3", "--ou", "x.csv"],
+    ["sweep", "--chi", "1", "--n", "4", "--m", "3", "--ou=x"],
+    [*SEARCH, "--c=x"],
     ["search", "--chi=1", "--n=4", "--m=3"],
     ["search", "--", "--chi", "1", "--n", "4", "--m", "3"],
     [*SEARCH, "--", "extra"],
@@ -506,8 +476,7 @@ class TestEchoNaming:
     def test_each_site_names_the_text(self, text, tmp_path_factory):
         line = text.replace("\n", "x")  # a config line cannot hold a newline
         assume(not line.isdecimal())  # that target is an integer, and runs
-        word = text.ljust(25, "x")  # a shorter word is echoed as typed
-        quoted = text[:23] + "'"  # unless a longer one is beside it
+        quoted = text[:23] + "'"  # its quote must not pair with the next word's repr
         path = f"/nonexistent-dir/{text}"
         try:
             open(path, "w")
@@ -525,9 +494,11 @@ class TestEchoNaming:
             ([*SEARCH, "--config", config], f"target={line}",
              f"search: config target must be an integer, got {named(line)}"),
             ([*SEARCH, "--out", path], None, missing),
-            ([*SEARCH, word], None, f"noisy-grover: unrecognized arguments: {named(word)}"),
-            ([*SEARCH, quoted, word], None,
-             f"noisy-grover: unrecognized arguments: {named(quoted)} {named(word)}"),
+            ([*SEARCH, text], None, f"noisy-grover: unrecognized arguments: {named(text)}"),
+            ([*SEARCH, quoted, text], None,
+             f"noisy-grover: unrecognized arguments: {named(quoted)} {named(text)}"),
+            ([*SEARCH, f"--c={text}"], None,
+             "noisy-grover: unrecognized arguments: " + named("--c=" + text)),
         ]
         for argv, config_line, message in sites:
             if config_line is not None:
@@ -537,6 +508,16 @@ class TestEchoNaming:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 assert main(argv) == 1
             assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
+
+    def test_warnings_do_not_change_the_line(self, capsys):
+        # a word is echoed as its repr, so naming it never reads an invalid escape
+        expected = "error: noisy-grover: unrecognized arguments: \"'\\\\d'\"\n"
+        assert main(["verify", "'\\d'"]) == 1
+        assert capsys.readouterr().err == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "'\\d'"]) == 1
+        assert capsys.readouterr().err == expected
 
 
 class TestKraus:
@@ -623,7 +604,7 @@ class TestChiStar:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: noisy-grover: unrecognized arguments: --perturb 0.1\n"
+            "error: noisy-grover: unrecognized arguments: '--perturb' '0.1'\n"
         )
 
 
