@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisy_grover.analysis import closed_form_fidelities, plane_report, trajectory_report
 from noisy_grover.noise import CHI_STAR_MAX_INDEX, chi_star, psi_zero_scan, scalar_profile
-from noisy_grover.tolerances import CHI_MAX
+from noisy_grover.search import SearchInstance, bloch_map
+from noisy_grover.tolerances import CHI_MAX, M_MAX
+from noisy_grover.verify import ideal_grover_probability, run_verification
 
 from conftest import CHI_STAR_1, PSI_AT_2
 
@@ -131,3 +135,55 @@ class TestChiStar:
         assert zeros.size == 3
         for found, true in zip(zeros, expected):
             assert abs(found - true) <= 2e-3
+
+
+_COUNT_INST = SearchInstance(n=4, w=0, chi=1.0)
+_COUNT_STEP = bloch_map(_COUNT_INST)
+BELOW_FLOOR = object()
+
+
+class TestCountRule:
+    # every step count, chi_star's index and verify's seed pass
+    # noise._require_count
+    @pytest.mark.parametrize(
+        "call, name, floor",
+        [
+            (lambda m: trajectory_report(_COUNT_INST, m), "iteration count m", 1),
+            (lambda m: plane_report(_COUNT_INST, _COUNT_STEP, m), "iteration count m", 1),
+            (lambda m: closed_form_fidelities(_COUNT_INST, m), "iteration count m", 0),
+            (lambda m: ideal_grover_probability(_COUNT_INST, m), "iteration count m", 0),
+            (chi_star, "index", 1),
+            (run_verification, "seed", 0),
+        ],
+        ids=["trajectory_report", "plane_report", "closed_form_fidelities",
+             "ideal_grover_probability", "chi_star", "run_verification"],
+    )
+    @pytest.mark.parametrize(
+        "value", [2.5, True, math.nan, BELOW_FLOOR],
+        ids=["2.5", "True", "nan", "below-floor"],
+    )
+    def test_bad_count_is_rejected(self, call, name, floor, value):
+        if value is BELOW_FLOOR:
+            value = floor - 1
+        message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: trajectory_report(_COUNT_INST, m),
+            lambda m: plane_report(_COUNT_INST, _COUNT_STEP, m),
+            lambda m: closed_form_fidelities(_COUNT_INST, m),
+            lambda m: ideal_grover_probability(_COUNT_INST, m),
+        ],
+        ids=["trajectory_report", "plane_report", "closed_form_fidelities",
+             "ideal_grover_probability"],
+    )
+    def test_m_past_the_ceiling_is_rejected(self, call):
+        assert M_MAX == 2**53
+        message = rf"^iteration count m must be <= {M_MAX}, got {M_MAX + 1}$"
+        with pytest.raises(ValueError, match=message):
+            call(M_MAX + 1)
+        with pytest.raises(ValueError, match="got an integer of 1329 bits$"):
+            call(10**400)
