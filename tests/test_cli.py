@@ -848,12 +848,60 @@ class TestVerify:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_rewrite_leaves_exactly_the_report(self, passed, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["verify", "--out", str(a)]) == 0
+        fill_longer(b, a)
+        assert main(["verify", "--out", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
+        assert json.loads(b.read_text()) == passed.to_dict()
+        capsys.readouterr()
+
     def test_seeded_determinism(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0
         first = capsys.readouterr().out
         assert main(["verify", "--seed", "42"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+# each command that writes --out, as argv up to the option
+OUT_COMMANDS = {
+    "search": SEARCH,
+    "sweep": ["sweep", "--chi", "1", "2", "--n", "4", "--m", "3"],
+    "verify": ["verify"],
+}
+
+
+class TestOutFile:
+    """--out on a character device, through a symlink, and as a new file."""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_dev_null_is_written_without_error(self, command, capsys):
+        # a character device: ftruncate on it fails with EINVAL
+        assert main([*OUT_COMMANDS[command], "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_symlink_writes_its_target(self, command, tmp_path, capsys):
+        plain, target, link = tmp_path / "plain", tmp_path / "target", tmp_path / "link"
+        assert main([*OUT_COMMANDS[command], "--out", str(plain)]) == 0
+        fill_longer(target, plain)
+        link.symlink_to(target)
+        assert main([*OUT_COMMANDS[command], "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        capsys.readouterr()
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        previous = os.umask(0o022)
+        try:
+            assert main([*SEARCH, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o022
+        capsys.readouterr()
 
 
 def test_console_entry_point_runs():
