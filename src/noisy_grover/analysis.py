@@ -1,7 +1,7 @@
 """Measurable quantities along a search trajectory.
 
 The columnar trajectory report, iterated on the plane Bloch vector
-(x, z) by any real 2x2 step (plane_report) or by the instance's own
+(x, y, z) by any real 3x3 step (plane_report) or by the instance's own
 bloch_map (trajectory_report): the success probability and its
 half-normalized overlap f_paper, the Bloch norm and angle, the entropy
 of each step's two-entry spectrum, majorization flags, and the
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .noise import _require_count, scalar_profile
 from .search import SearchInstance, bloch_map, uniform_plane_vector
 from .tolerances import (
@@ -46,9 +47,10 @@ ENTROPY_DROP_ATOL = 1e-12
 class TrajectoryReport:
     """Everything measured along one trajectory, one column per quantity.
 
-    Row m of every array is iteration m, m = 0..m_max.  bloch_x, bloch_z
-    and bloch_norm are the plane Bloch vector, with the target at (0, 1)
-    and no y component, as the dynamics is real; p_success is
+    Row m of every array is iteration m, m = 0..m_max.  bloch_x and bloch_z
+    are two components of the plane Bloch vector (x, y, z), with the target
+    at z = 1; y is not stored, and stays +0.0 for a real pair such as the
+    search's own.  bloch_norm is the norm of all three; p_success is
     tr(rho |w><w|) = (1 + bloch_z)/2 and f_paper half of it; cos_gamma is
     bloch_z / bloch_norm, nan where the norm is at most BLOCH_ZERO_ATOL.
     f_closed and cos_gamma_closed are the closed-form hypotheses.  Row m of
@@ -120,14 +122,21 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
 def plane_report(inst: SearchInstance, step: np.ndarray, m_max: int) -> TrajectoryReport:
     """Run m_max iterations of the plane step from inst's uniform state.
 
-    step is any real 2x2 Bloch matrix acting on the column (x, z); inst
-    gives the start vector uniform_plane_vector(inst) and the closed forms.
-    The state is its Bloch vector (x, z), two Python floats, at a cost per
-    step independent of n; each step also takes the Bloch norm
-    r = math.hypot(x, z), whose bits np.hypot need not match.  One
+    step is any real 3x3 Bloch matrix acting on the column (x, y, z); any
+    other shape raises DimensionMismatch.  inst gives the start vector
+    (2 s0 s1, 0.0, s0^2 - s1^2) of (s0, s1) = uniform_plane_vector(inst),
+    and the closed forms.  The state is its Bloch vector, three Python
+    floats, at a cost per step independent of n; y is iterated but not
+    stored.  Each new component is (M_ix x + M_iz z) + M_iy y.  For a real
+    pair y stays +0.0, so x and z carry the bits of the (x, z) block's own
+    product, but for one case: a sum of two zero products that the block
+    alone leaves at -0.0 turns +0.0 when M_iy is positive.  That needs
+    underflowed products or an exact zero entry, and p_success, which adds
+    z to 1, never shows it.  Each step also takes the Bloch norm
+    r = math.hypot(x, y, z), whose bits np.hypot need not match.  One
     (6, m_max+1) array holds x, z, r, p_success, top and bottom; it is
-    allocated first, so an m_max too large for memory raises MemoryError
-    at once.  p_success, and the spectrum (top, bottom)
+    allocated first, so an m_max too large for memory raises
+    MemoryError at once.  p_success, and the spectrum (top, bottom)
     = ((1 + r)/2, (1 - r)/2), are 0.5 (1 + (z, r, -r)) in one pass (1 - r
     and 1 + (-r) are the same IEEE sum); the entropy is -(top ln top +
     bottom ln bottom); the closed forms are one closed_form_fidelities
@@ -143,17 +152,23 @@ def plane_report(inst: SearchInstance, step: np.ndarray, m_max: int) -> Trajecto
     gap, and the sum-to-1 precondition, always pass.
     """
     m_max = _require_count("iteration count m", m_max, 1, M_MAX)
+    if np.shape(step) != (3, 3):
+        raise DimensionMismatch(f"plane step has shape {np.shape(step)}, not (3, 3)")
     count = m_max + 1
     # rows x, z, r, then p_success, top, bottom = 0.5 (1 + (z, r, -r))
     rows = np.empty((6, count))
-    (a, b), (c, d) = step.tolist()
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = np.asarray(step).tolist()
     s0, s1 = uniform_plane_vector(inst).tolist()
-    x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
+    x, y, z = 2.0 * s0 * s1, 0.0, s0 * s0 - s1 * s1
     xs, zs, rs = map(memoryview, rows[:3])
     hypot = math.hypot
     for m in range(count):
-        xs[m], zs[m], rs[m] = x, z, hypot(x, z)
-        x, z = a * x + b * z, c * x + d * z
+        xs[m], zs[m], rs[m] = x, z, hypot(x, y, z)
+        x, y, z = (
+            (xx * x + xz * z) + xy * y,
+            (yx * x + yz * z) + yy * y,
+            (zx * x + zz * z) + zy * y,
+        )
     bloch_x, bloch_z, bloch_norm = rows[:3]
     rows[3:5] = rows[1:3]
     np.negative(bloch_norm, out=rows[5])

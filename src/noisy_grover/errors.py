@@ -26,4 +26,4 @@ class NotNormalized(NoisyGroverError):
 
 
 class NotReal(NoisyGroverError):
-    """A mixture expected to be real carries an imaginary part beyond tolerance."""
+    """An input that must be real is complex."""

@@ -1,4 +1,4 @@
-"""The N-item search on its plane: the instance and its 2x2 Bloch map.
+"""The N-item search on its plane: the instance and its 3x3 Bloch map.
 
 One iteration of the noisy search is the channel
 t(rho) = 1/2 sum_i K_i rho K_i^dag, K_i = V_i I_s V_i^dag I_w, where I_s
@@ -8,7 +8,7 @@ component |r> of |s> orthogonal to it.  From |s> the state never leaves
 that plane.  plane_kraus builds the 2x2 K_i from its two arguments, the
 pair V_i and the plane vector s, with I_w = diag(-1, 1) and the weights
 1/2 fixed; bloch_image gives the half-half mixture of such a stack as the
-real 2x2 matrix on the plane's Bloch vectors (x, z); bloch_map composes
+real 3x3 matrix on the plane's Bloch vectors (x, y, z); bloch_map composes
 them for an instance's pair and uniform vector, at a cost independent of n.
 verify.build_search_channel assembles t densely in n dimensions, as the
 independent oracle.
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, NotReal, NotTracePreserving
+from .errors import DimensionMismatch, NotNormalized, NotReal, NotTracePreserving
 from .noise import _require_count, _require_nonnegative, pair_rotations
-from .tolerances import IMAGINARY_ATOL, TRACE_ATOL, UNITARITY_ATOL
+from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "SearchInstance",
@@ -74,9 +74,17 @@ def uniform_plane_vector(inst: SearchInstance) -> np.ndarray:
     return np.array([1.0 / math.sqrt(inst.n), math.sqrt((inst.n - 1) / inst.n)])
 
 
-# I_w on {|w>, |r>}, and the probe states (1 + sigma_x)/2 and (1 + sigma_z)/2
+# I_w on {|w>, |r>}, and the probe states (1 + sigma_j)/2 for j = x, y, z
 _REFL_W = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-_PROBES = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+_PROBES = np.array(
+    [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5j], [0.5j, 0.5]], [[1.0, 0.0], [0.0, 0.0]]]
+)
+
+
+def _require_stack(ops, what: str) -> None:
+    """DimensionMismatch unless ops is one (2, 2, 2) stack: two 2x2 operators."""
+    if np.shape(ops) != (2, 2, 2):
+        raise DimensionMismatch(f"{what} has shape {np.shape(ops)}, not (2, 2, 2)")
 
 
 def plane_kraus(pair, s) -> np.ndarray:
@@ -87,12 +95,21 @@ def plane_kraus(pair, s) -> np.ndarray:
     I_w = diag(-1, 1) and the weights 1/2 are fixed.  Both K_i come from
     stacked matmuls: each slice is the BLAS product of the same 2x2
     operands that one operator at a time would multiply, so it carries the
-    same bits.  |s| must be 1 within UNITARITY_ATOL (NotNormalized), and
-    the pair and the K_i must each be complete within TRACE_ATOL
-    (NotTracePreserving); a nan fails every check.
+    same bits.  A pair that is not one (2, 2, 2) stack, or an s that is not
+    two numbers, raises DimensionMismatch; an s with a nonzero imaginary
+    part raises NotReal, as 1 - 2 s s^T reflects about s only for real s.
+    |s| must be 1 within UNITARITY_ATOL (NotNormalized), and the pair and
+    the K_i must each be complete within TRACE_ATOL (NotTracePreserving);
+    a nan fails every check.
     """
     v = np.asarray(pair, dtype=complex)
-    s0, s1 = np.asarray(s, dtype=float).tolist()
+    _require_stack(v, "rotation pair")
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (2,):
+        raise DimensionMismatch(f"plane vector has shape {s.shape}, not (2,)")
+    if s.imag.any():
+        raise NotReal(f"plane vector {s.tolist()} is not real")
+    s0, s1 = s.real.tolist()
     norm = math.hypot(s0, s1)
     if not abs(norm - 1.0) <= UNITARITY_ATOL:
         raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")
@@ -118,33 +135,34 @@ def plane_kraus(pair, s) -> np.ndarray:
 
 
 def bloch_image(k: np.ndarray) -> np.ndarray:
-    """The real 2x2 matrix the half-half mixture of the stack k applies to (x, z).
+    """The real 3x3 matrix the half-half mixture of the stack k applies to (x, y, z).
 
-    Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
-    t((1 + sigma_z)/2) for t(rho) = 1/2 sum_i K_i rho K_i^dag, with no
-    offset, which holds when t is unital.  The operators may be complex,
-    but the mixture must be real: an imaginary entry past IMAGINARY_ATOL in
-    either image (a y component) raises NotReal.  Both probes pass through
-    K P K^dag in one stacked product, and the two weighted images are summed
-    onto 0.0 in operator order, as a Kraus channel sums its terms, which
-    keeps signed zeros; real and imaginary parts add apart, so the real part
-    of the sum is the sum of the real parts.
+    Its columns are the Bloch vectors (2 Re rho_01, -2 Im rho_01,
+    Re(rho_00 - rho_11)) of t((1 + sigma_j)/2), j = x, y, z, for
+    t(rho) = 1/2 sum_i K_i rho K_i^dag, with no offset, which holds when t
+    is unital.  The operators, and so the mixture, may be complex; a k
+    that is not one (2, 2, 2) stack raises DimensionMismatch.  The three
+    probes pass through K P K^dag in one stacked product, and the two
+    weighted images are summed onto 0.0 in operator order, as a Kraus
+    channel sums its terms, which keeps signed zeros; real and imaginary
+    parts add apart, so each part of the sum is the sum of the parts.
     """
+    _require_stack(k, "operator stack")
     t = 0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None])
     mixture = (0.0 + t[0]) + t[1]
-    imaginary = np.abs(mixture.imag).max()
-    if not imaginary <= IMAGINARY_ATOL:
-        raise NotReal(f"mixture's imaginary part {imaginary:.3e} exceeds {IMAGINARY_ATOL:.1e}")
-    out = mixture.real
-    return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
+    rho_01 = mixture[:, 0, 1]
+    return np.array(
+        [2.0 * rho_01.real, -2.0 * rho_01.imag, mixture[:, 0, 0].real - mixture[:, 1, 1].real]
+    )
 
 
 def bloch_map(inst: SearchInstance) -> np.ndarray:
-    """The real 2x2 matrix t applies to plane Bloch vectors (x, z).
+    """The real 3x3 matrix t applies to plane Bloch vectors (x, y, z).
 
     The Bloch image of plane_kraus for the pair_rotations of inst.chi and
-    I_s about uniform_plane_vector(inst); being a half-half mixture of two
-    rotations of the Bloch disc, the matrix is cos(2 psi) R(phi) in exact
-    arithmetic; see ROADMAP item 13.
+    I_s about uniform_plane_vector(inst).  The pair is real, so the y row
+    is exact zeros off its diagonal and the y column within rounding; the
+    (x, z) block, a half-half mixture of two rotations of the Bloch disc,
+    is cos(2 psi) R(phi) in exact arithmetic; see ROADMAP item 13.
     """
     return bloch_image(plane_kraus(pair_rotations(inst.chi), uniform_plane_vector(inst)))

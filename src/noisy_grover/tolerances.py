@@ -4,8 +4,8 @@ A bound that belongs to one check stays beside it: verify.py's
 ORACLE_ATOL, 1e-12, 1e-8, 2e-3, 1e-5 and 1e-3, channels' SINGULARITY_FLOOR,
 analysis's ENTROPY_DROP_ATOL, psi_zero_scan's 1e-2 and cli's strict 1e-8.
 The shared ones live here: structural checks on inputs (hermiticity),
-checks on constructed objects (unitarity, trace, a real plane mixture),
-and bounds on spectra, Bloch vectors and noise strengths.
+checks on constructed objects (unitarity, trace), and bounds on spectra,
+Bloch vectors and noise strengths.
 """
 
 # Max |m - m^dagger| entry allowed before a matrix is rejected as input.
@@ -27,10 +27,6 @@ MAJORIZATION_ATOL = 1e-10
 
 # Bloch vectors shorter than this have no direction.
 BLOCH_ZERO_ATOL = 1e-10
-
-# Largest imaginary entry the plane mixture's probe images may carry: past
-# it the mixture moves the Bloch y component, which (x, z) cannot hold.
-IMAGINARY_ATOL = 1e-12
 
 # Largest noise strength accepted: above 2**52 consecutive doubles are at
 # least 1 apart, so chi/2 no longer resolves an angle.

@@ -259,7 +259,8 @@ def _contraction_ratios() -> list:
     """(chi, per-step Bloch norm ratios, |cos(2 psi)|) for chi in {0.5, 1, 2}
     at n = 16, m <= 30, over the steps whose norm stays above 1e-5, where
     float64 still resolves the ratio.  |cos(2 psi)| is the predicted ratio,
-    as bloch_map is cos(2 psi) times a rotation."""
+    as bloch_map's (x, z) block is cos(2 psi) times a rotation and y stays
+    zero."""
     data = []
     for chi in (0.5, 1.0, 2.0):
         norms = trajectory_report(SearchInstance(n=16, w=0, chi=chi), 30).bloch_norm

@@ -410,7 +410,8 @@ class TestTwoEntryMajorization:
         # where the oracle does
         c, s = math.cos(0.7), math.sin(0.7)
         stretch = np.diag([1.0, 4.0])
-        swing = 0.97 * stretch @ np.array([[c, s], [-s, c]]) @ np.linalg.inv(stretch)
+        swing = np.eye(3)
+        swing[::2, ::2] = 0.97 * stretch @ np.array([[c, s], [-s, c]]) @ np.linalg.inv(stretch)
         rep = plane_report(SearchInstance(n=16, w=0, chi=1.0), swing, 30)
         for flags in (rep.majorized_by_prev, rep.majorized_by_init):
             assert 0 < np.count_nonzero(flags) < len(flags)
@@ -443,8 +444,28 @@ class TestReportBits:
             assert column.tobytes() == expected.tobytes(), name
             assert getattr(stepped, name).tobytes() == column.tobytes(), name
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        x=st.floats(allow_nan=False),
+        y=st.sampled_from([0.0, -0.0]),
+        z=st.floats(allow_nan=False),
+    )
+    @example(x=5e-324, y=0.0, z=-5e-324)
+    @example(x=2.2250738585072014e-308, y=-0.0, z=1e-310)
+    @example(x=1.7976931348623157e308, y=0.0, z=-1.7976931348623157e308)
+    @example(x=1e308, y=-0.0, z=1e-300)
+    def test_a_zero_y_leaves_the_norm_bits(self, x, y, z):
+        # plane_report takes hypot(x, y, z) while the oracle takes hypot(x, z)
+        assert math.hypot(x, y, z).hex() == math.hypot(x, z).hex()
+
 
 class TestTrajectoryReport:
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 2), (1, 3, 3)])
+    def test_step_of_other_than_3x3_is_refused(self, shape):
+        inst = SearchInstance(n=16, w=0, chi=1.0)
+        with pytest.raises(DimensionMismatch, match=r"^plane step has shape .*, not \(3, 3\)$"):
+            plane_report(inst, np.ones(shape), 5)
+
     def test_noiseless_run_stays_pure(self):
         rep = trajectory_report(SearchInstance(n=4, w=0, chi=0.0), 20)
         assert np.max(np.abs(rep.entropies)) <= 1e-10
@@ -517,7 +538,7 @@ class TestTrajectoryReport:
         # measured block by block with the single-block helpers, must agree
         n, w = case
         inst = SearchInstance(n=n, w=w, chi=chi)
-        (a, b), (c, d) = bloch_map(inst)
+        (a, _, b), _, (c, _, d) = bloch_map(inst)
         assert abs(a - d) <= 1e-15 and abs(b + c) <= 1e-15
         # det, not its square root, which is ill-conditioned as cos(2 psi) -> 0
         contraction = math.cos(2.0 * scalar_profile(chi).psi)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from noisy_grover.analysis import plane_report
 from noisy_grover.channels import KrausChannel
-from noisy_grover.errors import NotNormalized, NotReal, NotTracePreserving
+from noisy_grover.errors import DimensionMismatch, NotNormalized, NotReal, NotTracePreserving
 from noisy_grover.noise import chi_star, pair_rotations, rotation_y
 from noisy_grover.search import (
     SearchInstance,
@@ -27,12 +28,27 @@ from oracles import (
     uniform_state,
 )
 
-# the plane p_success against the dense one, for any rotation pair: the worst
-# gap over 400 random pairs (n <= 64, m <= 30) was 8.0e-14
+# the plane p_success against the dense one, for any complete pair: the worst
+# gap over 400 random pairs (n <= 64, m <= 30) was 8.0e-14 for rotations and
+# 6.7e-14 for complex_pair's phases and SU(2) elements
 PLANE_DENSE_ATOL = 1e-12
 # a complete, complex plane operator: [PHASE, PHASE] has a complex mixture,
 # [PHASE, PHASE.conj()] complex operators but a real mixture
 PHASE = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+# the (x, z) block of a 3x3 Bloch matrix on (x, y, z): the 2x2 oracles' matrix
+XZ = np.ix_([0, 2], [0, 2])
+
+
+def complex_pair(kind, angles):
+    """Two complete 2x2 operators: diagonal phases, or SU(2) elements."""
+    out = []
+    for a, b, t in angles:
+        if kind == "phases":
+            out.append(np.diag([np.exp(1j * a), np.exp(1j * b)]))
+        else:
+            alpha, beta = math.cos(t) * np.exp(1j * a), math.sin(t) * np.exp(1j * b)
+            out.append(np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]))
+    return out
 
 
 class TestInstance:
@@ -83,7 +99,22 @@ class TestBlochMap:
         # KrausChannel application multiplies; the bits depend on the CPU's
         # BLAS kernels, so this test carries the claim to each machine
         inst = SearchInstance(n=n, w=0, chi=chi)
-        assert bloch_map(inst).tobytes() == bloch_map_via_channel(inst).tobytes()
+        assert bloch_map(inst)[XZ].tobytes() == bloch_map_via_channel(inst).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.0, 1e6), n=st.sampled_from([2, 3, 2**20, 2**40, 2**53, 10**300]))
+    @example(chi=chi_star(1), n=2**40)
+    @example(chi=2.7207, n=2**20)
+    @example(chi=7.716019, n=10**300)
+    @example(chi=CHI_MAX, n=2**53)
+    def test_real_pair_leaves_y_alone(self, chi, n):
+        # the search's pair is real: the y row is exact zeros off its
+        # diagonal, so y stays a zero; the y column is rounding, at most
+        # 3.9e-16 over 36,000 random (chi, n), and M[y, y] is 1 within 5.6e-16
+        step = bloch_map(SearchInstance(n=n, w=0, chi=chi))
+        assert step[1, 0] == 0.0 and step[1, 2] == 0.0
+        assert abs(step[0, 1]) <= 1e-15 and abs(step[2, 1]) <= 1e-15
+        assert abs(step[1, 1] - 1.0) <= 1e-15
 
     @pytest.mark.parametrize(
         "pair",
@@ -108,6 +139,34 @@ class TestBlochMap:
         with pytest.raises(NotNormalized):
             plane_kraus(pair_rotations(1.0), np.array(s))
 
+    @pytest.mark.parametrize("angles", [(0.1,), (0.1, 0.7, 1.3, 2.9)], ids=["one", "four"])
+    def test_stack_of_other_than_two_operators_is_refused(self, angles):
+        # four rotations would have their first two mixed, one would fail
+        # with an IndexError
+        stack = np.array([rotation_y(a) for a in angles], dtype=complex)
+        s = uniform_plane_vector(SearchInstance(n=16, w=0, chi=0.0))
+        shape = re.escape(f"has shape {stack.shape}, not (2, 2, 2)")
+        with pytest.raises(DimensionMismatch, match=f"^rotation pair {shape}$"):
+            plane_kraus(stack, s)
+        with pytest.raises(DimensionMismatch, match=f"^operator stack {shape}$"):
+            bloch_image(stack)
+
+    @pytest.mark.parametrize(
+        "s", [[1.0], [0.6, 0.8, 0.0], [[0.6], [0.8]]], ids=["one", "three", "column"]
+    )
+    def test_plane_vector_of_other_than_two_numbers_is_refused(self, s):
+        with pytest.raises(DimensionMismatch, match="^plane vector has shape "):
+            plane_kraus(pair_rotations(1.0), s)
+
+    @pytest.mark.parametrize(
+        "s", [np.array([0.6 + 0.3j, 0.8]), [0.6 + 0.3j, 0.8 + 0j]], ids=["array", "list"]
+    )
+    def test_complex_plane_vector_is_refused(self, s):
+        # 1 - 2 s s^T reflects about s only for real s; |s| is 1.044, so
+        # dropping the imaginary part would also hide a wrong norm
+        with pytest.raises(NotReal, match=re.escape("vector [(0.6+0.3j), (0.8+0j)] is not real")):
+            plane_kraus(pair_rotations(1.0), s)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         a=st.floats(-10.0, 10.0),
@@ -118,7 +177,7 @@ class TestBlochMap:
         pair = [rotation_y(a), rotation_y(b)]
         s = uniform_plane_vector(SearchInstance(n=n, w=0, chi=0.0))
         got = bloch_image(plane_kraus(pair, s))
-        assert got.tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        assert got[XZ].tobytes() == bloch_image_via_channel(pair, s).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -141,21 +200,47 @@ class TestBlochMap:
         assert np.max(np.abs(plane - dense_p)) <= PLANE_DENSE_ATOL
 
 
-    def test_complex_mixture_is_refused(self):
-        # it passes plane_kraus's checks; its real part alone would give
-        # p_2 = 0.7956 at n = 16, where the density iteration gives 0.8704
-        s = uniform_plane_vector(SearchInstance(n=16, w=0, chi=0.0))
-        k = plane_kraus([PHASE, PHASE], s)
-        with pytest.raises(NotReal, match="^mixture's imaginary part 2.392e-01 exceeds 1.0e-12$"):
-            bloch_image(k)
+    def test_complex_mixture_matches_the_density_iteration(self):
+        # [P, P]: the real part alone would give p_2 = 0.7956 and p_5 = 0.4500
+        # at n = 16, where the 2x2 density iteration gives 0.8704 and 0.1653
+        inst = SearchInstance(n=16, w=0, chi=0.0)
+        s = uniform_plane_vector(inst)
+        pair = [PHASE, PHASE]
+        step = bloch_image(plane_kraus(pair, s))
+        assert step[XZ].tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        plane = plane_report(inst, step, 30).p_success
+        assert abs(plane[2] - 0.8704) <= 1e-4 and abs(plane[5] - 0.1653) <= 1e-4
+        rho = iterate(pair_channel(pair, s), np.outer(s, s).astype(complex), 30)
+        assert np.max(np.abs(plane - rho[:, 0, 0].real)) <= PLANE_DENSE_ATOL
 
     @pytest.mark.parametrize("n", [2, 16, 64, 2**20])
     def test_complex_operators_with_a_real_mixture_match_the_density_iteration(self, n):
+        # [P, conj(P)] commutes with complex conjugation, so y is never reached
         inst = SearchInstance(n=n, w=0, chi=0.0)
         s = uniform_plane_vector(inst)
         pair = [PHASE, PHASE.conj()]
         step = bloch_image(plane_kraus(pair, s))
-        assert step.tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        assert step[XZ].tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        assert step[1, 0] == 0.0 and step[1, 2] == 0.0
         rho = iterate(pair_channel(pair, s), np.outer(s, s).astype(complex), 30)
         plane = plane_report(inst, step, 30).p_success
         assert np.max(np.abs(plane - rho[:, 0, 0].real)) <= PLANE_DENSE_ATOL
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["phases", "su2"]),
+        angles=st.tuples(*[st.tuples(*[st.floats(-10.0, 10.0)] * 3)] * 2),
+        n=st.integers(2, 64),
+        w=st.integers(0, 63),
+        m=st.integers(1, 30),
+    )
+    def test_any_complex_pair_matches_the_dense_iteration(self, kind, angles, n, w, m):
+        # the 3x3 step of a complete complex pair, iterated from |s>, against
+        # the dense n x n channel of the same pair
+        inst = SearchInstance(n=n, w=w % n, chi=0.0)
+        pair = complex_pair(kind, angles)
+        step = bloch_image(plane_kraus(pair, uniform_plane_vector(inst)))
+        plane = plane_report(inst, step, m).p_success
+        dense = KrausChannel(search_operators_per_operator(inst, pair), np.array([0.5, 0.5]))
+        dense_p = iterate(dense, uniform_state(inst), m)[:, inst.w, inst.w].real
+        assert np.max(np.abs(plane - dense_p)) <= PLANE_DENSE_ATOL
