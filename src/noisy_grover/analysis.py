@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import NotReal
 from .noise import _require_count, scalar_profile
-from .search import SearchInstance, bloch_map, uniform_plane_vector
+from .search import SearchInstance, _require_array, bloch_map, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,
@@ -122,21 +122,18 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
 def plane_report(inst: SearchInstance, step: np.ndarray, m_max: int) -> TrajectoryReport:
     """Run m_max iterations of the plane step from inst's uniform state.
 
-    step is any real 3x3 Bloch matrix acting on the column (x, y, z); any
-    other shape raises DimensionMismatch.  inst gives the start vector
-    (2 s0 s1, 0.0, s0^2 - s1^2) of (s0, s1) = uniform_plane_vector(inst),
-    and the closed forms.  The state is its Bloch vector, three Python
-    floats, at a cost per step independent of n; y is iterated but not
-    stored.  Each new component is (M_ix x + M_iz z) + M_iy y.  For a real
-    pair y stays +0.0, so x and z carry the bits of the (x, z) block's own
-    product, but for one case: a sum of two zero products that the block
-    alone leaves at -0.0 turns +0.0 when M_iy is positive.  That needs
-    underflowed products or an exact zero entry, and p_success, which adds
-    z to 1, never shows it.  Each step also takes the Bloch norm
+    step is any real 3x3 Bloch matrix acting on the column (x, y, z): any
+    other shape, a ragged step or entries that are not numbers raise
+    DimensionMismatch, and a step of complex dtype raises NotReal.  inst
+    gives the start vector (2 s0 s1, 0.0, s0^2 - s1^2) of (s0, s1) =
+    uniform_plane_vector(inst), and the closed forms.  The state is its
+    Bloch vector, three Python floats, at a cost per step independent of
+    n; y is iterated but not stored.  Each new component is
+    (M_ix x + M_iz z) + M_iy y, and each step takes the Bloch norm
     r = math.hypot(x, y, z), whose bits np.hypot need not match.  One
     (6, m_max+1) array holds x, z, r, p_success, top and bottom; it is
-    allocated first, so an m_max too large for memory raises
-    MemoryError at once.  p_success, and the spectrum (top, bottom)
+    allocated first, so an m_max too large for memory raises MemoryError
+    at once.  p_success, and the spectrum (top, bottom)
     = ((1 + r)/2, (1 - r)/2), are 0.5 (1 + (z, r, -r)) in one pass (1 - r
     and 1 + (-r) are the same IEEE sum); the entropy is -(top ln top +
     bottom ln bottom); the closed forms are one closed_form_fidelities
@@ -152,12 +149,13 @@ def plane_report(inst: SearchInstance, step: np.ndarray, m_max: int) -> Trajecto
     gap, and the sum-to-1 precondition, always pass.
     """
     m_max = _require_count("iteration count m", m_max, 1, M_MAX)
-    if np.shape(step) != (3, 3):
-        raise DimensionMismatch(f"plane step has shape {np.shape(step)}, not (3, 3)")
+    step = _require_array(step, (3, 3), "plane step")
+    if np.iscomplexobj(step):
+        raise NotReal(f"plane step of dtype {step.dtype} is not real")
     count = m_max + 1
     # rows x, z, r, then p_success, top, bottom = 0.5 (1 + (z, r, -r))
     rows = np.empty((6, count))
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = np.asarray(step).tolist()
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = step.tolist()
     s0, s1 = uniform_plane_vector(inst).tolist()
     x, y, z = 2.0 * s0 * s1, 0.0, s0 * s0 - s1 * s1
     xs, zs, rs = map(memoryview, rows[:3])

@@ -81,10 +81,26 @@ _PROBES = np.array(
 )
 
 
-def _require_stack(ops, what: str) -> None:
-    """DimensionMismatch unless ops is one (2, 2, 2) stack: two 2x2 operators."""
-    if np.shape(ops) != (2, 2, 2):
-        raise DimensionMismatch(f"{what} has shape {np.shape(ops)}, not (2, 2, 2)")
+def _require_array(x, shape: tuple, what: str) -> np.ndarray:
+    """x as one numeric array of the given shape, with no cast.
+
+    A ragged x, or one numpy holds as other than numbers (None, strings,
+    objects), raises DimensionMismatch, and so does any other shape.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged: the entries differ in shape
+        a = None
+    if a is None or a.dtype.kind not in "biufc":
+        raise DimensionMismatch(f"{what} is not one array of numbers")
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {a.shape}, not {shape}")
+    return a
+
+
+def _require_stack(ops, what: str) -> np.ndarray:
+    """ops as one complex (2, 2, 2) stack, two 2x2 operators, or _require_array's error."""
+    return _require_array(ops, (2, 2, 2), what).astype(complex, copy=False)
 
 
 def plane_kraus(pair, s) -> np.ndarray:
@@ -95,18 +111,16 @@ def plane_kraus(pair, s) -> np.ndarray:
     I_w = diag(-1, 1) and the weights 1/2 are fixed.  Both K_i come from
     stacked matmuls: each slice is the BLAS product of the same 2x2
     operands that one operator at a time would multiply, so it carries the
-    same bits.  A pair that is not one (2, 2, 2) stack, or an s that is not
-    two numbers, raises DimensionMismatch; an s with a nonzero imaginary
-    part raises NotReal, as 1 - 2 s s^T reflects about s only for real s.
-    |s| must be 1 within UNITARITY_ATOL (NotNormalized), and the pair and
-    the K_i must each be complete within TRACE_ATOL (NotTracePreserving);
-    a nan fails every check.
+    same bits.  A pair that is not one (2, 2, 2) stack of numbers, or an s
+    that is not two numbers (ragged, None or strings included), raises
+    DimensionMismatch; an s with a nonzero imaginary part raises NotReal,
+    as 1 - 2 s s^T reflects about s only for real s.  |s| must be 1 within
+    UNITARITY_ATOL (NotNormalized), and the pair and the K_i must each be
+    complete within TRACE_ATOL (NotTracePreserving); a nan fails every
+    check.
     """
-    v = np.asarray(pair, dtype=complex)
-    _require_stack(v, "rotation pair")
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (2,):
-        raise DimensionMismatch(f"plane vector has shape {s.shape}, not (2,)")
+    v = _require_stack(pair, "rotation pair")
+    s = _require_array(s, (2,), "plane vector").astype(complex)
     if s.imag.any():
         raise NotReal(f"plane vector {s.tolist()} is not real")
     s0, s1 = s.real.tolist()
@@ -140,14 +154,16 @@ def bloch_image(k: np.ndarray) -> np.ndarray:
     Its columns are the Bloch vectors (2 Re rho_01, -2 Im rho_01,
     Re(rho_00 - rho_11)) of t((1 + sigma_j)/2), j = x, y, z, for
     t(rho) = 1/2 sum_i K_i rho K_i^dag, with no offset, which holds when t
-    is unital.  The operators, and so the mixture, may be complex; a k
-    that is not one (2, 2, 2) stack raises DimensionMismatch.  The three
-    probes pass through K P K^dag in one stacked product, and the two
-    weighted images are summed onto 0.0 in operator order, as a Kraus
-    channel sums its terms, which keeps signed zeros; real and imaginary
-    parts add apart, so each part of the sum is the sum of the parts.
+    is unital.  The operators, and so the mixture, may be complex.  k is
+    taken as one complex (2, 2, 2) stack, a list of two 2x2 operators
+    included; anything else (another shape, a ragged list, entries that
+    are not numbers) raises DimensionMismatch.  The three probes pass
+    through K P K^dag in one stacked product, and the two weighted images
+    are summed onto 0.0 in operator order, as a Kraus channel sums its
+    terms, which keeps signed zeros; real and imaginary parts add apart,
+    so each part of the sum is the sum of the parts.
     """
-    _require_stack(k, "operator stack")
+    k = _require_stack(k, "operator stack")
     t = 0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None])
     mixture = (0.0 + t[0]) + t[1]
     rho_01 = mixture[:, 0, 1]

@@ -7,13 +7,18 @@ probability, build the search plane's basis, extract the Bloch vector,
 angular fidelity and von Neumann entropy from dense n x n states, take
 the entropy of any stack of spectra, validate density matrices,
 count Choi ranks, give the Bloch trajectory in closed form, and rerun the
-plane channel in mpmath (a test dependency, not a runtime one).  The
-plane channel of any rotation pair as a KrausChannel, the Bloch matrix
-built from it one operator at a time, and the report's columns derived
-one array operation at a time are the bit-level oracles of the stacked
-plane_kraus and bloch_image, of bloch_map and of the report; the Kraus
-sum, completeness defect, Choi matrix, composition and dense lift of any
-pair taken one 2-D operator (or pair) at a time are those of
+plane channel in mpmath (a test dependency, not a runtime one).
+
+The bit-level oracles of the search module's plane step and of the
+analysis module's report are 3x3, as the package's step is: the plane
+channel of any pair (rotations, phases or SU(2) elements, complex_pair)
+as a KrausChannel, its real 3x3 Bloch step on (x, y, z) read from three
+probe applications, and the report's columns from the same recurrence
+(M_ix x + M_iz z) + M_iy y, stored whole and derived one array operation
+at a time.  They build the step from KrausChannel applications only and
+never import the package functions they check.  The Kraus sum,
+completeness defect, Choi matrix, composition and dense lift of any pair
+taken one 2-D operator (or pair) at a time are the bit-level oracles of
 KrausChannel's (k, d, d) stack, choi_matrix and
 verify.build_search_channel.  Tests import them as
 `from oracles import ...`, the way they import `from conftest import ...`.
@@ -128,6 +133,22 @@ def pair_channel(pair, s) -> KrausChannel:
     return KrausChannel(ops, np.array([0.5, 0.5]))
 
 
+def complex_pair(kind: str, angles) -> list:
+    """Two complete 2x2 operators, one per (a, b, t) in angles.
+
+    kind "phases" gives diag(e^{ia}, e^{ib}); any other kind the SU(2)
+    element with alpha = cos(t) e^{ia} and beta = sin(t) e^{ib}.
+    """
+    out = []
+    for a, b, t in angles:
+        if kind == "phases":
+            out.append(np.diag([np.exp(1j * a), np.exp(1j * b)]))
+        else:
+            alpha, beta = math.cos(t) * np.exp(1j * a), math.sin(t) * np.exp(1j * b)
+            out.append(np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]))
+    return out
+
+
 def plane_channel(inst: SearchInstance) -> KrausChannel:
     """t restricted to the search plane: pair_channel of the profile_pair.
 
@@ -141,18 +162,21 @@ def plane_channel(inst: SearchInstance) -> KrausChannel:
 
 
 def bloch_image_via_channel(pair, s) -> np.ndarray:
-    """bloch_image(plane_kraus(pair, s)) from pair_channel, one operator and one probe at a time.
+    """The real 3x3 Bloch step of pair_channel(pair, s), one probe at a time.
 
-    Its columns are the Bloch vectors of t((1 + sigma_x)/2) and
-    t((1 + sigma_z)/2), each a KrausChannel application.
+    Column j is the Bloch vector (2 Re rho_01, -2 Im rho_01,
+    Re rho_00 - Re rho_11) of t((1 + sigma_j)/2), j = x, y, z, each probe
+    one KrausChannel application; the matrix acts on the column (x, y, z).
     """
     t = pair_channel(pair, s)
-    out = np.array([t(np.full((2, 2), 0.5)), t(np.diag([1.0, 0.0]))]).real
-    return np.array([2.0 * out[:, 0, 1], out[:, 0, 0] - out[:, 1, 1]])
+    probes = (np.full((2, 2), 0.5), np.array([[0.5, -0.5j], [0.5j, 0.5]]), np.diag([1.0, 0.0]))
+    out = np.array([t(probe) for probe in probes])
+    rho_01 = out[:, 0, 1]
+    return np.array([2.0 * rho_01.real, -2.0 * rho_01.imag, out[:, 0, 0].real - out[:, 1, 1].real])
 
 
 def bloch_map_via_channel(inst: SearchInstance) -> np.ndarray:
-    """bloch_map's matrix, as bloch_image_via_channel of plane_channel's pair and vector."""
+    """The instance's own Bloch step: bloch_image_via_channel of plane_channel's pair and vector."""
     return bloch_image_via_channel(profile_pair(inst.chi), uniform_plane_vector(inst))
 
 
@@ -223,26 +247,31 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
     return np.where(kept, values * np.log(np.where(kept, values, 1.0)), 0.0)
 
 
-def report_columns_oracle(inst: SearchInstance, m_max: int) -> dict:
-    """Every column of trajectory_report(inst, m_max), one array operation at a time.
+def report_columns_oracle(inst: SearchInstance, step, m_max: int) -> dict:
+    """Every column of the report of the 3x3 step from inst, one array operation at a time.
 
-    The Bloch vector is iterated with bloch_map_via_channel's matrix, and
-    each column is its own numpy expression on whole columns: hypot and
-    the closed forms' cos and pow mapped over Python floats, the spectrum
-    stacked from (1 + r)/2 and (1 - r)/2, and each majorization flag
-    chain concatenated after a leading True.  Keys are the report's
-    attribute names.
+    The Bloch vector (x, y, z) starts at (2 s0 s1, 0.0, s0^2 - s1^2) and
+    each new component is (M_ix x + M_iz z) + M_iy y; the rows are stored
+    whole, and each column is then its own numpy expression on whole
+    columns: hypot(x, y, z) and the closed forms' cos and pow mapped over
+    Python floats, the spectrum stacked from (1 + r)/2 and (1 - r)/2, and
+    each majorization flag chain concatenated after a leading True.  Keys
+    are the report's attribute names.
     """
-    (a, b), (c, d) = bloch_map_via_channel(inst).tolist()
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = np.asarray(step).tolist()
     s0, s1 = uniform_plane_vector(inst).tolist()
-    x, z = 2.0 * s0 * s1, s0 * s0 - s1 * s1
-    bloch = np.empty((m_max + 1, 2))
+    x, y, z = 2.0 * s0 * s1, 0.0, s0 * s0 - s1 * s1
+    bloch = np.empty((m_max + 1, 3))
     for m in range(m_max + 1):
-        bloch[m] = x, z
-        x, z = a * x + b * z, c * x + d * z
-    bloch_x, bloch_z = bloch[:, 0].copy(), bloch[:, 1].copy()
+        bloch[m] = x, y, z
+        x, y, z = (
+            (xx * x + xz * z) + xy * y,
+            (yx * x + yz * z) + yy * y,
+            (zx * x + zz * z) + zy * y,
+        )
+    bloch_x, bloch_y, bloch_z = bloch.T.copy()
     p_success = 0.5 * (1.0 + bloch_z)
-    bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_z.tolist())
+    bloch_norm = _libm(math.hypot, bloch_x.tolist(), bloch_y.tolist(), bloch_z.tolist())
     cos_gamma = np.full(m_max + 1, math.nan)
     np.divide(bloch_z, bloch_norm, out=cos_gamma, where=bloch_norm > BLOCH_ZERO_ATOL)
 

@@ -22,6 +22,7 @@ from noisy_grover.tolerances import CHI_MAX
 from oracles import (
     bloch_image_via_channel,
     bloch_map_via_channel,
+    complex_pair,
     iterate,
     pair_channel,
     search_operators_per_operator,
@@ -35,20 +36,6 @@ PLANE_DENSE_ATOL = 1e-12
 # a complete, complex plane operator: [PHASE, PHASE] has a complex mixture,
 # [PHASE, PHASE.conj()] complex operators but a real mixture
 PHASE = np.diag([np.exp(0.3j), np.exp(-0.3j)])
-# the (x, z) block of a 3x3 Bloch matrix on (x, y, z): the 2x2 oracles' matrix
-XZ = np.ix_([0, 2], [0, 2])
-
-
-def complex_pair(kind, angles):
-    """Two complete 2x2 operators: diagonal phases, or SU(2) elements."""
-    out = []
-    for a, b, t in angles:
-        if kind == "phases":
-            out.append(np.diag([np.exp(1j * a), np.exp(1j * b)]))
-        else:
-            alpha, beta = math.cos(t) * np.exp(1j * a), math.sin(t) * np.exp(1j * b)
-            out.append(np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]))
-    return out
 
 
 class TestInstance:
@@ -99,7 +86,7 @@ class TestBlochMap:
         # KrausChannel application multiplies; the bits depend on the CPU's
         # BLAS kernels, so this test carries the claim to each machine
         inst = SearchInstance(n=n, w=0, chi=chi)
-        assert bloch_map(inst)[XZ].tobytes() == bloch_map_via_channel(inst).tobytes()
+        assert bloch_map(inst).tobytes() == bloch_map_via_channel(inst).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(chi=st.floats(0.0, 1e6), n=st.sampled_from([2, 3, 2**20, 2**40, 2**53, 10**300]))
@@ -167,6 +154,34 @@ class TestBlochMap:
         with pytest.raises(NotReal, match=re.escape("vector [(0.6+0.3j), (0.8+0j)] is not real")):
             plane_kraus(pair_rotations(1.0), s)
 
+    @pytest.mark.parametrize(
+        "s", [["a", "b"], [None, 1.0], [0.6, [0.8]]], ids=["strings", "none", "ragged"]
+    )
+    def test_plane_vector_of_other_than_numbers_is_refused(self, s):
+        # a None is not a nan: [nan, 1.0] is two numbers, refused as NotNormalized
+        with pytest.raises(DimensionMismatch, match="^plane vector is not one array of numbers$"):
+            plane_kraus(pair_rotations(1.0), s)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            pytest.param([rotation_y(0.1), np.eye(3)], id="ragged"),
+            pytest.param([[["a", "b"], ["c", "d"]]] * 2, id="strings"),
+            pytest.param(np.full((2, 2, 2), None), id="objects"),
+        ],
+    )
+    def test_stack_of_other_than_numbers_is_refused(self, ops):
+        s = uniform_plane_vector(SearchInstance(n=16, w=0, chi=0.0))
+        with pytest.raises(DimensionMismatch, match="^rotation pair is not one array of numbers$"):
+            plane_kraus(ops, s)
+        with pytest.raises(DimensionMismatch, match="^operator stack is not one array of numbers$"):
+            bloch_image(ops)
+
+    def test_list_of_two_operators_is_a_stack(self):
+        s = uniform_plane_vector(SearchInstance(n=16, w=0, chi=1.0))
+        k = plane_kraus(pair_rotations(1.0), s)
+        assert bloch_image([k[0], k[1]]).tobytes() == bloch_image(k).tobytes()
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         a=st.floats(-10.0, 10.0),
@@ -177,7 +192,7 @@ class TestBlochMap:
         pair = [rotation_y(a), rotation_y(b)]
         s = uniform_plane_vector(SearchInstance(n=n, w=0, chi=0.0))
         got = bloch_image(plane_kraus(pair, s))
-        assert got[XZ].tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        assert got.tobytes() == bloch_image_via_channel(pair, s).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -207,7 +222,7 @@ class TestBlochMap:
         s = uniform_plane_vector(inst)
         pair = [PHASE, PHASE]
         step = bloch_image(plane_kraus(pair, s))
-        assert step[XZ].tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        assert step.tobytes() == bloch_image_via_channel(pair, s).tobytes()
         plane = plane_report(inst, step, 30).p_success
         assert abs(plane[2] - 0.8704) <= 1e-4 and abs(plane[5] - 0.1653) <= 1e-4
         rho = iterate(pair_channel(pair, s), np.outer(s, s).astype(complex), 30)
@@ -220,11 +235,23 @@ class TestBlochMap:
         s = uniform_plane_vector(inst)
         pair = [PHASE, PHASE.conj()]
         step = bloch_image(plane_kraus(pair, s))
-        assert step[XZ].tobytes() == bloch_image_via_channel(pair, s).tobytes()
+        assert step.tobytes() == bloch_image_via_channel(pair, s).tobytes()
         assert step[1, 0] == 0.0 and step[1, 2] == 0.0
         rho = iterate(pair_channel(pair, s), np.outer(s, s).astype(complex), 30)
         plane = plane_report(inst, step, 30).p_success
         assert np.max(np.abs(plane - rho[:, 0, 0].real)) <= PLANE_DENSE_ATOL
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["phases", "su2"]),
+        angles=st.tuples(*[st.tuples(*[st.floats(-10.0, 10.0)] * 3)] * 2),
+        n=st.sampled_from([2, 3, 64, 2**20, 2**40, 10**300]),
+    )
+    def test_any_complex_pair_bits_equal_the_channel_construction(self, kind, angles, n):
+        pair = complex_pair(kind, angles)
+        s = uniform_plane_vector(SearchInstance(n=n, w=0, chi=0.0))
+        got = bloch_image(plane_kraus(pair, s))
+        assert got.tobytes() == bloch_image_via_channel(pair, s).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
