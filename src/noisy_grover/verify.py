@@ -75,7 +75,20 @@ class VerificationReport:
         return max((d.magnitude for d in self.discrepancies), default=0.0)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "all_hard_passed": self.all_hard_passed}
+        """The report as JSON data; a non-finite worst, chi or magnitude is None,
+        so the file holds null, as the trajectory JSON does, never NaN or Infinity."""
+        return {
+            "checks": [{**asdict(c), "worst": _finite(c.worst)} for c in self.checks],
+            "discrepancies": [
+                {**asdict(d), "chi": _finite(d.chi), "magnitude": _finite(d.magnitude)}
+                for d in self.discrepancies
+            ],
+            "all_hard_passed": self.all_hard_passed,
+        }
+
+
+def _finite(value: float):
+    return value if math.isfinite(value) else None
 
 
 def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
+from itertools import chain
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +32,14 @@ PAST_LIMIT = f"an integer of 5001 digits is past the {sys.get_int_max_str_digits
 def fill_longer(path, written):
     """Fill path with other bytes, longer than the file written: a rewrite must truncate."""
     path.write_bytes(b"\0" * (written.stat().st_size + 4096))
+
+
+def strict_json(path):
+    """The JSON document at path; NaN, Infinity or -Infinity in it fails."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def read_rows(path):
@@ -136,10 +147,18 @@ USAGE_ERRORS = [
                  "iteration count m must be >= 1, got 0", id="search-m-0"),
     pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "0"],
                  "iteration count m must be >= 1, got 0", id="sweep-m-0"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "-1"],
+                 "iteration count m must be >= 1, got -1", id="search-m-minus-1"),
+    pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "-3"],
+                 "iteration count m must be >= 1, got -3", id="sweep-m-minus-3"),
     (["search", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
      "search: unknown format 'xml'"),
     (["sweep", "--chi", "1", "--n", "4", "--m", "3", "--config", "bad.cfg"],
      "sweep: unknown format 'xml'"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", "--format", "xml"],
+                 "noisy-grover search: argument --format: invalid choice: "
+                 "'xml' (choose from 'csv', 'json')",
+                 id="search-format-xml"),
     (["search", "--chi", "--n", "4", "--m", "3"],
      "noisy-grover search: argument --chi: expected one argument"),
     (["sweep", "--chi", "--n", "4", "--m", "3"],
@@ -281,6 +300,9 @@ USAGE_ERRORS = [
     pytest.param(["sweep", "--chi", "1", "--n", "4", "--m", "3", f"--ou={WORD}"],
                  "noisy-grover: unrecognized arguments: a text of 3005 characters",
                  id="sweep-option-prefix-with-a-long-value"),
+    pytest.param(["search", "--chi", "1", "--n", "4", "--m", "3", f"--c={WORD}"],
+                 "noisy-grover: unrecognized arguments: a text of 3004 characters",
+                 id="search-option-prefix-with-a-long-value"),
     pytest.param(["search", "--ch", "1", "--n", "4", "--m", "3"],
                  "noisy-grover search: the following arguments are required: --chi",
                  id="search-option-prefix"),
@@ -534,13 +556,21 @@ class TestKraus:
         weights = out.split("[closed-form] fractional weights  = ")[1].split("\n")[0]
         assert float(weights.split(",")[1]) == pytest.approx(0.0, abs=1e-12)
 
-
     def test_negative_zero_prints_as_zero(self, capsys):
         assert main(["kraus", "--chi", "-0"]) == 0
         negative_zero = capsys.readouterr().out
         assert negative_zero.startswith("chi = 0\n")
         assert main(["kraus", "--chi", "0"]) == 0
         assert capsys.readouterr().out == negative_zero
+
+    @pytest.mark.parametrize("chi", ["0.8", "6.083668013960418"])
+    def test_rerun_prints_the_same_bytes(self, chi, capsys):
+        # the completeness defects, weights and Choi distance, rounded bits included
+        assert main(["kraus", "--chi", chi]) == 0
+        first = capsys.readouterr()
+        assert main(["kraus", "--chi", chi]) == 0
+        assert capsys.readouterr() == first
+        assert first.err == ""
 
 
 class TestChiStar:
@@ -619,9 +649,10 @@ class TestSearch:
         assert abs(float(rows[1]["p_success"]) - 1.0) <= 1e-10
         capsys.readouterr()
 
-    def test_output_is_byte_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["search", "--chi", "1", "--n", "8", "--m", "12"]
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_is_byte_deterministic(self, fmt, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["search", "--chi", "1", "--n", "8", "--m", "12", "--format", fmt]
         assert main(args + ["--out", str(a)]) == 0
         fill_longer(b, a)
         assert main(args + ["--out", str(b)]) == 0
@@ -632,22 +663,31 @@ class TestSearch:
         # which must parse with no NaN or Infinity, and nan in CSV.  At
         # chi = 7.716, near the c = 0 strength 7.716019, |cos 2 psi| is
         # 1.86e-5, so the Bloch norm is 3.4e-10 at m = 2 and below
-        # BLOCH_ZERO_ATOL (1e-10) from m = 3 on: 10 nan rows for m <= 12
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
+        # BLOCH_ZERO_ATOL (1e-10) from m = 3 on: 10 nan rows for m <= 12,
+        # at n = 4 as at n = 16.  A sweep's encoder writes the commas
+        # between the rows of different cells, and --per-cell one file each.
         out, csv = tmp_path / "run.json", tmp_path / "run.csv"
-        for chi, n, m, nulls in (("0.5", "4", 3, 0), ("7.716", "16", 12, 10)):
-            argv = ["search", "--chi", chi, "--n", n, "--m", str(m)]
+        sweep = ["sweep", "--chi", "0", "7.716", "--n", "4", "16", "--m", "12"]
+        for argv, rows, nulls in (
+            (["search", "--chi", "0.5", "--n", "4", "--m", "3"], 4, 0),
+            (["search", "--chi", "7.716", "--n", "16", "--m", "12"], 13, 10),
+            (sweep, 4 * 13, 20),
+        ):
             assert main([*argv, "--format", "json", "--out", str(out)]) == 0
             assert main([*argv, "--out", str(csv)]) == 0
-            payload = json.loads(out.read_text(), parse_constant=reject)
+            payload = strict_json(out)
             assert set(payload) == {"rows", "discrepancies"}
-            assert len(payload["rows"]) == m + 1
+            assert len(payload["rows"]) == rows
             assert payload["rows"][0]["m"] == 0
             undefined = [row["cos_gamma_sim"] is None for row in payload["rows"]]
             assert undefined == [row["cos_gamma_sim"] == "nan" for row in read_rows(csv)]
             assert sum(undefined) == nulls
+        # the sweep's rows, read back one cell per file in chi-major order;
+        # a file name holds chi at 17 significant digits
+        assert main([*sweep, "--format", "json", "--per-cell", "--out-dir", str(tmp_path)]) == 0
+        per_cell = [strict_json(tmp_path / f"cell_chi{chi}_n{n}.json")["rows"]
+                    for chi in ("0", "7.7160000000000002") for n in ("4", "16")]
+        assert list(chain(*per_cell)) == payload["rows"]
 
     def test_oversized_n_is_a_usage_error(self, capsys):
         huge = "1" + "0" * 400
@@ -773,9 +813,10 @@ class TestSweep:
         ) == 0
         assert out_csv.read_text().startswith(CSV_HEADER)
 
-    def test_sweep_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sweep", "--chi", "0.5", "2", "--n", "4", "--m", "5"]
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_deterministic(self, fmt, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["sweep", "--chi", "0.5", "2", "--n", "4", "--m", "5", "--format", fmt]
         assert main(args + ["--out", str(a)]) == 0
         fill_longer(b, a)
         assert main(args + ["--out", str(b)]) == 0
@@ -801,7 +842,7 @@ class TestVerify:
         assert main(
             ["verify", "--out", str(out)]
         ) == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["all_hard_passed"] is True
         gaps = [
             d for d in payload["discrepancies"]
@@ -857,12 +898,25 @@ class TestVerify:
         assert json.loads(b.read_text()) == passed.to_dict()
         capsys.readouterr()
 
-    def test_seeded_determinism(self, capsys):
-        assert main(["verify", "--seed", "42"]) == 0
+    def test_seeded_determinism(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["verify", "--seed", "42", "--out", str(a)]) == 0
         first = capsys.readouterr().out
-        assert main(["verify", "--seed", "42"]) == 0
+        assert main(["verify", "--seed", "42", "--out", str(b)]) == 0
         second = capsys.readouterr().out
         assert first == second
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_worst_is_null_in_the_file(self, tmp_path, monkeypatch, capsys):
+        # the zero scan's worst is inf when it finds another number of zeros
+        scan = CheckResult("psi_zero_scan", False, math.inf, "found 2 zeros")
+        monkeypatch.setattr("noisy_grover.verify._psi_zero_scan", lambda: scan)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--out", str(out)]) == 2
+        assert "[FAIL] psi_zero_scan: worst inf (found 2 zeros)\n" in capsys.readouterr().out
+        payload = strict_json(out)
+        assert payload["checks"][2] == {**asdict(scan), "worst": None}
+        assert payload["all_hard_passed"] is False
 
 
 # each command that writes --out, as argv up to the option
@@ -874,7 +928,7 @@ OUT_COMMANDS = {
 
 
 class TestOutFile:
-    """--out on a character device, through a symlink, and as a new file."""
+    """--out on a character device, through a symlink, as a new file and as a FIFO."""
 
     @pytest.mark.parametrize("command", OUT_COMMANDS)
     def test_dev_null_is_written_without_error(self, command, capsys):
@@ -903,15 +957,49 @@ class TestOutFile:
         assert out.stat().st_mode & 0o777 == 0o666 & ~0o022
         capsys.readouterr()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_reader_gets_the_file_bytes(self, tmp_path, capsys):
+        # neither a regular file nor a device: ftruncate on a pipe fails with EINVAL
+        plain, fifo = tmp_path / "plain", tmp_path / "fifo"
+        assert main([*SEARCH, "--out", str(plain)]) == 0
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert main([*SEARCH, "--out", str(fifo)]) == 0
+        finally:
+            # a reader still waiting for a writer sees end of file, not a hang
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [plain.read_bytes()]
+        assert capsys.readouterr().err == ""
 
-def test_console_entry_point_runs():
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["chi-star", "--n-max", "1"], 0, "n,chi_n,psi\n1,", ""),
+        (["chi-star", "--n-max", "0"], 1, "", "error: --n-max must be >= 1, got 0\n"),
+        (["verify", "--strict-paper"], 2, "[PASS] completeness_grid: ",
+         "strict mode: closed-form discrepancies exceed 1e-8\n"),
+    ],
+    ids=["exit-0", "usage-error-exit-1", "strict-paper-exit-2"],
+)
+def test_console_entry_point_runs(argv, code, stdout, stderr):
+    # the console script calls cli.entrypoint, as python -m does: its exit
+    # status is main's return code, and a usage error is one stderr line
     proc = subprocess.run(
-        [sys.executable, "-m", "noisy_grover.cli", "chi-star", "--n-max", "1"],
+        [sys.executable, "-m", "noisy_grover.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=120,
     )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("n,chi_n,psi")
+    assert proc.returncode == code
+    assert proc.stdout.startswith(stdout) and (stdout or not proc.stdout)
+    assert proc.stderr == stderr
 
 
 def test_no_command_needs_mpmath():

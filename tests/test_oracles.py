@@ -1,5 +1,9 @@
 """Self-tests of the test oracles in tests/oracles.py: the Hermitian
-spectrum and the density-matrix validation the other test modules rely on."""
+spectrum and the density-matrix validation the other test modules rely on,
+and the oracles' independence from the plane step they check."""
+
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +12,18 @@ from numpy.testing import assert_allclose
 from noisy_grover.errors import DimensionMismatch, NotHermitian
 
 from conftest import random_density, random_hermitian
+import oracles
 from oracles import InvalidDensityMatrix, check_density_matrix, eigvals_hermitian
+
+# The package's plane step and report; the oracles are what they are checked against.
+CHECKED = re.compile(r"\b(plane_kraus|bloch_image|bloch_map|plane_report|trajectory_report)\b")
+
+
+def test_oracles_never_name_the_plane_step_they_check():
+    # the oracles build their 3x3 step from KrausChannel applications and
+    # iterate it themselves; naming the package's step or report, even to
+    # import it, would check the package against itself
+    assert CHECKED.findall(inspect.getsource(oracles)) == []
 
 
 class TestEigvalsHermitian:

@@ -19,7 +19,9 @@ from noisy_grover.noise import chi_star, pair_rotations
 from noisy_grover.search import SearchInstance
 from noisy_grover.tolerances import UNITARITY_ATOL
 from noisy_grover.verify import (
+    CheckResult,
     DiscrepancyRecord,
+    VerificationReport,
     _aligned_distance,
     build_search_channel,
     ideal_grover_probability,
@@ -99,6 +101,16 @@ def test_report_serialization_roundtrip(report):
         "chi": 0.0,
         "magnitude": 2.0,
         "detail": "x",
+    }
+    # a non-finite float is None, so the written JSON holds null
+    odd = VerificationReport(
+        checks=[CheckResult("x", False, math.nan, "d")],
+        discrepancies=[DiscrepancyRecord("y", math.inf, -math.inf, "e")],
+    )
+    assert odd.to_dict() == {
+        "checks": [{"name": "x", "passed": False, "worst": None, "detail": "d"}],
+        "discrepancies": [{"kind": "y", "chi": None, "magnitude": None, "detail": "e"}],
+        "all_hard_passed": False,
     }
 
 
