@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReal
-from .noise import _require_count, scalar_profile
-from .search import SearchInstance, _require_array, bloch_map, uniform_plane_vector
+from .noise import _require_array, _require_count, scalar_profile
+from .search import SearchInstance, bloch_map, uniform_plane_vector
 from .tolerances import (
     BLOCH_ZERO_ATOL,
     EIGENVALUE_FLOOR,

@@ -31,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneratePolar, DimensionMismatch, NotHermitian, NotTracePreserving
-from .noise import _require_nonnegative, pair_rotations, rotation_y, scalar_profile
+from .noise import (_require_array, _require_count, _require_nonnegative, pair_rotations,
+                    rotation_y, scalar_profile)
 from .tolerances import HERMITICITY_ATOL, TRACE_ATOL
 
 __all__ = [
@@ -65,8 +66,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _require_array(m, (None, None), "matrix").astype(complex, copy=False)
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionMismatch("matrix contains non-finite entries")
@@ -127,30 +128,29 @@ def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """Trace-preserving operator-sum map with explicit mixing weights.
 
-    operators is stored as one complex (k, d, d) array, and anything else
-    (ragged, empty, not square or not finite) raises DimensionMismatch.
-    Weights must be finite and positive.  Completeness
-    sum_i w_i K_i^dag K_i = I is enforced at construction within
-    TRACE_ATOL (Frobenius norm); a nan defect fails it.
+    operators is stored as one complex (k, d, d) array and weights as k
+    positive floats; anything else (ragged, empty, not square, not
+    numbers, complex weights or not finite) raises DimensionMismatch.
+    Completeness sum_i w_i K_i^dag K_i = I is enforced at construction
+    within TRACE_ATOL (Frobenius norm); a nan defect fails it.
     """
 
     operators: np.ndarray
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        try:
-            ops = np.asarray(self.operators, dtype=complex)
-        except ValueError:  # ragged: the operators differ in shape
-            raise DimensionMismatch("Kraus operators must share one shape") from None
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.size == 0:
+        ops = _require_array(self.operators, (None, None, None), "Kraus operator stack")
+        ops = ops.astype(complex, copy=False)
+        if ops.shape[1] != ops.shape[2] or ops.size == 0:
             raise DimensionMismatch(f"need a (k, d, d) operator stack, got {ops.shape}")
         if not np.all(np.isfinite(ops)):
             raise DimensionMismatch("Kraus operators contain non-finite entries")
-        w = np.ones(len(ops)) if self.weights is None else np.asarray(self.weights, float)
-        if w.shape != (len(ops),) or not np.all(np.isfinite(w) & (w > 0)):
+        w = np.ones(len(ops)) if self.weights is None else self.weights
+        w = _require_array(w, (None,), "Kraus weight vector")
+        if w.shape != (len(ops),) or np.iscomplexobj(w) or not np.all(np.isfinite(w) & (w > 0)):
             raise DimensionMismatch("need one finite positive weight per operator")
         self.operators = ops
-        self.weights = w
+        self.weights = w.astype(float, copy=False)
         defect = self.completeness_defect()
         if not defect <= TRACE_ATOL:
             raise NotTracePreserving(
@@ -267,7 +267,9 @@ def choi_of_map(f: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     """Choi matrix of an arbitrary map given only as a function on states.
 
     Independent of choi_matrix's Kraus shortcut; used to cross-check it.
+    A dim that is not an integer >= 1 raises ValueError.
     """
+    dim = _require_count("dimension", dim, 1)
     c = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .tolerances import CHI_MAX
 
 __all__ = [
@@ -40,7 +41,7 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
-def _describe_integer(value: int) -> str:
+def _show_int(value: int) -> str:
     """value in decimal, or its size in bits once it is wider than 64 bits."""
     if value.bit_length() <= 64:
         return str(value)
@@ -55,11 +56,10 @@ def _require_count(name: str, value, minimum: int, maximum: int | None = None) -
     or bound wider than 64 bits is named by its size, not printed in full.
     """
     value = _require_integer(name, value)
-    shown = _describe_integer(value)
     if value < minimum:
-        raise ValueError(f"{name} must be >= {_describe_integer(minimum)}, got {shown}")
+        raise ValueError(f"{name} must be >= {_show_int(minimum)}, got {_show_int(value)}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {_describe_integer(maximum)}, got {shown}")
+        raise ValueError(f"{name} must be <= {_show_int(maximum)}, got {_show_int(value)}")
     return value
 
 
@@ -74,6 +74,25 @@ def _require_nonnegative(chi: float) -> float:
     if chi > CHI_MAX:
         raise ValueError(f"noise strength chi must be <= {CHI_MAX:.17g}, got {chi}")
     return chi + 0.0
+
+
+def _require_array(x, shape: tuple, what: str) -> np.ndarray:
+    """x as one numeric array of the given shape, with no cast; None in shape is free.
+
+    A ragged x, or one numpy holds as other than numbers (None, strings,
+    objects), raises DimensionMismatch, and so does any other shape.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged: the entries differ in shape
+        a = None
+    if a is None or a.dtype.kind not in "biufc":
+        raise DimensionMismatch(f"{what} is not one array of numbers")
+    if a.shape != shape and (
+        a.ndim != len(shape) or any(d not in (n, None) for n, d in zip(a.shape, shape))
+    ):
+        raise DimensionMismatch(f"{what} has shape {a.shape}, not {shape}")
+    return a
 
 
 def rotation_y(angle: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, NotReal, NotTracePreserving
-from .noise import _require_count, _require_nonnegative, pair_rotations
+from .noise import _require_array, _require_count, _require_nonnegative, pair_rotations
 from .tolerances import TRACE_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -81,28 +81,6 @@ _PROBES = np.array(
 )
 
 
-def _require_array(x, shape: tuple, what: str) -> np.ndarray:
-    """x as one numeric array of the given shape, with no cast.
-
-    A ragged x, or one numpy holds as other than numbers (None, strings,
-    objects), raises DimensionMismatch, and so does any other shape.
-    """
-    try:
-        a = np.asarray(x)
-    except ValueError:  # ragged: the entries differ in shape
-        a = None
-    if a is None or a.dtype.kind not in "biufc":
-        raise DimensionMismatch(f"{what} is not one array of numbers")
-    if a.shape != shape:
-        raise DimensionMismatch(f"{what} has shape {a.shape}, not {shape}")
-    return a
-
-
-def _require_stack(ops, what: str) -> np.ndarray:
-    """ops as one complex (2, 2, 2) stack, two 2x2 operators, or _require_array's error."""
-    return _require_array(ops, (2, 2, 2), what).astype(complex, copy=False)
-
-
 def plane_kraus(pair, s) -> np.ndarray:
     """The (2, 2, 2) stack K_i = V_i I_s V_i^dag I_w on {|w>, |r>}.
 
@@ -119,7 +97,7 @@ def plane_kraus(pair, s) -> np.ndarray:
     complete within TRACE_ATOL (NotTracePreserving); a nan fails every
     check.
     """
-    v = _require_stack(pair, "rotation pair")
+    v = _require_array(pair, (2, 2, 2), "rotation pair").astype(complex, copy=False)
     s = _require_array(s, (2,), "plane vector").astype(complex)
     if s.imag.any():
         raise NotReal(f"plane vector {s.tolist()} is not real")
@@ -163,7 +141,7 @@ def bloch_image(k: np.ndarray) -> np.ndarray:
     terms, which keeps signed zeros; real and imaginary parts add apart,
     so each part of the sum is the sum of the parts.
     """
-    k = _require_stack(k, "operator stack")
+    k = _require_array(k, (2, 2, 2), "operator stack").astype(complex, copy=False)
     t = 0.5 * (k[:, None] @ _PROBES @ k.conj().transpose(0, 2, 1)[:, None])
     mixture = (0.0 + t[0]) + t[1]
     rho_01 = mixture[:, 0, 1]

@@ -31,7 +31,8 @@ from .channels import (
     nearest_unitary_pair,
 )
 from .errors import NotNormalized
-from .noise import _require_count, chi_star, psi_zero_scan, rotation_y, scalar_profile
+from .noise import (_require_array, _require_count, chi_star, psi_zero_scan, rotation_y,
+                    scalar_profile)
 from .search import SearchInstance
 from .tolerances import M_MAX, TRACE_ATOL, UNITARITY_ATOL
 
@@ -103,9 +104,9 @@ def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 def reflection(v) -> np.ndarray:
     """1 - 2|v><v| for a unit vector v: Hermitian, unitary, involutory.
 
-    A vector with a nan entry has a nan norm, which fails the check.
+    v must be one vector of numbers (DimensionMismatch); a nan entry fails the norm check.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = _require_array(v, (None,), "vector").astype(complex, copy=False)
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= UNITARITY_ATOL:
         raise NotNormalized(f"vector norm {norm} is not 1 within {UNITARITY_ATOL:.1e}")

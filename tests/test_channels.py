@@ -3,6 +3,7 @@ matrices and composition, the noise model's four Kraus constructions, and
 the matrix helpers that were once the linalg module."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from noisy_grover.channels import (
     PAULI_Y,
     PAULI_Z,
     KrausChannel,
+    as_complex_matrix,
     channel_choi_distance,
     choi_matrix,
     choi_of_map,
@@ -56,6 +58,14 @@ from oracles import (
 )
 
 I2 = np.eye(2, dtype=complex)
+
+# Matrices that are not one array of numbers; numpy's own cast raised a bare
+# ValueError or TypeError for each
+NOT_NUMBERS = [
+    pytest.param([["a", "b"], ["c", "d"]], id="strings"),
+    pytest.param([[1.0, 0.0], [0.0]], id="ragged"),
+    pytest.param(np.full((2, 2), None), id="objects"),
+]
 
 
 def expm_i_series(h: np.ndarray) -> np.ndarray:
@@ -127,6 +137,36 @@ class TestKrausChannel:
         ops = (np.eye(2, dtype=complex),) * len(weights)
         with pytest.raises(DimensionMismatch):
             KrausChannel(ops, np.array(weights))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [[[["a", "b"], ["c", "d"]]], (I2, np.eye(3)), [I2, [[1.0, 0.0], [0.0]]]],
+        ids=["string-operator", "ragged", "ragged-operator"],
+    )
+    def test_stack_of_other_than_numbers_is_refused(self, ops):
+        message = "^Kraus operator stack is not one array of numbers$"
+        with pytest.raises(DimensionMismatch, match=message):
+            KrausChannel(ops)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["a", "b"], "Kraus weight vector is not one array of numbers"),
+            ([0.5, [0.5]], "Kraus weight vector is not one array of numbers"),
+            ([0.5 + 0j, 0.5 + 0j], "need one finite positive weight per operator"),
+            (np.array([0.5, 0.5], dtype=complex), "need one finite positive weight per operator"),
+        ],
+        ids=["strings", "ragged", "complex-list", "complex-array"],
+    )
+    def test_weights_of_other_than_real_numbers_are_refused(self, weights, message):
+        # a complex weight is refused even with a zero imaginary part
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            KrausChannel((I2, I2), weights)
+
+    @pytest.mark.parametrize("rho", NOT_NUMBERS)
+    def test_apply_to_other_than_numbers_is_refused(self, rho):
+        with pytest.raises(DimensionMismatch, match="^matrix is not one array of numbers$"):
+            KrausChannel((I2,))(rho)
 
     def test_nan_completeness_defect_fails_closed(self):
         # finite entries whose products overflow to inf - inf = nan
@@ -200,6 +240,19 @@ class TestChoi:
         u, v = random_unitary(rng, 3), random_unitary(rng, 3)
         mixed = KrausChannel((u, v), np.array([0.5, 0.5]))
         assert choi_rank(mixed) == 2
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            (0, "dimension must be >= 1, got 0"),
+            (-1, "dimension must be >= 1, got -1"),
+            (True, "dimension must be an integer, got True"),
+        ],
+        ids=["zero", "negative", "bool"],
+    )
+    def test_map_dimension_must_be_a_positive_integer(self, dim, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            choi_of_map(lambda rho: rho, dim)
 
     def test_distance_requires_equal_dims(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -278,6 +331,22 @@ class TestStackBits:
                 weights, ops = compose_per_pair(wa, a_ops, wb, b_ops)
                 assert composed.weights.tobytes() == weights.tobytes()
                 assert composed.operators.tobytes() == ops.tobytes()
+
+
+class TestMatrixOperands:
+    @pytest.mark.parametrize(
+        "call",
+        [as_complex_matrix, matexp_i_hermitian, polar_unitary_factor],
+        ids=["as_complex_matrix", "matexp_i_hermitian", "polar_unitary_factor"],
+    )
+    @pytest.mark.parametrize("m", NOT_NUMBERS)
+    def test_matrix_of_other_than_numbers_is_refused(self, call, m):
+        with pytest.raises(DimensionMismatch, match="^matrix is not one array of numbers$"):
+            call(m)
+
+    def test_vector_is_not_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match=re.escape("has shape (2,), not (None, None)")):
+            as_complex_matrix([1.0, 0.0])
 
 
 class TestMatexp:

@@ -1,11 +1,14 @@
+import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisy_grover import noise
 from noisy_grover.analysis import closed_form_fidelities, plane_report, trajectory_report
 from noisy_grover.noise import CHI_STAR_MAX_INDEX, chi_star, psi_zero_scan, scalar_profile
 from noisy_grover.search import SearchInstance, bloch_map
@@ -19,6 +22,16 @@ MU_AT_2 = 1.2715542753135176
 DELTA_AT_2 = 0.7514899067581920
 CHI_STAR_2 = 12.4678093230991225
 DELTA_AT_0 = 0.9003163161571061
+
+
+def test_one_coercion_of_array_operands():
+    # every array operand passes noise._require_array; a second asarray
+    # anywhere in the package would be a private coercion beside it
+    asarray = re.compile(r"\basarray\b")
+    package = Path(noise.__file__).parent
+    found = {p.name: len(asarray.findall(p.read_text())) for p in package.glob("*.py")}
+    assert {name: count for name, count in found.items() if count} == {"noise.py": 1}
+    assert len(asarray.findall(inspect.getsource(noise._require_array))) == 1
 
 
 def psi_denominator(chi):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ class TestStatesAndReflections:
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.nan, np.nan]])
     def test_reflection_rejects_nan(self, v):
         with pytest.raises(NotNormalized):
+            reflection(v)
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            (["a", "b"], "vector is not one array of numbers"),
+            ([1.0, [0.0]], "vector is not one array of numbers"),
+            # a unit 4-vector once flattened: only a vector is taken as one
+            ([[0.6, 0.0], [0.0, 0.8]], "vector has shape (2, 2), not (None,)"),
+        ],
+        ids=["strings", "ragged", "matrix"],
+    )
+    def test_reflection_rejects_other_than_one_vector(self, v, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             reflection(v)
 
 
